@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format (default: table)")
         p.add_argument("--out", metavar="PATH",
                        help="write the report to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized self-checks (unused otherwise)")
 
     def data_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--data", required=True, metavar="PATH",
@@ -171,8 +169,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
             result = run_qubit(r=args.r, tilt_deg=args.tilt_deg, n=args.n)
         else:
             result = run_thermal()
-        config = RunConfig(command=f"demo {args.which}", out_format=args.format,
-                           seed=args.seed, extra=extra)
+        config = RunConfig(command=f"demo {args.which}", out_format=args.format, extra=extra)
         return config, result
 
     ds = _load_dataset(args)
@@ -188,8 +185,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
                                      sig_level=args.sig_level)
             result["residual"] = significance_summary(rep)
         config = RunConfig(command="project", inputs=inputs, level=args.level,
-                           sig_level=args.sig_level, out_format=args.format,
-                           seed=args.seed)
+                           sig_level=args.sig_level, out_format=args.format)
         return config, result
 
     if args.command == "significance":
@@ -197,7 +193,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         rep = level_significance(ds.data, sigma, level, sig_level=args.sig_level)
         config = RunConfig(command="significance", inputs=inputs,
                            level=args.level, sig_level=args.sig_level,
-                           out_format=args.format, seed=args.seed)
+                           out_format=args.format)
         return config, {"significance": significance_summary(rep)}
 
     if args.command == "estimate":
@@ -213,8 +209,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
             post = posterior_estimate(ds.data, prior, alpha_policy="fixed")
             result = {"posterior": posterior_summary(post)}
         config = RunConfig(command="estimate", inputs=inputs, level=args.level,
-                           alpha_policy=args.alpha, out_format=args.format,
-                           seed=args.seed)
+                           alpha_policy=args.alpha, out_format=args.format)
         return config, result
 
     if args.command == "compare":
@@ -227,7 +222,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         config = RunConfig(command="compare", inputs=inputs,
                            coarse=args.coarse, fine=args.fine,
                            alpha_policy=args.alpha, prior_odds=args.prior_odds,
-                           out_format=args.format, seed=args.seed)
+                           out_format=args.format)
         return config, {"comparison": comparison_summary(rep)}
 
     raise ValidationError(f"unknown command {args.command!r}")

@@ -9,6 +9,10 @@ sigma exactly.  ln Z is strictly convex with gradient -g(lam) and Hessian
 equal to the canonical-correlation covariance of the basis at pi(lam), so
 matching expectation values is an unconstrained convex solve.
 
+Off the classical vector path an evaluation works on the level's stacked
+(k, d, d) basis: lam.B is one contraction, and g and the covariance come
+from one pass of the eigenframe kernel state_space._kmb_moments.
+
 The qubit family at the maximally mixed reference has closed forms in
 Bloch coordinates; those live at the bottom of this module and double as
 an independent check on the generic machinery.
@@ -32,10 +36,8 @@ from .levels import LevelOfDescription, make_level
 from .state_space import (
     EIG_FLOOR,
     DensityOperator,
-    HermitianOperator,
     _fix_phases,
-    expectation,
-    kmb_inner,
+    _kmb_moments,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -139,6 +141,21 @@ def _log_state(sigma: DensityOperator) -> np.ndarray:
     return (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
 
 
+def _moments(state: DensityOperator,
+             level: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
+    """(g, corr) of the level's basis at a state; corr exactly symmetric.
+    Classical states with all-diagonal levels stay on vectors."""
+    if state.is_classical and level.all_diagonal:
+        p = state.probs
+        diags = np.array([op.diagonal for op in level.basis]).reshape(level.n_params, p.size)
+        g = diags @ p
+        centered = diags - g[:, None]
+        corr = (centered * p) @ centered.T
+    else:
+        g, corr = _kmb_moments(state.eigenvalues, state.eigenvectors, level.basis_stack)
+    return g, 0.5 * (corr + corr.T)
+
+
 def _eval(sigma: DensityOperator, level: LevelOfDescription,
           lam: np.ndarray) -> tuple[DensityOperator, float, np.ndarray, np.ndarray]:
     """Evaluate (state, ln_z, g, corr) at multipliers lam.
@@ -146,52 +163,31 @@ def _eval(sigma: DensityOperator, level: LevelOfDescription,
     The exponent is computed as ln sigma - lam.B and shifted by its top
     eigenvalue before exponentiation; the centering constant <ln sigma>_sigma
     only moves ln Z and is added back in closed form (it equals minus the
-    entropy of sigma).
+    entropy of sigma).  g and corr come from _moments at the new state:
+    the eigenframe kernel on the stacked basis unless all is classical.
     """
-    k = level.n_params
     ent_sigma = von_neumann_entropy(sigma)
-    if sigma.is_classical and level.all_diagonal:
-        a = np.log(sigma.probs)
+    vector = sigma.is_classical and level.all_diagonal
+    if vector:
+        w = np.log(sigma.probs)
         for lb, op in zip(lam, level.basis):
-            a = a - lb * op.diagonal
-        m = float(a.max())
-        raw = np.exp(a - m)
-        total = float(raw.sum())
-        p = raw / total
-        p = np.maximum(p, EIG_FLOOR)
-        p /= p.sum()
+            w = w - lb * op.diagonal
+    else:
+        a = _log_state(sigma) - np.tensordot(lam, level.basis_stack, axes=1)
+        w, v = np.linalg.eigh(a)
+    m = float(w.max())
+    raw = np.exp(w - m)
+    total = float(raw.sum())
+    p = np.maximum(raw / total, EIG_FLOOR)
+    p /= p.sum()
+    if vector:
         order = np.argsort(p)[::-1]
         vecs = np.eye(p.size, dtype=complex)[:, order]
         state = DensityOperator._from_spectrum(p[order], vecs, probs=p)
-        ln_z = m + np.log(total) + ent_sigma
-        diags = np.array([op.diagonal for op in level.basis]) if k else np.zeros((0, p.size))
-        g = diags @ p
-        centered = diags - g[:, None]
-        corr = (centered * p) @ centered.T
     else:
-        a = _log_state(sigma)
-        for lb, op in zip(lam, level.basis):
-            a = a - lb * op.matrix
-        w, v = np.linalg.eigh(a)
-        m = float(w.max())
-        raw = np.exp(w - m)
-        total = float(raw.sum())
-        p = raw / total
-        p = np.maximum(p, EIG_FLOOR)
-        p /= p.sum()
-        v = _fix_phases(v[:, ::-1])
-        p = p[::-1].copy()
-        state = DensityOperator._from_spectrum(p, v)
-        ln_z = m + np.log(total) + ent_sigma
-        g = np.array([expectation(state, op) for op in level.basis])
-        corr = np.zeros((k, k))
-        centered_ops = [
-            HermitianOperator.from_matrix(op.matrix - gb * np.eye(op.dim), atol=1e-9)
-            for op, gb in zip(level.basis, g)]
-        for i in range(k):
-            for j in range(i, k):
-                corr[i, j] = corr[j, i] = kmb_inner(state, centered_ops[i], centered_ops[j])
-    corr = 0.5 * (corr + corr.T)
+        state = DensityOperator._from_spectrum(p[::-1].copy(), _fix_phases(v[:, ::-1]))
+    ln_z = m + np.log(total) + ent_sigma
+    g, corr = _moments(state, level)
     return state, ln_z, g, corr
 
 
@@ -318,7 +314,7 @@ def project_state(sigma: DensityOperator, level: LevelOfDescription,
     if rho.dim != level.dim_hilbert:
         raise ValidationError(
             f"state dimension {rho.dim} != level dimension {level.dim_hilbert}")
-    t = np.array([expectation(rho, op) for op in level.basis])
+    t, _ = _moments(rho, level)
     return project(sigma, level, t, coords="basis")
 
 

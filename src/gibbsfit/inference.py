@@ -25,6 +25,7 @@ from .errors import EvidenceNotApplicableError, ValidationError
 from .gibbs import (
     GibbsModel,
     _basis_targets,
+    _moments,
     gibbs_state,
     project,
     project_state,
@@ -42,7 +43,6 @@ from .state_space import (
     HermitianOperator,
     _fix_phases,
     expectation,
-    kmb_inner,
     relative_entropy,
 )
 
@@ -476,18 +476,6 @@ class PosteriorEstimate:
         return self.rho_hat.state
 
 
-def _centered_gram(state: DensityOperator, ops) -> np.ndarray:
-    k = len(ops)
-    gram = np.zeros((k, k))
-    centered = [HermitianOperator.from_matrix(
-        op.matrix - expectation(state, op) * np.eye(op.dim), atol=1e-9)
-        for op in ops]
-    for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = kmb_inner(state, centered[i], centered[j])
-    return gram
-
-
 def posterior_estimate(data: ExperimentData, prior: EntropicPrior, *,
                        alpha_policy: str = "evidence",
                        fallback_alpha: float | None = None) -> PosteriorEstimate:
@@ -541,7 +529,7 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior, *,
     comp = complement(inter, prior.level, sigma)
     if not comp.is_trivial:
         unmeasured = comp
-        cov_unmeasured = _centered_gram(rho_hat.state, comp.basis) / alpha
+        cov_unmeasured = _moments(rho_hat.state, comp)[1] / alpha
     return PosteriorEstimate(
         rho_hat=rho_hat, data_model=data_model, t=t, alpha_used=alpha,
         alpha_source=alpha_source, n=float(data.n), measured=inter,

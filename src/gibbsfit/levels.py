@@ -15,6 +15,7 @@ numerically solid ground.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,16 @@ class LevelOfDescription:
     @property
     def all_diagonal(self) -> bool:
         return all(b.diagonal is not None for b in self.basis)
+
+    @cached_property
+    def basis_stack(self) -> np.ndarray:
+        """Read-only (k, d, d) stack of the basis matrices, built on first
+        use; the classical vector path never builds it."""
+        d = self.dim_hilbert
+        stack = np.array([b.matrix for b in self.basis], dtype=complex)
+        stack = stack.reshape(self.n_params, d, d)
+        stack.setflags(write=False)
+        return stack
 
     def same_context(self, other: "LevelOfDescription") -> bool:
         if self.dim_hilbert != other.dim_hilbert or self.inner != other.inner:

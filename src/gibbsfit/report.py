@@ -42,14 +42,13 @@ class RunConfig:
     sig_level: float = 1e-3
     prior_odds: float = 1.0
     out_format: str = "table"
-    seed: int | None = None
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         d = {"command": self.command, "inputs": list(self.inputs),
              "alpha_policy": self.alpha_policy, "sig_level": self.sig_level,
              "prior_odds": self.prior_odds, "format": self.out_format}
-        for key in ("level", "coarse", "fine", "seed"):
+        for key in ("level", "coarse", "fine"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val

@@ -339,6 +339,24 @@ def kmb_inner(sigma: DensityOperator, x: HermitianOperator, y: HermitianOperator
     return float(np.real(np.sum(w * xp * np.conj(yp))))
 
 
+def _kmb_moments(p: np.ndarray, v: np.ndarray,
+                 basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means g and canonical-correlation covariance C of a stacked (k, d, d)
+    basis at the state with spectrum p and eigenvectors v (columns).
+
+    kmb_inner for every pair at once (Daleckii-Krein form): with B' = V^dag B V
+    and g taken off each diagonal, C_ab = Re sum_ij W_ij B'_a,ij conj(B'_b,ij)
+    for W = _kmb_weights(p), one real GEMM over the (re, im) pairs.
+    """
+    k, d = basis.shape[0], p.size
+    rot = v.conj().T @ basis @ v
+    diag = np.arange(d)
+    g = np.real(rot[:, diag, diag]) @ p
+    rot[:, diag, diag] -= g[:, None]
+    flat = rot.reshape(k, d * d).view(float)
+    return g, (flat * np.repeat(_kmb_weights(p).ravel(), 2)) @ flat.T
+
+
 # -- convenience constructors ----------------------------------------
 
 
