@@ -27,7 +27,7 @@ def tilt_rates(r: float, tilt_deg: float, n: float):
     tau = np.deg2rad(tilt_deg)
     sigma = uniform_state(2)
     fine = pauli_level(sigma)
-    coarse = make_level([pauli_z()], "kmb", sigma, label="z-only")
+    coarse = make_level([pauli_z()], sigma, label="z-only")
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=fine, means=means, n=n)
     cmp_ = compare_levels(coarse, fine, data, sigma, alpha=None)

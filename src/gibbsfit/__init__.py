@@ -10,7 +10,6 @@ competing levels with a chi-square-per-parameter rule anchored at ln N.
 
 from .errors import (
     DataFormatError,
-    DomainError,
     EvidenceNotApplicableError,
     GibbsFitError,
     InfeasibleTargetError,
@@ -28,7 +27,6 @@ from .gibbs import (
     bloch_to_model,
     bloch_volume_weight,
     gibbs_state,
-    grand_potential,
     lambdas_from_bloch,
     manifold_relative_entropy,
     model_to_bloch,
@@ -56,7 +54,6 @@ from .inference import (
     gaussian_log_norm,
     interpolate_states,
     level_significance,
-    log_linear_mix,
     posterior_estimate,
     pythagoras_residual,
     significance,
@@ -66,13 +63,10 @@ from .levels import (
     LevelOfDescription,
     complement,
     full_classical_level,
-    full_quantum_level,
     intersection,
     is_sublevel,
     make_level,
-    tensor,
     trivial_level,
-    union,
 )
 from .state_space import (
     DensityOperator,
@@ -80,7 +74,6 @@ from .state_space import (
     bloch_state,
     classical_state,
     expectation,
-    hs_inner,
     kmb_inner,
     pauli_x,
     pauli_y,

@@ -17,7 +17,6 @@ from .dataio import load_classical, load_quantum, resolve_level
 from .demos import run_qubit, run_thermal, run_wolf
 from .errors import (
     DataFormatError,
-    DomainError,
     EvidenceNotApplicableError,
     InfeasibleTargetError,
     NotConvergedError,
@@ -246,8 +245,8 @@ def run(argv=None) -> int:
         _configure_logging()
         config, result = _dispatch(args)
         _emit(Report.build(config, result), args)
-    except (DataFormatError, ValidationError, DomainError,
-            EvidenceNotApplicableError, OSError) as exc:
+    except (DataFormatError, ValidationError, EvidenceNotApplicableError,
+            OSError) as exc:
         print(f"gibbsfit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (InfeasibleTargetError, NotConvergedError) as exc:

@@ -6,6 +6,8 @@ header ``outcome,<name1>,<name2>,...`` whose rows must cover exactly the
 same outcomes.  Quantum data arrive as a single JSON document carrying the
 reference state, named Hermitian observables (complex matrices split into
 "re"/"im" parts), named levels over those observables, and sample means.
+Named levels are checked at load and built only when resolve_level asks
+for one.
 Both formats are plain text so datasets diff cleanly and reproduce exactly.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError
 from .inference import ExperimentData
-from .levels import LevelOfDescription, make_level, trivial_level
+from .levels import LevelOfDescription, full_classical_level, make_level, trivial_level
 from .state_space import DensityOperator, HermitianOperator
 
 FORMAT_VERSION = 1
@@ -35,13 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ClassicalDataset:
-    """Counts over labeled outcomes plus the measured (full) level."""
+    """Counts over labeled outcomes plus the measured (full) level.  The
+    CSV format names no levels, so ``named`` is empty."""
 
     outcomes: tuple[str, ...]
     counts: np.ndarray
     reference: DensityOperator
     observables: dict[str, HermitianOperator]
     levels: dict[str, LevelOfDescription]
+    named: dict[str, tuple[str, ...]]
     data: ExperimentData
 
     @property
@@ -51,12 +55,17 @@ class ClassicalDataset:
 
 @dataclass(frozen=True, eq=False)
 class QuantumDataset:
-    """Reference state, named observables and levels, and sample means."""
+    """Reference state, named observables and levels, and sample means.
+
+    ``levels`` holds the measured level; ``named`` maps each level the file
+    names to its observable names, in file order.
+    """
 
     dim: int
     reference: DensityOperator
     observables: dict[str, HermitianOperator]
     levels: dict[str, LevelOfDescription]
+    named: dict[str, tuple[str, ...]]
     data: ExperimentData
 
     @property
@@ -152,15 +161,11 @@ def load_classical(counts_path, observables_path=None) -> ClassicalDataset:
                     for o in outcomes]
             observables[name] = HermitianOperator.from_diagonal(vals)
 
-    d = len(outcomes)
-    eye = np.eye(d)
-    full = make_level([HermitianOperator.from_diagonal(eye[k]) for k in range(d)],
-                      "kmb", reference, label="full")
+    full = full_classical_level(reference)
     data = ExperimentData.from_counts(counts_arr, full)
-    levels = {"full": full, "O": trivial_level(d, "kmb", reference)}
     return ClassicalDataset(outcomes=tuple(outcomes), counts=counts_arr,
                             reference=reference, observables=observables,
-                            levels=levels, data=data)
+                            levels={"full": full}, named={}, data=data)
 
 
 def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
@@ -178,7 +183,8 @@ def load_quantum(path) -> QuantumDataset:
 
     The measured level spans every observable that carries a sample mean,
     in file order; its retained generators define the order of the means
-    vector.  Named levels are orthonormalized at the reference.
+    vector.  Named levels must use known observables; they are built at
+    the reference by resolve_level.
     """
     try:
         with open(path) as fh:
@@ -234,33 +240,38 @@ def load_quantum(path) -> QuantumDataset:
         raise DataFormatError(f"{path}: N must be a nonnegative number")
 
     measured = make_level([observables[n] for n in measured_names],
-                          "kmb", reference, label="F")
+                          reference, label="F")
     means = np.array([float(means_map[measured_names[i]]) for i in measured.retained])
     data = ExperimentData(level=measured, means=means, n=float(n_shots))
 
-    levels: dict[str, LevelOfDescription] = {
-        "full": measured, "F": measured, "O": trivial_level(dim, "kmb", reference)}
+    named: dict[str, tuple[str, ...]] = {}
     for name, obs_names in doc.get("levels", {}).items():
         missing = [o for o in obs_names if o not in observables]
         if missing:
             raise DataFormatError(f"{path}: level {name!r} uses unknown observables {missing}")
-        levels[name] = make_level([observables[o] for o in obs_names],
-                                  "kmb", reference, label=name)
+        named[name] = tuple(obs_names)
     return QuantumDataset(dim=dim, reference=reference, observables=observables,
-                          levels=levels, data=data)
+                          levels={"full": measured, "F": measured}, named=named,
+                          data=data)
 
 
 def resolve_level(dataset, spec: str) -> LevelOfDescription:
-    """Turn a CLI level spec into a level: a named level ("O" and "full"
-    always exist), or a comma-separated list of observable names."""
+    """Turn a CLI level spec into a level: a level the data file names, the
+    measured level ("full"), the bare reference ("O"), or a comma-separated
+    list of observable names.  Levels other than the measured one are built
+    here, at the dataset's reference."""
     spec = spec.strip()
-    if spec in dataset.levels:
-        return dataset.levels[spec]
-    names = [s.strip() for s in spec.split(",") if s.strip()]
-    missing = [n for n in names if n not in dataset.observables]
-    if not names or missing:
-        raise DataFormatError(
-            f"cannot resolve level {spec!r}: not a named level and "
-            f"unknown observables {missing or spec!r}")
+    names = dataset.named.get(spec)
+    if names is None:
+        if spec in dataset.levels:
+            return dataset.levels[spec]
+        if spec == "O":
+            return trivial_level(dataset.reference)
+        names = [s.strip() for s in spec.split(",") if s.strip()]
+        missing = [n for n in names if n not in dataset.observables]
+        if not names or missing:
+            raise DataFormatError(
+                f"cannot resolve level {spec!r}: not a named level and "
+                f"unknown observables {missing or spec!r}")
     return make_level([dataset.observables[n] for n in names],
-                      "kmb", dataset.reference, label=spec)
+                      dataset.reference, label=spec)

@@ -30,7 +30,7 @@ from .inference import (
     level_significance,
     posterior_estimate,
 )
-from .levels import make_level, trivial_level
+from .levels import full_classical_level, make_level, trivial_level
 from .report import (
     alpha_summary,
     comparison_summary,
@@ -62,10 +62,9 @@ def wolf_levels():
     sigma = classical_state(np.full(d, 1.0 / d))
     face = np.arange(1, 7) - 3.5
     flat = np.array([1.0, 1.0, -2.0, -2.0, 1.0, 1.0])
-    eye = np.eye(d)
-    level_o = trivial_level(d, "kmb", sigma)
-    level_g = make_level([face, flat], "kmb", sigma, label="G")
-    level_f = make_level([eye[k] for k in range(d)], "kmb", sigma, label="full")
+    level_o = trivial_level(sigma)
+    level_g = make_level([face, flat], sigma, label="G")
+    level_f = full_classical_level(sigma)
     data = ExperimentData.from_counts(np.asarray(WOLF_COUNTS, float), level_f)
     return sigma, level_o, level_g, level_f, data
 
@@ -97,7 +96,7 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
     tau = np.deg2rad(tilt_deg)
     sigma = uniform_state(2)
     heis = pauli_level(sigma).with_label("heisenberg")
-    ising = make_level([pauli_z()], "kmb", sigma, label="ising")
+    ising = make_level([pauli_z()], sigma, label="ising")
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=heis, means=means, n=float(n))
 
@@ -150,9 +149,8 @@ def thermal_setup(chi2_target: float = 96.0, dim: int = 25,
     p0 = populations(beta0, spacing)
     p1 = populations(beta1, spacing)
     sigma = DensityOperator.classical(p0)
-    eye = np.eye(dim)
-    level_f = make_level([eye[k] for k in range(dim)], "kmb", sigma, label="full")
-    level_e = make_level([spacing * ladder], "kmb", sigma, label="energy")
+    level_f = full_classical_level(sigma)
+    level_e = make_level([spacing * ladder], sigma, label="energy")
     data = ExperimentData.from_counts(n * p1, level_f)
     return sigma, level_e, level_f, data, spacing, beta0, beta1
 

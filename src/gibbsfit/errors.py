@@ -19,10 +19,6 @@ class DataFormatError(ValidationError):
     """Unparseable or contract-violating data files."""
 
 
-class DomainError(GibbsFitError, ValueError):
-    """Mathematically undefined request, e.g. log of a singular operator."""
-
-
 class ManifoldMismatchError(ValidationError):
     """Two Gibbs models do not live on the same manifold."""
 

@@ -66,7 +66,6 @@ __all__ = [
     "quadratic_form",
     "volume_weight",
     "thermodynamic_entropy",
-    "grand_potential",
     "BlochVector",
     "pauli_level",
     "lambdas_from_bloch",
@@ -195,7 +194,7 @@ def _check_inputs(sigma: DensityOperator, level: LevelOfDescription) -> None:
     if sigma.dim != level.dim_hilbert:
         raise ValidationError(
             f"reference dimension {sigma.dim} != level dimension {level.dim_hilbert}")
-    if level.inner == "kmb" and level.sigma is not None and not level.sigma.same_state(sigma):
+    if not level.sigma.same_state(sigma):
         # a level orthonormalized at one state may still be used at another;
         # the span is what matters, so this is deliberate and allowed
         logger.debug("level orthonormalized at a different reference state")
@@ -361,13 +360,6 @@ def thermodynamic_entropy(model: GibbsModel) -> float:
     return model.ln_z + float(model.lam @ model.g)
 
 
-def grand_potential(model: GibbsModel, temperature: float) -> float:
-    """Free-energy-like potential -T ln Z at a positive temperature."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    return -temperature * model.ln_z
-
-
 # -- closed forms for the qubit spin manifold -------------------------
 #
 # Reference: maximally mixed qubit; level: the three Pauli observables,
@@ -398,7 +390,7 @@ def pauli_level(sigma: DensityOperator | None = None) -> LevelOfDescription:
     """Spin level of a single qubit: span{1, X, Y, Z}."""
     if sigma is None:
         sigma = uniform_state(2)
-    return make_level([pauli_x(), pauli_y(), pauli_z()], "kmb", sigma, label="spin")
+    return make_level([pauli_x(), pauli_y(), pauli_z()], sigma, label="spin")
 
 
 def lambdas_from_bloch(b: BlochVector) -> np.ndarray:

@@ -32,16 +32,17 @@ from .gibbs import (
     quadratic_form,
 )
 from .levels import (
+    SUBLEVEL_TOL,
     LevelOfDescription,
+    _center,
     _embedding,
+    _frame_coords,
     complement,
     intersection,
     is_sublevel,
 )
 from .state_space import (
     DensityOperator,
-    HermitianOperator,
-    _fix_phases,
     expectation,
     relative_entropy,
 )
@@ -78,7 +79,6 @@ __all__ = [
     "AlphaEstimate",
     "estimate_alpha",
     "interpolate_states",
-    "log_linear_mix",
     "PosteriorEstimate",
     "posterior_estimate",
     "ComparisonReport",
@@ -92,9 +92,13 @@ __all__ = [
 
 
 def chi2_logpdf(x: float, k: int) -> float:
-    """Natural log of the chi-square density with k degrees of freedom."""
-    if x <= 0 or k <= 0:
-        raise ValidationError("chi-square density needs x > 0 and k > 0")
+    """Natural log of the chi-square density with k degrees of freedom.
+    At x = 0 it is the density's limit: +inf for k = 1, ln(1/2) for k = 2
+    and -inf above."""
+    if x < 0 or k <= 0:
+        raise ValidationError("chi-square density needs x >= 0 and k > 0")
+    if x == 0:
+        return {1: float("inf"), 2: -float(np.log(2.0))}.get(k, float("-inf"))
     h = 0.5 * k
     return float((h - 1.0) * np.log(x) - 0.5 * x - h * np.log(2.0) - gammaln(h))
 
@@ -192,7 +196,7 @@ def significance(chi2: float, k: int, n: float, *,
         raise ValidationError("significance level must lie in (0, 1)")
     ln10 = np.log(10.0)
     log_tail = chi2_log_tail(chi2, k)
-    log_pdf = chi2_logpdf(chi2, k) if chi2 > 0 else -np.inf
+    log_pdf = chi2_logpdf(max(chi2, 0.0), k)
     return SignificanceReport(
         statistic=float(chi2), dof=int(k), n=float(n), kind=kind,
         pdf=float(np.exp(log_pdf)), log10_pdf=float(log_pdf / ln10),
@@ -208,24 +212,16 @@ def _sublevel_decomposition(data_level: LevelOfDescription,
                             sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
     data level's frame.  Requires sub to be contained in the data level."""
-    embed = _embedding(data_level.inner, data_level.sigma)
+    embed = _embedding(data_level.sigma)
     frame = [embed(b) for b in data_level.basis]
     offsets = np.zeros(len(sub.basis))
     coeffs = np.zeros((len(sub.basis), len(frame)))
     for j, op in enumerate(sub.basis):
-        if data_level.inner == "kmb":
-            c = expectation(data_level.sigma, op)
-        else:
-            c = float(np.real(np.trace(op.matrix))) / op.dim
-        z = embed(HermitianOperator.from_matrix(
-            op.matrix - c * np.eye(op.dim), atol=1e-9))
-        for b, fz in enumerate(frame):
-            coeffs[j, b] = float(np.real(np.vdot(fz, z)))
-            z = z - coeffs[j, b] * fz
-        if np.sqrt(max(np.real(np.vdot(z, z)), 0.0)) > 1e-8:
+        offsets[j], centered = _center(op, data_level.sigma)
+        coeffs[j], resid = _frame_coords(frame, embed(centered))
+        if resid > SUBLEVEL_TOL:
             raise ValidationError(
                 "level is not contained in the measured level of the data")
-        offsets[j] = c
     return offsets, coeffs
 
 
@@ -320,9 +316,6 @@ class EntropicPrior:
     def __post_init__(self):
         if self.alpha is not None and self.alpha <= 0:
             raise ValidationError("prior weight alpha must be positive")
-
-    def with_alpha(self, alpha: float) -> "EntropicPrior":
-        return EntropicPrior(sigma=self.sigma, level=self.level, alpha=float(alpha))
 
 
 def gaussian_log_norm(alpha: float, n_params: int) -> float:
@@ -421,30 +414,6 @@ def interpolate_states(mu_proj: GibbsModel, sigma: DensityOperator,
     if not mu_proj.sigma.same_state(sigma):
         raise ValidationError("interpolation reference differs from the manifold's")
     return gibbs_state(mu_proj.sigma, mu_proj.level, (1.0 - t) * mu_proj.lam)
-
-
-def log_linear_mix(rho: DensityOperator, sigma: DensityOperator,
-                   t: float) -> DensityOperator:
-    """Normalized exp[(1-t) ln rho + t ln sigma] for arbitrary states.
-
-    The general form behind interpolate_states; for commuting diagonal
-    states it reduces to the renormalized weighted geometric mean.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError("interpolation weight must lie in [0, 1]")
-    if rho.is_classical and sigma.is_classical:
-        a = (1.0 - t) * np.log(rho.probs) + t * np.log(sigma.probs)
-        a -= a.max()
-        p = np.exp(a)
-        return DensityOperator.classical(p / p.sum())
-    ln_rho = (rho.eigenvectors * np.log(rho.eigenvalues)) @ rho.eigenvectors.conj().T
-    ln_sig = (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
-    a = (1.0 - t) * ln_rho + t * ln_sig
-    w, v = np.linalg.eigh(a)
-    w = w - w.max()
-    p = np.exp(w)
-    p /= p.sum()
-    return DensityOperator._from_spectrum(p[::-1].copy(), _fix_phases(v[:, ::-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,10 @@
 """Levels of description: observable spans and their lattice operations.
 
 A level is the real span of the identity together with a set of Hermitian
-generators.  Internally we keep an orthonormalized, centered basis under a
-tagged inner product: plain Hilbert-Schmidt, or the canonical-correlation
-(Kubo-Mori) product at a reference state.  The tag and reference travel
-with the level so results computed at one reference cannot silently be
-reused at another.
+generators.  Internally we keep a basis centered and orthonormalized in the
+canonical-correlation (Kubo-Mori) product at a reference state.  The
+reference travels with the level so results computed at one reference
+cannot silently be reused at another.
 
 All span arithmetic runs in a Euclidean embedding of operator space, which
 keeps Gram-Schmidt, sublevel tests and principal-angle detection on
@@ -43,11 +42,8 @@ __all__ = [
     "make_level",
     "is_sublevel",
     "complement",
-    "union",
     "intersection",
-    "tensor",
     "trivial_level",
-    "full_quantum_level",
     "full_classical_level",
 ]
 
@@ -61,11 +57,9 @@ def _coerce_operator(obj) -> HermitianOperator:
     return HermitianOperator.from_matrix(arr)
 
 
-def _embedding(inner: str, sigma: DensityOperator | None):
-    """Map operators to complex vectors so the tagged inner product becomes
-    Re <u, v> in the Euclidean sense."""
-    if inner == "hs":
-        return lambda op: op.matrix.ravel()
+def _embedding(sigma: DensityOperator):
+    """Map operators to complex vectors so the canonical-correlation product
+    at sigma becomes Re <u, v> in the Euclidean sense."""
     v = sigma.eigenvectors
     sw = np.sqrt(_kmb_weights(sigma.eigenvalues))
     # exact for diagonal operators at classical references: v is then a
@@ -73,12 +67,9 @@ def _embedding(inner: str, sigma: DensityOperator | None):
     return lambda op: (sw * (v.conj().T @ op.matrix @ v)).ravel()
 
 
-def _center(op: HermitianOperator, inner: str, sigma: DensityOperator | None):
-    """Split X = c*1 + dX with dX orthogonal to the identity."""
-    if inner == "kmb":
-        c = expectation(sigma, op)
-    else:
-        c = float(np.real(np.trace(op.matrix))) / op.dim
+def _center(op: HermitianOperator, sigma: DensityOperator):
+    """Split X = c*1 + dX with dX orthogonal to the identity at sigma."""
+    c = expectation(sigma, op)
     if op.diagonal is not None:
         centered = HermitianOperator.from_diagonal(op.diagonal - c)
     else:
@@ -115,7 +106,8 @@ def _gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
 
 @dataclass(frozen=True, eq=False)
 class LevelOfDescription:
-    """Span of {1, G_1, ..., G_m} with an orthonormal centered basis.
+    """Span of {1, G_1, ..., G_m} with a basis orthonormal and centered in
+    the canonical-correlation product at ``sigma``.
 
     ``generators`` keeps the operators as handed in; ``retained`` indexes
     the subset that survived dependency dropping, in input order.  Each
@@ -128,8 +120,7 @@ class LevelOfDescription:
     """
 
     dim_hilbert: int
-    inner: str
-    sigma: DensityOperator | None
+    sigma: DensityOperator
     generators: tuple[HermitianOperator, ...]
     basis: tuple[HermitianOperator, ...]
     retained: tuple[int, ...]
@@ -165,52 +156,35 @@ class LevelOfDescription:
         return stack
 
     def same_context(self, other: "LevelOfDescription") -> bool:
-        if self.dim_hilbert != other.dim_hilbert or self.inner != other.inner:
-            return False
-        if (self.sigma is None) != (other.sigma is None):
-            return False
-        return self.sigma is None or self.sigma.same_state(other.sigma)
+        return self.sigma.same_state(other.sigma)
 
     def with_label(self, label: str) -> "LevelOfDescription":
-        return LevelOfDescription(self.dim_hilbert, self.inner, self.sigma,
+        return LevelOfDescription(self.dim_hilbert, self.sigma,
                                   self.generators, self.basis, self.retained,
                                   self.gen_offsets, self.gen_coeffs, label)
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
-        return (f"LevelOfDescription(dim={self.dim}, d={self.dim_hilbert}, "
-                f"inner={self.inner!r}{name})")
+        return f"LevelOfDescription(dim={self.dim}, d={self.dim_hilbert}{name})"
 
 
-def make_level(generators, inner: str = "hs", sigma: DensityOperator | None = None,
-               *, dim: int | None = None, label: str = "") -> LevelOfDescription:
-    """Build a level from Hermitian generators.
+def make_level(generators, sigma: DensityOperator, *,
+               label: str = "") -> LevelOfDescription:
+    """Build a level from Hermitian generators at the reference state sigma.
 
-    ``inner`` selects the orthonormalization geometry: "hs" or "kmb" (the
-    latter requires the reference state ``sigma``).  Generators that are
-    linear combinations of earlier ones, or proportional to the identity,
-    are dropped.  An empty effective span yields the trivial level.
+    Generators that are linear combinations of earlier ones, or
+    proportional to the identity, are dropped.  An empty effective span
+    yields the trivial level.
     """
-    if inner not in ("hs", "kmb"):
-        raise ValidationError(f"unknown inner-product tag {inner!r}")
-    if inner == "kmb" and sigma is None:
-        raise ValidationError("kmb inner product requires a reference state")
+    if not isinstance(sigma, DensityOperator):
+        raise ValidationError("a level needs a reference state")
+    d = sigma.dim
     ops = [_coerce_operator(g) for g in generators]
-    if ops:
-        d = ops[0].dim
-    elif sigma is not None:
-        d = sigma.dim
-    elif dim is not None:
-        d = dim
-    else:
-        raise ValidationError("cannot infer Hilbert-space dimension for an empty level")
     if any(op.dim != d for op in ops):
-        raise ValidationError("generators live on different Hilbert spaces")
-    if sigma is not None and sigma.dim != d:
-        raise ValidationError("reference state dimension does not match generators")
+        raise ValidationError("generator dimension does not match the reference state")
 
-    centered = [_center(op, inner, sigma) for op in ops]
-    embed = _embedding(inner, sigma)
+    centered = [_center(op, sigma) for op in ops]
+    embed = _embedding(sigma)
     basis_ops, basis_z, kept = _gram_schmidt(
         [c for _, c in centered], [embed(c) for _, c in centered])
 
@@ -224,47 +198,36 @@ def make_level(generators, inner: str = "hs", sigma: DensityOperator | None = No
     offsets.setflags(write=False)
     coeffs.setflags(write=False)
     return LevelOfDescription(
-        dim_hilbert=d, inner=inner, sigma=sigma, generators=tuple(ops),
+        dim_hilbert=d, sigma=sigma, generators=tuple(ops),
         basis=tuple(basis_ops), retained=tuple(kept),
         gen_offsets=offsets, gen_coeffs=coeffs, label=label)
 
 
-def trivial_level(dim: int, inner: str = "hs",
-                  sigma: DensityOperator | None = None) -> LevelOfDescription:
+def trivial_level(sigma: DensityOperator) -> LevelOfDescription:
     """The level spanned by the identity alone."""
-    return make_level([], inner, sigma, dim=dim, label="O")
+    return make_level([], sigma, label="O")
 
 
-def full_quantum_level(dim: int, inner: str = "hs",
-                       sigma: DensityOperator | None = None) -> LevelOfDescription:
-    """The complete observable algebra: dim(level) = d^2."""
-    gens = []
-    eye = np.eye(dim)
-    for k in range(dim):
-        gens.append(HermitianOperator.from_diagonal(eye[k]))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            gens.append(HermitianOperator.from_matrix(m))
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j
-            m[j, i] = 1j
-            gens.append(HermitianOperator.from_matrix(m))
-    return make_level(gens, inner, sigma, label="A")
-
-
-def full_classical_level(dim: int, inner: str = "kmb",
-                         sigma: DensityOperator | None = None) -> LevelOfDescription:
+def full_classical_level(sigma: DensityOperator) -> LevelOfDescription:
     """Outcome-indicator span of a classical sample space (dim(level) = d)."""
-    eye = np.eye(dim)
-    gens = [HermitianOperator.from_diagonal(eye[k]) for k in range(dim)]
-    return make_level(gens, inner, sigma, label="full")
+    eye = np.eye(sigma.dim)
+    gens = [HermitianOperator.from_diagonal(eye[k]) for k in range(sigma.dim)]
+    return make_level(gens, sigma, label="full")
 
 
 def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
     if not a.same_context(b):
-        raise ValidationError("levels carry different inner-product contexts")
+        raise ValidationError("levels are built at different reference states")
+
+
+def _frame_coords(frame, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients of z along an orthonormal frame of embeddings, one
+    projection at a time, and the norm of the residual left over."""
+    coeffs = np.zeros(len(frame))
+    for b, fz in enumerate(frame):
+        coeffs[b] = float(np.real(np.vdot(fz, z)))
+        z = z - coeffs[b] * fz
+    return coeffs, float(np.sqrt(max(np.real(np.vdot(z, z)), 0.0)))
 
 
 def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
@@ -272,26 +235,13 @@ def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
     _require_same_context(sub, sup)
     if sub.is_trivial:
         return True
-    embed = _embedding(sup.inner, sup.sigma)
+    embed = _embedding(sup.sigma)
     sup_z = [embed(b) for b in sup.basis]
-    for b in sub.basis:
-        z = embed(b)
-        for bz in sup_z:
-            z = z - float(np.real(np.vdot(bz, z))) * bz
-        if np.sqrt(max(np.real(np.vdot(z, z)), 0.0)) > SUBLEVEL_TOL:
-            return False
-    return True
+    return all(_frame_coords(sup_z, embed(b))[1] <= SUBLEVEL_TOL for b in sub.basis)
 
 
 def _op_label(a: LevelOfDescription, b: LevelOfDescription, sep: str) -> str:
     return f"{a.label}{sep}{b.label}" if a.label and b.label else ""
-
-
-def union(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescription:
-    """Smallest level containing both spans."""
-    _require_same_context(a, b)
-    return make_level(list(a.basis) + list(b.basis), a.inner, a.sigma,
-                      dim=a.dim_hilbert, label=_op_label(a, b, "+"))
 
 
 def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescription:
@@ -303,8 +253,8 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     """
     _require_same_context(a, b)
     if a.is_trivial or b.is_trivial:
-        return trivial_level(a.dim_hilbert, a.inner, a.sigma)
-    embed = _embedding(a.inner, a.sigma)
+        return trivial_level(a.sigma)
+    embed = _embedding(a.sigma)
     _, frame_z, _ = _gram_schmidt(list(a.basis) + list(b.basis),
                                   [embed(op) for op in list(a.basis) + list(b.basis)])
     frame = np.array(frame_z)
@@ -323,8 +273,7 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
         if sine < ANGLE_TOL:
             m = sum(u[j, l] * b.basis[j].matrix for j in range(len(b.basis)))
             shared.append(HermitianOperator.from_matrix(m, atol=1e-9))
-    return make_level(shared, a.inner, a.sigma, dim=a.dim_hilbert,
-                      label=_op_label(a, b, "&"))
+    return make_level(shared, a.sigma, label=_op_label(a, b, "&"))
 
 
 def complement(sub: LevelOfDescription, ambient: LevelOfDescription,
@@ -332,47 +281,15 @@ def complement(sub: LevelOfDescription, ambient: LevelOfDescription,
     """Orthogonal complement of sub inside ambient, in the canonical
     correlation geometry at sigma.
 
-    Both arguments are re-expressed at sigma first, so the operation is
-    well defined regardless of how the inputs were orthonormalized.  The
-    result carries the kmb tag at sigma.
+    Both arguments are rebuilt at sigma first, so the operation is well
+    defined whichever reference the inputs were built at.
     """
-    sub_k = make_level(sub.basis, "kmb", sigma, dim=sub.dim_hilbert)
-    amb_k = make_level(ambient.basis, "kmb", sigma, dim=ambient.dim_hilbert)
-    if sub_k.dim_hilbert != amb_k.dim_hilbert:
-        raise ValidationError("sublevel and ambient live on different spaces")
+    sub_k = make_level(sub.basis, sigma)
+    amb_k = make_level(ambient.basis, sigma)
     if not is_sublevel(sub_k, amb_k):
         raise ValidationError("complement requires sub to be contained in ambient")
-    embed = _embedding("kmb", sigma)
+    embed = _embedding(sigma)
     ordered = list(sub_k.basis) + list(amb_k.basis)
     basis_ops, _, kept = _gram_schmidt(ordered, [embed(op) for op in ordered])
     comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub_k.basis)]
-    return make_level(comp, "kmb", sigma, dim=amb_k.dim_hilbert,
-                      label=_op_label(ambient, sub, "-"))
-
-
-def tensor(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescription:
-    """Composite level on the product space; dim multiplies.
-
-    Generated by A x 1, 1 x B and all products A x B of the factor bases.
-    For kmb-tagged factors the composite reference is the product state.
-    """
-    if a.inner != b.inner:
-        raise ValidationError("cannot tensor levels with different inner-product tags")
-    da, db = a.dim_hilbert, b.dim_hilbert
-    sigma = None
-    if a.inner == "kmb":
-        sa, sb = a.sigma, b.sigma
-        if sa.is_classical and sb.is_classical:
-            sigma = DensityOperator.classical(np.kron(sa.probs, sb.probs))
-        else:
-            sigma = DensityOperator.quantum(np.kron(sa.matrix, sb.matrix))
-    eye_a, eye_b = np.eye(da), np.eye(db)
-    gens = []
-    for ga in a.basis:
-        gens.append(HermitianOperator.from_matrix(np.kron(ga.matrix, eye_b)))
-    for gb in b.basis:
-        gens.append(HermitianOperator.from_matrix(np.kron(eye_a, gb.matrix)))
-    for ga in a.basis:
-        for gb in b.basis:
-            gens.append(HermitianOperator.from_matrix(np.kron(ga.matrix, gb.matrix)))
-    return make_level(gens, a.inner, sigma, dim=da * db)
+    return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,8 @@ def _digest(path) -> str:
 
 
 def _jsonable(obj):
-    """Coerce result-tree leaves to plain JSON types, full precision."""
+    """Coerce result-tree leaves to plain JSON types, full precision; a
+    non-finite float becomes None (JSON null)."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,7 +75,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise DataFormatError(f"cannot serialize {type(obj).__name__} into a report")
@@ -94,13 +98,13 @@ class Report:
         prov = {"tool": "gibbsfit", "version": __version__,
                 "inputs": {str(p): _digest(p) for p in config.inputs}}
         return cls(command=config.command, result=_jsonable(result),
-                   config=config.as_dict(), provenance=prov)
+                   config=_jsonable(config.as_dict()), provenance=prov)
 
     def to_json(self, indent: int | None = 2) -> str:
         doc = {"format_version": REPORT_FORMAT_VERSION, "command": self.command,
                "config": self.config, "provenance": self.provenance,
                "result": self.result}
-        return json.dumps(doc, indent=indent, sort_keys=False)
+        return json.dumps(doc, indent=indent, sort_keys=False, allow_nan=False)
 
 
 def load_report(path_or_text) -> Report:
@@ -188,8 +192,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return str(value)
         return f"{value:.6g}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"

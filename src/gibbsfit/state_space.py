@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 logger = logging.getLogger("gibbsfit.state_space")
 
@@ -30,14 +30,10 @@ __all__ = [
     "EIG_FLOOR",
     "HermitianOperator",
     "DensityOperator",
-    "Spectrum",
-    "eig_hermitian",
-    "matrix_fn",
     "expectation",
     "von_neumann_entropy",
     "relative_entropy",
     "kmb_inner",
-    "hs_inner",
     "pauli_x",
     "pauli_y",
     "pauli_z",
@@ -100,22 +96,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim}, {tag})"
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigendecomposition with a deterministic ordering.
-
-    Eigenvalues descend; each eigenvector's first nonzero component is made
-    real and positive, so repeated runs produce identical output.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     v = np.array(vecs, copy=True)
     for k in range(v.shape[1]):
@@ -126,34 +106,6 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
         phase = lead / abs(lead) if abs(lead) > 0 else 1.0
         v[:, k] = col * np.conj(phase)
     return v
-
-
-def eig_hermitian(op: HermitianOperator) -> Spectrum:
-    """Eigendecomposition of a Hermitian operator, descending eigenvalues."""
-    w, v = np.linalg.eigh(op.matrix)
-    w = w[::-1].copy()
-    v = _fix_phases(v[:, ::-1])
-    return Spectrum(eigenvalues=_freeze(w), eigenvectors=_freeze(v))
-
-
-def matrix_fn(op: HermitianOperator, fn, *, positive_domain: bool = False) -> HermitianOperator:
-    """Apply a scalar function to the spectrum: f(A) = V f(w) V^dag.
-
-    ``positive_domain`` rejects non-positive eigenvalues up front, which is
-    how the matrix logarithm guards against singular input.
-    """
-    if op.diagonal is not None:
-        w = op.diagonal
-        if positive_domain and np.any(w <= 0):
-            raise DomainError("matrix function requires strictly positive spectrum")
-        return HermitianOperator.from_diagonal(fn(w))
-    spec = eig_hermitian(op)
-    w = spec.eigenvalues
-    if positive_domain and np.any(w <= 0):
-        raise DomainError("matrix function requires strictly positive spectrum")
-    fw = np.asarray(fn(w), dtype=float)
-    m = (spec.eigenvectors * fw) @ spec.eigenvectors.conj().T
-    return HermitianOperator.from_matrix(0.5 * (m + m.conj().T), atol=1e-10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,15 +245,6 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     ln_sigma = (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
     cross = float(np.real(np.trace(rho.matrix @ ln_sigma)))
     return s_rho - cross
-
-
-def hs_inner(x: HermitianOperator, y: HermitianOperator) -> float:
-    """Hilbert-Schmidt inner product tr(X Y), real for Hermitian arguments."""
-    _check_dims(x, y)
-    if x.diagonal is not None and y.diagonal is not None:
-        return float(x.diagonal @ y.diagonal)
-    # tr(X Y) = sum_ij X_ij Y_ji = sum_ij X_ij conj(Y_ij) for Hermitian Y
-    return float(np.real(np.sum(x.matrix * np.conj(y.matrix))))
 
 
 def _kmb_weights(p: np.ndarray) -> np.ndarray:

@@ -39,3 +39,24 @@ def random_hermitian(rng, dim: int, scale: float = 1.0):
 def random_diagonal(rng, dim: int, scale: float = 1.0):
     from gibbsfit.state_space import HermitianOperator
     return HermitianOperator.from_diagonal(scale * rng.normal(size=dim))
+
+
+def full_quantum_level(sigma):
+    """The complete observable algebra at sigma: dim(level) = d^2, built
+    from the d diagonal units and the real and imaginary off-diagonal
+    pairs."""
+    from gibbsfit.levels import make_level
+    from gibbsfit.state_space import HermitianOperator
+    dim = sigma.dim
+    eye = np.eye(dim)
+    gens = [HermitianOperator.from_diagonal(eye[k]) for k in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            gens.append(HermitianOperator.from_matrix(m))
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = -1j
+            m[j, i] = 1j
+            gens.append(HermitianOperator.from_matrix(m))
+    return make_level(gens, sigma, label="A")

@@ -67,7 +67,7 @@ def _mixed_level(rng, sigma, k):
         ops = [random_diagonal(rng, sigma.dim) for _ in range(k)]
     else:
         ops = [random_hermitian(rng, sigma.dim) for _ in range(k)]
-    return make_level(ops, "kmb", sigma)
+    return make_level(ops, sigma)
 
 
 def test_uniform_deviation_significance(capfd):
@@ -124,7 +124,7 @@ def _tilt_comparison(r: float, tilt_deg: float, n: float = 20000.0):
     tau = np.deg2rad(tilt_deg)
     sigma = uniform_state(2)
     fine = pauli_level(sigma)
-    coarse = make_level([pauli_z()], "kmb", sigma, label="z-only")
+    coarse = make_level([pauli_z()], sigma, label="z-only")
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=fine, means=means, n=n)
     cmp_ = compare_levels(coarse, fine, data, sigma, alpha=None)
@@ -253,8 +253,8 @@ def test_projection_idempotence_composition(capfd, rng):
             ops = [random_diagonal(rng, dim) for _ in range(2)]
         else:
             ops = [random_hermitian(rng, dim) for _ in range(2)]
-        wide = make_level(ops, "kmb", sigma)
-        narrow = make_level(ops[:1], "kmb", sigma)
+        wide = make_level(ops, sigma)
+        narrow = make_level(ops[:1], sigma)
 
         pi_w = project_state(sigma, wide, rho)
         again = project_state(sigma, wide, pi_w.state)
@@ -361,9 +361,8 @@ def test_classical_quantum_agreement(capfd, rng):
         diags = [rng.normal(size=dim) for _ in range(2)]
         sig_c = DensityOperator.classical(probs)
         sig_q = DensityOperator.quantum(np.diag(probs.astype(complex)))
-        lvl_c = make_level([d for d in diags], "kmb", sig_c)
-        lvl_q = make_level([np.diag(d.astype(complex)) for d in diags],
-                           "kmb", sig_q)
+        lvl_c = make_level([d for d in diags], sig_c)
+        lvl_q = make_level([np.diag(d.astype(complex)) for d in diags], sig_q)
         # a 2-outcome system keeps only one independent direction
         assert lvl_q.n_params == lvl_c.n_params
         lam = rng.uniform(-0.4, 0.4, size=lvl_c.n_params)

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+import gibbsfit.dataio
+import gibbsfit.levels
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
 from gibbsfit.dataio import load_classical
 from gibbsfit.inference import estimate_alpha
@@ -120,6 +122,45 @@ class TestOutput:
         assert rep.result["evidence"]["t"] == direct.t
         rep2 = load_report(dest.read_text())
         assert rep2 == rep
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestSignificanceAtZero:
+    # equal counts sit exactly on the uniform reference: the statistic is 0
+    # and the density there is the chi-square limit for dof = outcomes - 1
+    @pytest.mark.parametrize("outcomes, pdf", [(2, None), (3, 0.5), (4, 0.0)])
+    def test_density_at_zero_statistic(self, tmp_path, capsys, outcomes, pdf):
+        path = tmp_path / "equal.csv"
+        path.write_text("outcome,count\n" + "".join(
+            f"{k},100\n" for k in range(outcomes)))
+        rc = run(["significance", "--data", str(path), "--level", "O",
+                  "--format", "json"])
+        assert rc == EXIT_OK
+        sig = _strict_json(capsys.readouterr().out)["result"]["significance"]
+        assert sig["statistic"] == 0.0 and sig["dof"] == outcomes - 1
+        assert sig["pdf"] == pdf
+        assert sig["pvalue"] == 1.0
+
+
+class TestLazyLevels:
+    def test_only_the_resolved_named_level_is_built(self, monkeypatch, capsys):
+        built = []
+        original = gibbsfit.levels.make_level
+
+        def counting(generators, sigma, *, label=""):
+            built.append(label)
+            return original(generators, sigma, label=label)
+
+        for mod in (gibbsfit.levels, gibbsfit.dataio):
+            monkeypatch.setattr(mod, "make_level", counting)
+        assert run(["project", "--data", QUBIT_JSON, "--level", "ising"]) == EXIT_OK
+        assert "ising" in built
+        assert "heisenberg" not in built
 
 
 class TestCompare:

@@ -89,7 +89,7 @@ class TestLoadQuantum:
         assert ds.n == 20000
         # measured level spans the three Paulis plus identity
         assert ds.levels["F"].dim == 4
-        assert ds.levels["ising"].dim == 2
+        assert ds.named == {"ising": ("Z",), "heisenberg": ("X", "Y", "Z")}
 
     def test_sample_means_order(self):
         ds = load_quantum(QUBIT_JSON)
@@ -131,6 +131,14 @@ class TestLoadQuantum:
         path = tmp_path / "unknown.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
+            load_quantum(path)
+
+    def test_rejects_level_with_unknown_observable(self, tmp_path):
+        doc = json.load(open(QUBIT_JSON))
+        doc["levels"]["bad"] = ["Z", "W"]
+        path = tmp_path / "badlevel.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="unknown observables"):
             load_quantum(path)
 
     def test_rejects_missing_key(self, tmp_path):

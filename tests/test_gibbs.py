@@ -11,7 +11,6 @@ from gibbsfit.gibbs import (
     bloch_to_model,
     bloch_volume_weight,
     gibbs_state,
-    grand_potential,
     lambdas_from_bloch,
     manifold_relative_entropy,
     model_to_bloch,
@@ -40,7 +39,7 @@ def _random_level(rng, sigma, k):
         ops = [random_diagonal(rng, sigma.dim) for _ in range(k)]
     else:
         ops = [random_hermitian(rng, sigma.dim) for _ in range(k)]
-    return make_level(ops, "kmb", sigma)
+    return make_level(ops, sigma)
 
 
 class TestGibbsState:
@@ -120,8 +119,8 @@ class TestProjection:
         # projecting through a finer level equals projecting directly
         sigma = random_density(rng, 4, kind="classical")
         ops = [random_diagonal(rng, 4) for _ in range(3)]
-        fine = make_level(ops, "kmb", sigma)
-        coarse = make_level(ops[:1], "kmb", sigma)
+        fine = make_level(ops, sigma)
+        coarse = make_level(ops[:1], sigma)
         rho = random_density(rng, 4, kind="classical")
         via = project_state(sigma, coarse, project_state(sigma, fine, rho).state)
         direct = project_state(sigma, coarse, rho)
@@ -191,25 +190,17 @@ class TestGeometry:
         want = von_neumann_entropy(sigma) - relative_entropy(model.state, sigma)
         assert thermodynamic_entropy(model) == pytest.approx(want, abs=1e-10)
 
-    def test_grand_potential(self, rng):
-        sigma = uniform_state(2)
-        model = gibbs_state(sigma, pauli_level(sigma), [0.1, 0.0, -0.4])
-        assert grand_potential(model, 1.0) == pytest.approx(-model.ln_z)
-        assert grand_potential(model, 2.5) == pytest.approx(-2.5 * model.ln_z)
-        with pytest.raises(ValidationError):
-            grand_potential(model, 0.0)
-
     def test_projection_unitary_covariance(self, rng):
         sigma = random_density(rng, 3)
         ops = [random_hermitian(rng, 3) for _ in range(2)]
         rho = random_density(rng, 3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u, _ = np.linalg.qr(a)
-        lvl = make_level(ops, "kmb", sigma)
+        lvl = make_level(ops, sigma)
         plain = project_state(sigma, lvl, rho).state.matrix
         sig_u = DensityOperator.quantum(u @ sigma.matrix @ u.conj().T)
         rho_u = DensityOperator.quantum(u @ rho.matrix @ u.conj().T)
-        lvl_u = make_level([u @ op.matrix @ u.conj().T for op in ops], "kmb", sig_u)
+        lvl_u = make_level([u @ op.matrix @ u.conj().T for op in ops], sig_u)
         rotated = project_state(sig_u, lvl_u, rho_u).state.matrix
         assert np.max(np.abs(rotated - u @ plain @ u.conj().T)) < 1e-9
 
@@ -242,8 +233,8 @@ class TestClassicalQuantumAgreement:
         sc = classical_state(p)
         sq = DensityOperator.quantum(np.diag(p).astype(complex))
         lam = np.array([0.35, -0.15])
-        mc = gibbs_state(sc, make_level([np.asarray(v) for v in vals], "kmb", sc), lam)
-        mq = gibbs_state(sq, make_level([np.diag(v).astype(complex) for v in vals], "kmb", sq), lam)
+        mc = gibbs_state(sc, make_level([np.asarray(v) for v in vals], sc), lam)
+        mq = gibbs_state(sq, make_level([np.diag(v).astype(complex) for v in vals], sq), lam)
         assert abs(mc.ln_z - mq.ln_z) <= 1e-12
         assert np.max(np.abs(mc.g - mq.g)) <= 1e-12
         assert np.max(np.abs(mc.corr - mq.corr)) <= 1e-12

@@ -18,15 +18,37 @@ from gibbsfit.inference import (
     gaussian_log_norm,
     interpolate_states,
     level_significance,
-    log_linear_mix,
     posterior_estimate,
     pythagoras_residual,
     significance,
     verdict_from_rate,
 )
-from gibbsfit.levels import make_level, trivial_level, union
-from gibbsfit.state_space import classical_state, expectation, relative_entropy
+from gibbsfit.levels import make_level, trivial_level
+from gibbsfit.state_space import (
+    DensityOperator,
+    _fix_phases,
+    classical_state,
+    expectation,
+    relative_entropy,
+)
 from conftest import random_density, random_diagonal, random_hermitian
+
+
+def log_linear_mix(rho, sigma, t):
+    """Oracle for interpolate_states: normalized exp[(1-t) ln rho + t ln sigma]
+    for arbitrary states; for commuting diagonal states it reduces to the
+    renormalized weighted geometric mean."""
+    if rho.is_classical and sigma.is_classical:
+        a = (1.0 - t) * np.log(rho.probs) + t * np.log(sigma.probs)
+        a -= a.max()
+        p = np.exp(a)
+        return DensityOperator.classical(p / p.sum())
+    ln_rho = (rho.eigenvectors * np.log(rho.eigenvalues)) @ rho.eigenvectors.conj().T
+    ln_sig = (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
+    w, v = np.linalg.eigh((1.0 - t) * ln_rho + t * ln_sig)
+    p = np.exp(w - w.max())
+    p /= p.sum()
+    return DensityOperator._from_spectrum(p[::-1].copy(), _fix_phases(v[:, ::-1]))
 
 
 class TestChiSquare:
@@ -35,6 +57,11 @@ class TestChiSquare:
     def test_pdf_matches_scipy(self, x, k):
         assert chi2_pdf(x, k) == pytest.approx(stats.chi2.pdf(x, k), rel=1e-12)
         assert chi2_logpdf(x, k) == pytest.approx(stats.chi2.logpdf(x, k), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_pdf_at_zero_is_the_limit(self, k):
+        assert chi2_pdf(0.0, k) == stats.chi2.pdf(0.0, k)
+        assert significance(0.0, k, 100.0).pdf == stats.chi2.pdf(0.0, k)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 24])
     @pytest.mark.parametrize("x", [0.5, 3.0, 27.0, 96.0])
@@ -68,6 +95,8 @@ class TestChiSquare:
         with pytest.raises(ValidationError):
             chi2_pdf(1.0, 0)
         with pytest.raises(ValidationError):
+            chi2_logpdf(-1.0, 2)
+        with pytest.raises(ValidationError):
             chi2_tail(5.0, -1)
         assert chi2_tail(-1.0, 3) == 1.0
 
@@ -93,8 +122,8 @@ class TestSignificanceOp:
 
 def _classical_setup(rng, dim=6, k=2):
     sigma = random_density(rng, dim, kind="classical")
-    full = make_level([np.eye(dim)[i] for i in range(dim)], "kmb", sigma, label="full")
-    sub = make_level([random_diagonal(rng, dim) for _ in range(k)], "kmb", sigma)
+    full = make_level([np.eye(dim)[i] for i in range(dim)], sigma, label="full")
+    sub = make_level([random_diagonal(rng, dim) for _ in range(k)], sigma)
     return sigma, full, sub
 
 
@@ -222,6 +251,15 @@ class TestInterpolation:
         b = log_linear_mix(mu.state, sigma, t)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
+    def test_matches_log_linear_mix_quantum(self, rng):
+        sigma = random_density(rng, 3)
+        lvl = make_level([random_hermitian(rng, 3) for _ in range(2)], sigma)
+        mu = gibbs_state(sigma, lvl, rng.normal(size=lvl.n_params))
+        t = 0.3
+        a = interpolate_states(mu, sigma, t).state
+        b = log_linear_mix(mu.state, sigma, t)
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+
     def test_weight_range_validated(self, rng):
         sigma, _, sub = _classical_setup(rng)
         mu = gibbs_state(sigma, sub, np.zeros(sub.n_params))
@@ -257,7 +295,7 @@ class TestPosterior:
         data = ExperimentData.from_counts(counts, full)
         prior = EntropicPrior(sigma=sigma, level=sub, alpha=100.0)
         post = posterior_estimate(data, prior, alpha_policy="fixed")
-        wider = union(sub, make_level([random_diagonal(rng, 6)], "kmb", sigma))
+        wider = make_level(list(sub.basis) + [random_diagonal(rng, 6)], sigma)
         back = project_state(sigma, wider, post.state)
         assert relative_entropy(post.state, back.state) < 1e-9
 
@@ -316,9 +354,9 @@ class TestLevelSignificance:
         fit = project(sigma, full, means_basis, coords="basis")
         counts = 40000.0 * fit.state.probs
         data = ExperimentData.from_counts(counts, full)
-        ent = level_significance(data, sigma, trivial_level(6, "kmb", sigma),
+        ent = level_significance(data, sigma, trivial_level(sigma),
                                  kind="entropy")
-        quad = level_significance(data, sigma, trivial_level(6, "kmb", sigma),
+        quad = level_significance(data, sigma, trivial_level(sigma),
                                   kind="quadratic")
         assert ent.statistic == pytest.approx(quad.statistic, rel=2e-2)
 
@@ -351,8 +389,8 @@ class TestCompareLevels:
         sigma, full, _ = _classical_setup(rng)
         counts = rng.integers(1000, 5000, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        coarse = trivial_level(6, "kmb", sigma)
-        mid = make_level([random_diagonal(rng, 6) for _ in range(2)], "kmb", sigma)
+        coarse = trivial_level(sigma)
+        mid = make_level([random_diagonal(rng, 6) for _ in range(2)], sigma)
         return sigma, data, coarse, mid, full
 
     def test_log_ratio_recomputed_from_scratch(self, rng):
@@ -374,7 +412,7 @@ class TestCompareLevels:
 
     def test_requires_nesting(self, rng):
         sigma, data, coarse, mid, full = self._wolf_like(rng)
-        other = make_level([random_diagonal(rng, 6)], "kmb", sigma)
+        other = make_level([random_diagonal(rng, 6)], sigma)
         with pytest.raises(ValidationError):
             compare_levels(mid, other, data, sigma)
 
@@ -389,6 +427,6 @@ class TestPythagorasResidual:
     def test_small_on_random_instances(self, rng):
         for _ in range(5):
             sigma = random_density(rng, 3)
-            lvl = make_level([random_hermitian(rng, 3) for _ in range(2)], "kmb", sigma)
+            lvl = make_level([random_hermitian(rng, 3) for _ in range(2)], sigma)
             rho = random_density(rng, 3)
             assert pythagoras_residual(rho, sigma, lvl) < 1e-9

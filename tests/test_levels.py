@@ -5,17 +5,13 @@ from gibbsfit.errors import ValidationError
 from gibbsfit.levels import (
     complement,
     full_classical_level,
-    full_quantum_level,
     intersection,
     is_sublevel,
     make_level,
-    tensor,
     trivial_level,
-    union,
 )
 from gibbsfit.state_space import (
     HermitianOperator,
-    classical_state,
     expectation,
     kmb_inner,
     pauli_x,
@@ -23,14 +19,14 @@ from gibbsfit.state_space import (
     pauli_z,
     uniform_state,
 )
-from conftest import random_density, random_diagonal, random_hermitian
+from conftest import full_quantum_level, random_density, random_diagonal, random_hermitian
 
 
 class TestMakeLevel:
     def test_basis_is_kmb_orthonormal_and_centered(self, rng):
         sigma = random_density(rng, 4)
         ops = [random_hermitian(rng, 4) for _ in range(3)]
-        lvl = make_level(ops, "kmb", sigma)
+        lvl = make_level(ops, sigma)
         for i, bi in enumerate(lvl.basis):
             assert expectation(sigma, bi) == pytest.approx(0.0, abs=1e-10)
             for j, bj in enumerate(lvl.basis):
@@ -40,7 +36,7 @@ class TestMakeLevel:
     def test_generator_reconstruction(self, rng):
         sigma = random_density(rng, 3)
         ops = [random_hermitian(rng, 3) for _ in range(2)]
-        lvl = make_level(ops, "kmb", sigma)
+        lvl = make_level(ops, sigma)
         for a in lvl.retained:
             rebuilt = lvl.gen_offsets[a] * np.eye(3, dtype=complex)
             for b, basis_op in enumerate(lvl.basis):
@@ -52,38 +48,43 @@ class TestMakeLevel:
         a = random_diagonal(rng, 4)
         b = random_diagonal(rng, 4)
         dep = HermitianOperator.from_diagonal(2.0 * a.diagonal - b.diagonal)
-        lvl = make_level([a, b, dep], "kmb", sigma)
+        lvl = make_level([a, b, dep], sigma)
         assert lvl.n_params == 2
         assert lvl.retained == (0, 1)
 
     def test_identity_direction_is_absorbed(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         shifted = HermitianOperator.from_diagonal(np.ones(3) * 7.0)
-        lvl = make_level([shifted], "kmb", sigma)
+        lvl = make_level([shifted], sigma)
         assert lvl.n_params == 0
         assert lvl.is_trivial
 
     def test_kmb_needs_reference(self):
+        with pytest.raises(TypeError):
+            make_level([pauli_z()])
         with pytest.raises(ValidationError):
-            make_level([pauli_z()], "kmb")
+            make_level([pauli_z()], None)
 
-    def test_hs_level_without_reference(self):
-        lvl = make_level([pauli_z()], "hs", dim=2)
-        assert lvl.n_params == 1
+    def test_rejects_generator_of_other_dimension(self, rng):
+        sigma = uniform_state(2)
+        with pytest.raises(ValidationError):
+            make_level([pauli_z(), random_hermitian(rng, 3)], sigma)
+        with pytest.raises(ValidationError):
+            make_level([random_diagonal(rng, 3)], sigma)
 
 
 class TestLevelQueries:
     def test_trivial_and_full_dims(self, rng):
         sigma = random_density(rng, 5, kind="classical")
-        assert trivial_level(5, "kmb", sigma).dim == 1
-        assert full_classical_level(5, "kmb", sigma).dim == 5
+        assert trivial_level(sigma).dim == 1
+        assert full_classical_level(sigma).dim == 5
         squant = random_density(rng, 3)
-        assert full_quantum_level(3, "kmb", squant).dim == 9
+        assert full_quantum_level(squant).dim == 9
 
     def test_is_sublevel(self, rng):
         sigma = uniform_state(2)
-        ising = make_level([pauli_z()], "kmb", sigma)
-        heis = make_level([pauli_x(), pauli_y(), pauli_z()], "kmb", sigma)
+        ising = make_level([pauli_z()], sigma)
+        heis = make_level([pauli_x(), pauli_y(), pauli_z()], sigma)
         assert is_sublevel(ising, heis)
         assert not is_sublevel(heis, ising)
         assert is_sublevel(ising, ising)
@@ -91,8 +92,8 @@ class TestLevelQueries:
     def test_sublevel_requires_same_context(self, rng):
         s1 = random_density(rng, 3, kind="classical")
         s2 = random_density(rng, 3, kind="classical")
-        l1 = make_level([random_diagonal(rng, 3)], "kmb", s1)
-        l2 = make_level([random_diagonal(rng, 3)], "kmb", s2)
+        l1 = make_level([random_diagonal(rng, 3)], s1)
+        l2 = make_level([random_diagonal(rng, 3)], s2)
         with pytest.raises(ValidationError):
             is_sublevel(l1, l2)
 
@@ -102,20 +103,20 @@ class TestSetOperations:
         # dim(A+B) + dim(A&B) = dim A + dim B for generic spans
         sigma = random_density(rng, 4, kind="classical")
         x, y, z = (random_diagonal(rng, 4) for _ in range(3))
-        la = make_level([x, y], "kmb", sigma, label="A")
-        lb = make_level([y, z], "kmb", sigma, label="B")
-        u = union(la, lb)
+        la = make_level([x, y], sigma, label="A")
+        lb = make_level([y, z], sigma, label="B")
+        u = make_level(list(la.basis) + list(lb.basis), sigma)
         i = intersection(la, lb)
         assert u.dim + i.dim == la.dim + lb.dim
         assert is_sublevel(i, la) and is_sublevel(i, lb)
         assert is_sublevel(la, u) and is_sublevel(lb, u)
-        assert i.label == "A&B" and u.label == "A+B"
+        assert i.label == "A&B"
 
     def test_intersection_recovers_shared_direction(self, rng):
         sigma = random_density(rng, 4, kind="classical")
         shared = random_diagonal(rng, 4)
-        la = make_level([shared, random_diagonal(rng, 4)], "kmb", sigma)
-        lb = make_level([shared, random_diagonal(rng, 4)], "kmb", sigma)
+        la = make_level([shared, random_diagonal(rng, 4)], sigma)
+        lb = make_level([shared, random_diagonal(rng, 4)], sigma)
         i = intersection(la, lb)
         assert i.n_params == 1
         # the recovered direction spans the same line as `shared` (centered)
@@ -126,13 +127,13 @@ class TestSetOperations:
 
     def test_intersection_with_trivial(self, rng):
         sigma = random_density(rng, 3, kind="classical")
-        la = make_level([random_diagonal(rng, 3)], "kmb", sigma)
-        assert intersection(la, trivial_level(3, "kmb", sigma)).is_trivial
+        la = make_level([random_diagonal(rng, 3)], sigma)
+        assert intersection(la, trivial_level(sigma)).is_trivial
 
     def test_complement_is_orthogonal_and_fills(self, rng):
         sigma = random_density(rng, 4)
-        amb = make_level([random_hermitian(rng, 4) for _ in range(4)], "kmb", sigma)
-        sub = make_level([amb.generators[0]], "kmb", sigma)
+        amb = make_level([random_hermitian(rng, 4) for _ in range(4)], sigma)
+        sub = make_level([amb.generators[0]], sigma)
         comp = complement(sub, amb, sigma)
         assert comp.n_params == amb.n_params - sub.n_params
         for cb in comp.basis:
@@ -141,17 +142,7 @@ class TestSetOperations:
 
     def test_complement_requires_containment(self, rng):
         sigma = random_density(rng, 3, kind="classical")
-        la = make_level([random_diagonal(rng, 3)], "kmb", sigma)
-        lb = make_level([random_diagonal(rng, 3)], "kmb", sigma)
+        la = make_level([random_diagonal(rng, 3)], sigma)
+        lb = make_level([random_diagonal(rng, 3)], sigma)
         with pytest.raises(ValidationError):
             complement(la, lb, sigma)
-
-    def test_tensor_dims_multiply(self):
-        s2 = classical_state([0.4, 0.6])
-        s3 = classical_state([0.2, 0.3, 0.5])
-        la = make_level([HermitianOperator.from_diagonal([1.0, -1.0])], "kmb", s2)
-        lb = make_level([HermitianOperator.from_diagonal([1.0, 0.0, -1.0])], "kmb", s3)
-        lab = tensor(la, lb)
-        assert lab.dim_hilbert == 6
-        # identity x B, A x identity and A x B are all in the span
-        assert lab.dim >= 4

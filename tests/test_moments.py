@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from gibbsfit.gibbs import pauli_level, project, project_state
 from gibbsfit.inference import EntropicPrior, ExperimentData, posterior_estimate
-from gibbsfit.levels import full_quantum_level, make_level
+from gibbsfit.levels import make_level
 from gibbsfit.state_space import (
     KMB_DEGENERATE_TOL,
     DensityOperator,
@@ -20,7 +20,7 @@ from gibbsfit.state_space import (
     pauli_z,
     uniform_state,
 )
-from conftest import random_density, random_diagonal, random_hermitian
+from conftest import full_quantum_level, random_density, random_diagonal, random_hermitian
 
 DIMS = [2, 3, 4, 6]
 
@@ -93,17 +93,17 @@ class TestKernelOracle:
 class TestBasisStack:
     def test_stack_is_the_basis_read_only_and_cached(self, rng):
         sigma = random_density(rng, 3)
-        lvl = make_level([random_hermitian(rng, 3) for _ in range(3)], "kmb", sigma)
+        lvl = make_level([random_hermitian(rng, 3) for _ in range(3)], sigma)
         stack = lvl.basis_stack
         assert stack.shape == (3, 3, 3)
         assert all(np.array_equal(s, b.matrix) for s, b in zip(stack, lvl.basis))
         assert not stack.flags.writeable
         assert lvl.basis_stack is stack
-        assert make_level([], "kmb", sigma).basis_stack.shape == (0, 3, 3)
+        assert make_level([], sigma).basis_stack.shape == (0, 3, 3)
 
     def test_classical_path_never_builds_the_stack(self, rng):
         sigma = random_density(rng, 5, kind="classical")
-        lvl = make_level([random_diagonal(rng, 5) for _ in range(2)], "kmb", sigma)
+        lvl = make_level([random_diagonal(rng, 5) for _ in range(2)], sigma)
         project_state(sigma, lvl, random_density(rng, 5, kind="classical"))
         assert "basis_stack" not in vars(lvl)
 
@@ -112,7 +112,7 @@ def _qubit_z_posterior(alpha):
     """Data measure Z only; the prior level is the whole spin level, so X
     and Y form the unmeasured complement."""
     sigma = uniform_state(2)
-    data = ExperimentData(level=make_level([pauli_z()], "kmb", sigma),
+    data = ExperimentData(level=make_level([pauli_z()], sigma),
                           means=np.array([0.3]), n=400.0)
     prior = EntropicPrior(sigma=sigma, level=pauli_level(), alpha=alpha)
     return posterior_estimate(data, prior, alpha_policy="fixed")
@@ -139,7 +139,7 @@ class TestUnmeasuredCovariance:
             if name.split(".")[0] == "gibbsfit" and hasattr(mod, "kmb_inner"):
                 monkeypatch.setattr(mod, "kmb_inner", counting)
         sigma = random_density(rng, 3)
-        lvl = full_quantum_level(3, "kmb", sigma)
+        lvl = full_quantum_level(sigma)
         rho = random_density(rng, 3)
         project(sigma, lvl, [expectation(rho, op) for op in lvl.basis], coords="basis")
         post = _qubit_z_posterior(alpha=50.0)

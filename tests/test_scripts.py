@@ -1,0 +1,38 @@
+"""Smoke tests for the command-line scripts under scripts/."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+
+
+def test_tilt_scan_two_steps():
+    proc = _run_script("tilt_scan.py", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:4]]
+    assert len(rows) == 2
+    for row in rows:
+        tilt, rate_metric, rate_exact = map(float, row[:3])
+        assert rate_metric > 0 and rate_exact > 0
+        assert row[3] in {"Refine", "KeepCoarse", "Inconclusive"}
+    assert "ln N" in proc.stdout.splitlines()[-1]
+
+
+def test_run_demos_wolf_json():
+    proc = _run_script("run_demos.py", "--only", "wolf", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "demo wolf"
+    assert doc["result"]["compare_trivial_vs_two"]["verdict"] == "Refine"
