@@ -32,7 +32,7 @@ def tilt_rates(r: float, tilt_deg: float, n: float):
     data = ExperimentData(level=fine, means=means, n=n)
     cmp_ = compare_levels(coarse, fine, data, sigma, alpha=None)
     rate_metric = n * r * np.arctanh(r) * tau * tau / cmp_.s
-    return rate_metric, cmp_.chi2_exact / cmp_.s, cmp_.verdict
+    return rate_metric, cmp_.chi2_exact / cmp_.s, cmp_
 
 
 def main() -> None:
@@ -45,13 +45,13 @@ def main() -> None:
     args = ap.parse_args()
 
     ln_n = np.log(args.n)
-    lo, hi = ln_n / np.sqrt(2.0), np.sqrt(2.0) * ln_n
+    lo, hi = tilt_rates(args.r, args.min_deg, args.n)[2].band
     print(f"r = {args.r}, N = {args.n:g}, "
           f"decision band [{lo:.3f}, {hi:.3f}] around ln N = {ln_n:.3f}")
     print(f"{'tilt[deg]':>10} {'rate(metric)':>13} {'rate(exact)':>12} verdict")
     for tilt in np.linspace(args.min_deg, args.max_deg, args.steps):
-        rm, re_, verdict = tilt_rates(args.r, tilt, args.n)
-        print(f"{tilt:>10.3f} {rm:>13.4f} {re_:>12.4f} {verdict}")
+        rm, re_, cmp_ = tilt_rates(args.r, tilt, args.n)
+        print(f"{tilt:>10.3f} {rm:>13.4f} {re_:>12.4f} {cmp_.verdict}")
 
     def gap(deg: float) -> float:
         return tilt_rates(args.r, deg, args.n)[1] - ln_n

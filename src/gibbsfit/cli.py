@@ -27,7 +27,6 @@ from .inference import (
     DEFAULT_SIG_LEVEL,
     EntropicPrior,
     compare_levels,
-    estimate_alpha,
     level_significance,
     posterior_estimate,
 )
@@ -197,16 +196,12 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
 
     if args.command == "estimate":
         level = resolve_level(ds, args.level)
-        alpha = _parse_alpha(args.alpha)
-        if alpha is None:
-            prior = EntropicPrior(sigma=sigma, level=level)
-            post = posterior_estimate(ds.data, prior, alpha_policy="evidence")
-            result = {"evidence": alpha_summary(estimate_alpha(ds.data, sigma)),
-                      "posterior": posterior_summary(post)}
-        else:
-            prior = EntropicPrior(sigma=sigma, level=level, alpha=alpha)
-            post = posterior_estimate(ds.data, prior, alpha_policy="fixed")
-            result = {"posterior": posterior_summary(post)}
+        prior = EntropicPrior(sigma=sigma, level=level, alpha=_parse_alpha(args.alpha))
+        post = posterior_estimate(ds.data, prior)
+        result = {}
+        if post.evidence is not None:
+            result["evidence"] = alpha_summary(post.evidence)
+        result["posterior"] = posterior_summary(post)
         config = RunConfig(command="estimate", inputs=inputs, level=args.level,
                            alpha_policy=args.alpha, out_format=args.format)
         return config, result

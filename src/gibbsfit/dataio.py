@@ -26,9 +26,12 @@ from .state_space import DensityOperator, HermitianOperator
 
 FORMAT_VERSION = 1
 
+# Names resolve_level keeps for the measured level and the bare reference; a
+# quantum file may not give them to a level of its own.
+BUILTIN_LEVELS = ("full", "F", "O")
+
 __all__ = [
-    "ClassicalDataset",
-    "QuantumDataset",
+    "Dataset",
     "load_classical",
     "load_quantum",
     "resolve_level",
@@ -36,32 +39,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ClassicalDataset:
-    """Counts over labeled outcomes plus the measured (full) level.  The
-    CSV format names no levels, so ``named`` is empty."""
+class Dataset:
+    """Reference state, named observables and levels, and the measured data.
 
-    outcomes: tuple[str, ...]
-    counts: np.ndarray
-    reference: DensityOperator
-    observables: dict[str, HermitianOperator]
-    levels: dict[str, LevelOfDescription]
-    named: dict[str, tuple[str, ...]]
-    data: ExperimentData
-
-    @property
-    def n(self) -> float:
-        return self.data.n
-
-
-@dataclass(frozen=True, eq=False)
-class QuantumDataset:
-    """Reference state, named observables and levels, and sample means.
-
-    ``levels`` holds the measured level; ``named`` maps each level the file
-    names to its observable names, in file order.
+    ``levels`` holds the measured level under its built-in names ("full",
+    and "F" for quantum data); ``named`` maps each level a quantum file
+    names to its observable names, in file order (empty for classical
+    data).  Classical ``data`` keeps the raw counts.
     """
 
-    dim: int
     reference: DensityOperator
     observables: dict[str, HermitianOperator]
     levels: dict[str, LevelOfDescription]
@@ -97,7 +83,7 @@ def _parse_float(cell: str, path, what: str) -> float:
         raise DataFormatError(f"{path}: {what} {cell!r} is not a number")
 
 
-def load_classical(counts_path, observables_path=None) -> ClassicalDataset:
+def load_classical(counts_path, observables_path=None) -> Dataset:
     """Read a counts table and an optional observables table.
 
     The reference state is uniform unless a reference_weight column gives
@@ -163,9 +149,8 @@ def load_classical(counts_path, observables_path=None) -> ClassicalDataset:
 
     full = full_classical_level(reference)
     data = ExperimentData.from_counts(counts_arr, full)
-    return ClassicalDataset(outcomes=tuple(outcomes), counts=counts_arr,
-                            reference=reference, observables=observables,
-                            levels={"full": full}, named={}, data=data)
+    return Dataset(reference=reference, observables=observables,
+                   levels={"full": full}, named={}, data=data)
 
 
 def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
@@ -178,13 +163,13 @@ def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
     return re + 1j * im
 
 
-def load_quantum(path) -> QuantumDataset:
+def load_quantum(path) -> Dataset:
     """Read a quantum dataset: reference, observables, levels, sample means.
 
     The measured level spans every observable that carries a sample mean,
     in file order; its retained generators define the order of the means
-    vector.  Named levels must use known observables; they are built at
-    the reference by resolve_level.
+    vector.  Named levels must use known observables and may not take a
+    built-in name; they are built at the reference by resolve_level.
     """
     try:
         with open(path) as fh:
@@ -246,27 +231,29 @@ def load_quantum(path) -> QuantumDataset:
 
     named: dict[str, tuple[str, ...]] = {}
     for name, obs_names in doc.get("levels", {}).items():
+        if name in BUILTIN_LEVELS:
+            raise DataFormatError(f"{path}: level name {name!r} is reserved")
         missing = [o for o in obs_names if o not in observables]
         if missing:
             raise DataFormatError(f"{path}: level {name!r} uses unknown observables {missing}")
         named[name] = tuple(obs_names)
-    return QuantumDataset(dim=dim, reference=reference, observables=observables,
-                          levels={"full": measured, "F": measured}, named=named,
-                          data=data)
+    return Dataset(reference=reference, observables=observables,
+                   levels={"full": measured, "F": measured}, named=named,
+                   data=data)
 
 
-def resolve_level(dataset, spec: str) -> LevelOfDescription:
-    """Turn a CLI level spec into a level: a level the data file names, the
-    measured level ("full"), the bare reference ("O"), or a comma-separated
+def resolve_level(dataset: Dataset, spec: str) -> LevelOfDescription:
+    """Turn a CLI level spec into a level: the measured level ("full"), the
+    bare reference ("O"), a level the data file names, or a comma-separated
     list of observable names.  Levels other than the measured one are built
     here, at the dataset's reference."""
     spec = spec.strip()
+    if spec in dataset.levels:
+        return dataset.levels[spec]
+    if spec == "O":
+        return trivial_level(dataset.reference)
     names = dataset.named.get(spec)
     if names is None:
-        if spec in dataset.levels:
-            return dataset.levels[spec]
-        if spec == "O":
-            return trivial_level(dataset.reference)
         names = [s.strip() for s in spec.split(",") if s.strip()]
         missing = [n for n in names if n not in dataset.observables]
         if not names or missing:

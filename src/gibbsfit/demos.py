@@ -47,6 +47,14 @@ from .state_space import (
 # Raw counts of 20000 rolls of one worn die (historical dataset).
 WOLF_COUNTS = (3246, 3449, 2897, 2841, 3635, 3932)
 
+# Thermal ladder: levels, reference and source temperatures (Kelvin, k_B = 1),
+# shots, and the quadratic deviation the level spacing is calibrated to.
+THERMAL_DIM = 25
+THERMAL_T_REFERENCE = 100.0
+THERMAL_T_SOURCE = 110.0
+THERMAL_N = 12000.0
+THERMAL_CHI2_TARGET = 96.0
+
 __all__ = ["WOLF_COUNTS", "wolf_levels", "run_wolf", "run_qubit",
            "thermal_setup", "run_thermal"]
 
@@ -123,18 +131,17 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
     }
 
 
-def thermal_setup(chi2_target: float = 96.0, dim: int = 25,
-                  t_reference: float = 100.0, t_source: float = 110.0,
-                  n: float = 12000.0):
+def thermal_setup():
     """Equally spaced energy ladder calibrated so the source sits at the
     stated statistical distance from the reference.
 
     The level spacing (in Kelvin, k_B = 1) is solved so that the quadratic
     deviation of the 110 K populations from the 100 K reference equals
-    chi2_target; everything downstream is then pure pipeline.
+    THERMAL_CHI2_TARGET; everything downstream is then pure pipeline.
     """
-    beta0, beta1 = 1.0 / t_reference, 1.0 / t_source
-    ladder = np.arange(dim, dtype=float)
+    beta0, beta1 = 1.0 / THERMAL_T_REFERENCE, 1.0 / THERMAL_T_SOURCE
+    ladder = np.arange(THERMAL_DIM, dtype=float)
+    n = THERMAL_N
 
     def populations(beta: float, spacing: float) -> np.ndarray:
         w = np.exp(-beta * spacing * ladder)
@@ -143,7 +150,7 @@ def thermal_setup(chi2_target: float = 96.0, dim: int = 25,
     def pearson_gap(spacing: float) -> float:
         p0 = populations(beta0, spacing)
         p1 = populations(beta1, spacing)
-        return float(n * np.sum((p1 - p0) ** 2 / p0)) - chi2_target
+        return float(n * np.sum((p1 - p0) ** 2 / p0)) - THERMAL_CHI2_TARGET
 
     spacing = brentq(pearson_gap, 5.0, 40.0, xtol=1e-12, rtol=1e-15)
     p0 = populations(beta0, spacing)
@@ -157,9 +164,7 @@ def thermal_setup(chi2_target: float = 96.0, dim: int = 25,
 
 def run_thermal() -> dict:
     sigma, level_e, level_f, data, spacing, beta0, beta1 = thermal_setup()
-    est = estimate_alpha(data, sigma)
-    prior = EntropicPrior(sigma=sigma, level=level_e)
-    post = posterior_estimate(data, prior, alpha_policy="evidence")
+    post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=level_e))
 
     # express posterior and data projection on the energy level, whose raw
     # generator is conjugate to the inverse-temperature shift
@@ -174,9 +179,10 @@ def run_thermal() -> dict:
     sd_beta = 1.0 / (coeff * np.sqrt(corr_e * (post.alpha_used + post.n)))
     t_hat = 1.0 / beta_hat
     return {
-        "config": {"dim": 25, "n": data.n, "t_reference": 100.0,
-                   "t_source": 110.0, "level_spacing": spacing},
-        "evidence": alpha_summary(est),
+        "config": {"dim": THERMAL_DIM, "n": data.n,
+                   "t_reference": THERMAL_T_REFERENCE,
+                   "t_source": THERMAL_T_SOURCE, "level_spacing": spacing},
+        "evidence": alpha_summary(post.evidence),
         "posterior": {
             "t": post.t, "alpha": post.alpha_used,
             "alpha_source": post.alpha_source,

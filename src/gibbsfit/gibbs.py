@@ -224,7 +224,7 @@ def _basis_targets(level: LevelOfDescription, targets: np.ndarray) -> np.ndarray
 
 
 def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
-            coords: str = "generators", max_iter: int = MAX_NEWTON_ITER) -> GibbsModel:
+            coords: str = "generators") -> GibbsModel:
     """Damped-Newton solve for the manifold point matching expectation targets.
 
     ``targets`` are expectation values of the retained generators (or of the
@@ -262,7 +262,7 @@ def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
         return ln_z_val + float(lam_val @ t)
 
     gamma = objective(ln_z, lam)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         resid = back @ (g - t)
         resid_inf = float(np.max(np.abs(resid)))
         if resid_inf <= tol:
@@ -297,7 +297,7 @@ def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
                 "multipliers diverged; targets lie outside the achievable set",
                 last_lambda=lam, residual=float(np.max(np.abs(back @ (g - t)))))
     raise InfeasibleTargetError(
-        f"no convergence within {max_iter} Newton steps; targets are likely "
+        f"no convergence within {MAX_NEWTON_ITER} Newton steps; targets are likely "
         "on the boundary of the achievable set",
         last_lambda=lam, residual=float(np.max(np.abs(back @ (g - t)))))
 

@@ -305,8 +305,9 @@ class EntropicPrior:
     """Prior over the manifold of ``level`` at ``sigma``: density
     proportional to exp(-alpha S(omega||sigma)).
 
-    ``alpha`` may stay None until the evidence sets it; every consumer that
-    needs a number checks first.
+    ``alpha`` set pins the weight; None leaves it to the evidence
+    (posterior_estimate runs estimate_alpha).  Every consumer that needs a
+    number checks first.
     """
 
     sigma: DensityOperator
@@ -354,8 +355,9 @@ class AlphaEstimate:
     sampling noise alone; alpha = n t / (1 - t) is the prior weight that
     makes the posterior reproduce that split.  When the deviation does not
     exceed its noise floor (deviation_ok False), alpha is None and the
-    caller must supply a weight.  detail_ok flags whether enough directions
-    were fitted for the estimate to be sharp.
+    caller must supply a weight.  detail_ok flags whether at least
+    DETAIL_MIN_DOF directions were fitted, enough for the estimate to be
+    sharp.
     """
 
     alpha: float | None
@@ -367,14 +369,16 @@ class AlphaEstimate:
     detail_ok: bool
 
 
-def estimate_alpha(data: ExperimentData, sigma: DensityOperator, *,
-                   dim_min: int = DETAIL_MIN_DOF) -> AlphaEstimate:
+def estimate_alpha(data: ExperimentData, sigma: DensityOperator) -> AlphaEstimate:
     """Weight the prior by the data's own deviation off the reference.
 
     chi2 is the squared distance of the measured expectations from the
     reference point of the data's own level, in the reference metric;
     its pure-noise mean is the number of fitted directions.  The estimate
-    depends only on the measured level, not on any model level.
+    depends only on the measured level, not on any model level.  Raises
+    EvidenceNotApplicableError without data (n = 0); below the noise floor
+    it returns alpha None, and below DETAIL_MIN_DOF directions it logs a
+    coarseness warning.
     """
     if data.n <= 0:
         raise EvidenceNotApplicableError("evidence weighting needs data (n > 0)")
@@ -384,7 +388,7 @@ def estimate_alpha(data: ExperimentData, sigma: DensityOperator, *,
     chi2 = float(data.n) * quadratic_form(base, delta)
     dof = level.n_params
     deviation_ok = chi2 > dof
-    detail_ok = dof >= dim_min
+    detail_ok = dof >= DETAIL_MIN_DOF
     t = dof / chi2 if chi2 > 0 else float("inf")
     if not deviation_ok:
         logger.warning("deviation chi2 = %.4g sits at or below its noise floor "
@@ -393,7 +397,7 @@ def estimate_alpha(data: ExperimentData, sigma: DensityOperator, *,
                              deviation_ok=False, detail_ok=detail_ok)
     if not detail_ok:
         logger.warning("evidence weighting with only %d fitted directions; "
-                       "the noise-split estimate is coarse below %d", dof, dim_min)
+                       "the noise-split estimate is coarse below %d", dof, DETAIL_MIN_DOF)
     alpha = float(data.n) * t / (1.0 - t)
     return AlphaEstimate(alpha=alpha, t=t, chi2=chi2, dof=dof, n=float(data.n),
                          deviation_ok=True, detail_ok=detail_ok)
@@ -425,14 +429,15 @@ class PosteriorEstimate:
     weight t = alpha / (alpha + n) on the reference.  Covariances are
     quoted in expectation coordinates: measured directions tighten as
     C/(alpha + n); model directions the experiment never sees stay at the
-    prior width C/alpha.
+    prior width C/alpha.  ``evidence`` is the estimate that set alpha, or
+    None when the prior pinned it.
     """
 
     rho_hat: GibbsModel
     data_model: GibbsModel
     t: float
     alpha_used: float
-    alpha_source: str
+    evidence: AlphaEstimate | None
     n: float
     measured: LevelOfDescription
     cov_measured: np.ndarray
@@ -444,44 +449,36 @@ class PosteriorEstimate:
     def state(self) -> DensityOperator:
         return self.rho_hat.state
 
+    @property
+    def alpha_source(self) -> str:
+        return "user" if self.evidence is None else "evidence"
 
-def posterior_estimate(data: ExperimentData, prior: EntropicPrior, *,
-                       alpha_policy: str = "evidence",
-                       fallback_alpha: float | None = None) -> PosteriorEstimate:
+
+def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorEstimate:
     """Bayes estimate of the state on the prior's level from measured means.
 
     The experiment's level and the model level need not coincide: the data
     constrain their intersection, and the estimate shrinks that projection
-    toward the reference.  alpha_policy "evidence" sets the prior weight
-    from the data (estimate_alpha), falling back to prior.alpha or
-    fallback_alpha when inapplicable; "fixed" uses prior.alpha as is.
+    toward the reference.  A prior with alpha set pins the weight; without
+    one, estimate_alpha sets it from the data, and EvidenceNotApplicableError
+    is raised when there are no data or their deviation does not exceed its
+    noise floor.
     """
     sigma = prior.sigma
     warnings: list[str] = []
-
-    if alpha_policy == "fixed":
-        if prior.alpha is None:
-            raise ValidationError("alpha_policy='fixed' needs prior.alpha set")
-        alpha, alpha_source = prior.alpha, "user"
-    elif alpha_policy == "evidence":
-        if data.n == 0:
-            est = None
-        else:
-            est = estimate_alpha(data, sigma)
-            if not est.detail_ok:
-                warnings.append(
-                    f"evidence ran with only {est.dof} fitted directions")
-        if est is not None and est.deviation_ok:
-            alpha, alpha_source = est.alpha, "evidence"
-        else:
-            fb = prior.alpha if prior.alpha is not None else fallback_alpha
-            if fb is None:
-                raise EvidenceNotApplicableError(
-                    "evidence weighting inapplicable and no fallback alpha given")
-            alpha, alpha_source = float(fb), "fallback"
-            warnings.append("evidence weighting inapplicable; fallback alpha used")
+    evidence = None
+    if prior.alpha is not None:
+        alpha = prior.alpha
     else:
-        raise ValidationError(f"unknown alpha policy {alpha_policy!r}")
+        evidence = estimate_alpha(data, sigma)
+        if evidence.alpha is None:
+            raise EvidenceNotApplicableError(
+                "evidence weighting inapplicable: the deviation does not exceed "
+                "its noise floor; pin alpha instead")
+        if not evidence.detail_ok:
+            warnings.append(
+                f"evidence ran with only {evidence.dof} fitted directions")
+        alpha = evidence.alpha
 
     inter = intersection(data.level, prior.level)
     if data.n > 0:
@@ -501,7 +498,7 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior, *,
         cov_unmeasured = _moments(rho_hat.state, comp)[1] / alpha
     return PosteriorEstimate(
         rho_hat=rho_hat, data_model=data_model, t=t, alpha_used=alpha,
-        alpha_source=alpha_source, n=float(data.n), measured=inter,
+        evidence=evidence, n=float(data.n), measured=inter,
         cov_measured=cov_measured, unmeasured=unmeasured,
         cov_unmeasured=cov_unmeasured, warnings=tuple(warnings))
 
@@ -510,14 +507,14 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior, *,
 
 
 def level_significance(data: ExperimentData, sigma: DensityOperator,
-                       level: LevelOfDescription, *, kind: str = "auto",
+                       level: LevelOfDescription, *,
                        sig_level: float = DEFAULT_SIG_LEVEL) -> SignificanceReport:
     """How surprising is the measured deviation from the best fit at `level`?
 
     Fits the level to the data, then measures what the fit leaves
     unexplained inside the measured level: exactly, 2 N S(f || fit), when
-    raw counts are available (kind="entropy"), else quadratically in the
-    measured level's metric at the fit (kind="quadratic").  Degrees of
+    the data carry raw counts (kind "entropy"), else quadratically in the
+    measured level's metric at the fit (kind "quadratic").  Degrees of
     freedom: measured minus fitted parameters.
     """
     if data.n <= 0:
@@ -526,35 +523,30 @@ def level_significance(data: ExperimentData, sigma: DensityOperator,
     if dof <= 0:
         raise ValidationError(
             "the measured level must be strictly finer than the fitted one")
-    if kind == "auto":
-        kind = "entropy" if data.counts is not None else "quadratic"
     targets = data.means_for(level) if not level.is_trivial else np.zeros(0)
     fit = project(sigma, level, targets, coords="basis")
-    if kind == "entropy":
-        emp = data.empirical
-        if emp is None:
-            raise ValidationError("entropy statistic needs raw counts")
+    emp = data.empirical
+    if emp is not None:
+        kind = "entropy"
         stat = 2.0 * data.n * relative_entropy(emp, fit.state)
-    elif kind == "quadratic":
+    else:
+        kind = "quadratic"
         frame_fit = project_state(sigma, data.level, fit.state)
         stat = data.n * quadratic_form(frame_fit, data.basis_means() - frame_fit.g)
-    else:
-        raise ValidationError(f"unknown statistic kind {kind!r}")
     return significance(stat, dof, data.n, sig_level=sig_level, kind=kind)
 
 
 # -- model selection across nested levels ------------------------------
 
 
-def verdict_from_rate(rate: float, n: float,
-                      band_factor: float = BAND_FACTOR) -> str:
+def verdict_from_rate(rate: float, n: float) -> str:
     """Compare the per-parameter deviation rate against the ln N band."""
     if n <= 1:
         raise ValidationError("verdicts need n > 1")
     ln_n = float(np.log(n))
-    if rate > band_factor * ln_n:
+    if rate > BAND_FACTOR * ln_n:
         return VERDICT_REFINE
-    if rate < ln_n / band_factor:
+    if rate < ln_n / BAND_FACTOR:
         return VERDICT_KEEP
     return VERDICT_INCONCLUSIVE
 
@@ -589,8 +581,7 @@ class ComparisonReport:
 
 def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
                    data: ExperimentData, sigma: DensityOperator, *,
-                   alpha="evidence", prior_odds: float = 1.0,
-                   band_factor: float = BAND_FACTOR) -> ComparisonReport:
+                   alpha="evidence", prior_odds: float = 1.0) -> ComparisonReport:
     """Does the finer level earn its extra parameters on this data?
 
     Requires coarse within fine within the measured level.  Both levels are
@@ -625,7 +616,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
                                         fine_model.g - coarse_on_fine.g)
     per_param = chi2_gain / s
     ln_n = float(np.log(data.n))
-    band = (ln_n / band_factor, band_factor * ln_n)
+    band = (ln_n / BAND_FACTOR, BAND_FACTOR * ln_n)
 
     alpha_used: float | None
     if alpha == "evidence":
@@ -648,7 +639,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
         coarse=coarse.label or "coarse", fine=fine.label or "fine",
         n=float(data.n), s=s, rel_entropy=s_gain, chi2_gain=chi2_gain,
         chi2_exact=chi2_exact, per_param=per_param, ln_n=ln_n, band=band,
-        verdict=verdict_from_rate(per_param, data.n, band_factor),
+        verdict=verdict_from_rate(per_param, data.n),
         alpha_used=alpha_used, log_ratio=log_ratio, prior_odds=float(prior_odds),
         coarse_model=coarse_model, fine_model=fine_model)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError
+from .gibbs import thermodynamic_entropy, volume_weight
 
 REPORT_FORMAT_VERSION = 1
 
@@ -127,24 +128,21 @@ def load_report(path_or_text) -> Report:
                   config=doc["config"], provenance=doc["provenance"])
 
 
-# -- summaries of domain results (attribute-based, no type coupling) ----
+# -- summaries of domain results ----------------------------------------
 
 
 def model_summary(model) -> dict:
     """JSON-ready view of one manifold point."""
-    lam = np.asarray(model.lam, dtype=float)
-    g = np.asarray(model.g, dtype=float)
-    sign, logdet = np.linalg.slogdet(model.corr) if lam.size else (1.0, 0.0)
     out = {
         "level": model.level.label or "level",
         "dim": model.level.dim,
-        "n_params": int(lam.size),
+        "n_params": model.n_params,
         "ln_z": float(model.ln_z),
-        "multipliers_basis": lam.tolist(),
+        "multipliers_basis": model.lam.tolist(),
         "generator_means": model.generator_expectations().tolist(),
         "generator_multipliers": model.generator_multipliers().tolist(),
-        "thermodynamic_entropy": float(model.ln_z + lam @ g),
-        "volume_weight": float(np.exp(0.5 * logdet)) if sign > 0 else None,
+        "thermodynamic_entropy": float(thermodynamic_entropy(model)),
+        "volume_weight": volume_weight(model),
     }
     if model.state.is_classical:
         out["probabilities"] = model.state.probs.tolist()

@@ -197,8 +197,7 @@ def test_thermal_evidence_weight(capfd):
     _expect(problems, abs(est.t - 0.25) <= 1e-9,
             f"mixing weight {est.t!r} != 0.25")
 
-    post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=level_e),
-                              alpha_policy="evidence")
+    post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=level_e))
     fit = project_state(sigma, level_e, post.state)
     beta_hat = beta0 + float(fit.generator_multipliers()[0])
     _expect(problems, 1.0 / 110.0 < beta_hat < 1.0 / 100.0,

@@ -6,9 +6,9 @@ import pytest
 import gibbsfit.dataio
 import gibbsfit.levels
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
-from gibbsfit.dataio import load_classical
+from gibbsfit.dataio import load_classical, load_quantum
 from gibbsfit.inference import estimate_alpha
-from gibbsfit.report import load_report
+from gibbsfit.report import alpha_summary, load_report
 
 WOLF_COUNTS = "data/wolf_counts.csv"
 WOLF_OBS = "data/wolf_observables.csv"
@@ -57,6 +57,14 @@ class TestExitCodes:
         path = _variant_qubit(tmp_path, "outside.json", X=1.5, Y=0.0, Z=0.0)
         assert run(["project", "--data", path, "--level", "F"]) == EXIT_SOLVER
         assert "gibbsfit: solver error:" in capsys.readouterr().err
+
+    def test_builtin_level_name_in_file(self, tmp_path, capsys):
+        doc = json.load(open(QUBIT_JSON))
+        doc["levels"]["full"] = ["Z"]
+        path = tmp_path / "shadow.json"
+        path.write_text(json.dumps(doc))
+        assert run(["project", "--data", str(path), "--level", "full"]) == EXIT_DATA
+        assert "reserved" in capsys.readouterr().err
 
     def test_bad_log_env(self, monkeypatch, capsys):
         monkeypatch.setenv("GIBBSFIT_LOG", "loud")
@@ -161,6 +169,32 @@ class TestLazyLevels:
         assert run(["project", "--data", QUBIT_JSON, "--level", "ising"]) == EXIT_OK
         assert "ising" in built
         assert "heisenberg" not in built
+
+
+class TestEstimate:
+    def test_evidence_runs_once(self, monkeypatch, capsys):
+        monkeypatch.delenv("GIBBSFIT_LOG", raising=False)
+        rc = run(["estimate", "--data", QUBIT_JSON, "--level", "ising",
+                  "--format", "json"])
+        assert rc == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err.count("fitted directions") == 1
+        ds = load_quantum(QUBIT_JSON)
+        result = json.loads(out)["result"]
+        assert result["evidence"] == alpha_summary(
+            estimate_alpha(ds.data, ds.reference))
+        assert result["posterior"]["alpha"] == result["evidence"]["alpha"]
+        assert result["posterior"]["alpha_source"] == "evidence"
+
+    def test_pinned_alpha_skips_evidence(self, capsys):
+        rc = run(["estimate", "--data", QUBIT_JSON, "--level", "ising",
+                  "--alpha", "100", "--format", "json"])
+        assert rc == EXIT_OK
+        out, err = capsys.readouterr()
+        result = json.loads(out)["result"]
+        assert "evidence" not in result and "fitted directions" not in err
+        assert result["posterior"]["alpha"] == 100.0
+        assert result["posterior"]["alpha_source"] == "user"
 
 
 class TestCompare:

@@ -5,7 +5,7 @@ import pytest
 
 from gibbsfit.dataio import load_classical, load_quantum, resolve_level
 from gibbsfit.errors import DataFormatError
-from gibbsfit.state_space import expectation, relative_entropy, uniform_state
+from gibbsfit.state_space import expectation, relative_entropy
 
 WOLF_COUNTS = "data/wolf_counts.csv"
 WOLF_OBS = "data/wolf_observables.csv"
@@ -16,7 +16,7 @@ class TestLoadClassical:
     def test_wolf_frequencies(self):
         ds = load_classical(WOLF_COUNTS)
         assert ds.n == 20000
-        freq = ds.counts / ds.n
+        freq = ds.data.counts / ds.n
         assert freq[0] == pytest.approx(0.16230, abs=5e-6)
         assert ds.reference.probs == pytest.approx(np.full(6, 1 / 6))
 
@@ -83,7 +83,7 @@ class TestLoadClassical:
 class TestLoadQuantum:
     def test_qubit_file(self):
         ds = load_quantum(QUBIT_JSON)
-        assert ds.dim == 2
+        assert ds.reference.dim == 2
         assert np.allclose(ds.reference.matrix, np.eye(2) / 2)
         assert set(ds.observables) == {"X", "Y", "Z"}
         assert ds.n == 20000
@@ -141,6 +141,15 @@ class TestLoadQuantum:
         with pytest.raises(DataFormatError, match="unknown observables"):
             load_quantum(path)
 
+    @pytest.mark.parametrize("name", ["full", "F", "O"])
+    def test_rejects_builtin_level_name(self, tmp_path, name):
+        doc = json.load(open(QUBIT_JSON))
+        doc["levels"][name] = ["Z"]
+        path = tmp_path / "shadow.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="reserved"):
+            load_quantum(path)
+
     def test_rejects_missing_key(self, tmp_path):
         doc = json.load(open(QUBIT_JSON))
         del doc["dim"]
@@ -155,6 +164,12 @@ class TestResolveLevel:
         ds = load_quantum(QUBIT_JSON)
         assert resolve_level(ds, "ising").dim == 2
         assert resolve_level(ds, "O").is_trivial
+
+    def test_builtin_names(self):
+        ds = load_quantum(QUBIT_JSON)
+        assert resolve_level(ds, "full") is ds.data.level
+        assert resolve_level(ds, " F ") is ds.data.level
+        assert resolve_level(ds, "X,Z").n_params == 2
 
     def test_observable_list(self):
         ds = load_classical(WOLF_COUNTS, WOLF_OBS)

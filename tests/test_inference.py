@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from gibbsfit.errors import EvidenceNotApplicableError, ValidationError
-from gibbsfit.gibbs import gibbs_state, project, project_state, quadratic_form
+from gibbsfit.gibbs import gibbs_state, project, project_state
 from gibbsfit.inference import (
+    DETAIL_MIN_DOF,
     EntropicPrior,
     ExperimentData,
     chi2_log_tail,
@@ -23,11 +24,10 @@ from gibbsfit.inference import (
     significance,
     verdict_from_rate,
 )
-from gibbsfit.levels import make_level, trivial_level
+from gibbsfit.levels import full_classical_level, make_level, trivial_level
 from gibbsfit.state_space import (
     DensityOperator,
     _fix_phases,
-    classical_state,
     expectation,
     relative_entropy,
 )
@@ -196,7 +196,14 @@ class TestEvidence:
         counts = rng.integers(50, 500, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
         assert not estimate_alpha(data, sigma).detail_ok
-        assert estimate_alpha(data, sigma, dim_min=3).detail_ok
+        # a level with DETAIL_MIN_DOF directions is detailed enough
+        d = DETAIL_MIN_DOF + 1
+        wide_sigma = DensityOperator.classical(np.full(d, 1.0 / d))
+        wide = full_classical_level(wide_sigma)
+        assert wide.n_params == DETAIL_MIN_DOF
+        counts = rng.integers(50, 500, size=d).astype(float)
+        est = estimate_alpha(ExperimentData.from_counts(counts, wide), wide_sigma)
+        assert est.deviation_ok and est.detail_ok
 
     def test_no_data_raises(self, rng):
         sigma, full, _ = _classical_setup(rng)
@@ -283,7 +290,7 @@ class TestPosterior:
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
         prior = EntropicPrior(sigma=sigma, level=sub, alpha=data.n)
-        post = posterior_estimate(data, prior, alpha_policy="fixed")
+        post = posterior_estimate(data, prior)
         assert post.t == pytest.approx(0.5)
         assert post.alpha_source == "user"
         assert np.allclose(post.rho_hat.lam, 0.5 * post.data_model.lam, atol=1e-12)
@@ -294,23 +301,41 @@ class TestPosterior:
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
         prior = EntropicPrior(sigma=sigma, level=sub, alpha=100.0)
-        post = posterior_estimate(data, prior, alpha_policy="fixed")
+        post = posterior_estimate(data, prior)
         wider = make_level(list(sub.basis) + [random_diagonal(rng, 6)], sigma)
         back = project_state(sigma, wider, post.state)
         assert relative_entropy(post.state, back.state) < 1e-9
 
-    def test_evidence_policy_with_fallback(self, rng):
+    def test_evidence_inapplicable_unless_alpha_pinned(self, rng):
         sigma, full, _ = _classical_setup(rng)
         base = gibbs_state(sigma, full, np.zeros(full.n_params))
         gen_means = full.gen_offsets + full.gen_coeffs @ base.g
         data = ExperimentData(level=full, means=gen_means, n=500.0)
-        prior = EntropicPrior(sigma=sigma, level=full)
         with pytest.raises(EvidenceNotApplicableError):
-            posterior_estimate(data, prior, alpha_policy="evidence")
-        post = posterior_estimate(data, prior, alpha_policy="evidence",
-                                  fallback_alpha=50.0)
-        assert post.alpha_source == "fallback"
-        assert any("fallback" in w for w in post.warnings)
+            posterior_estimate(data, EntropicPrior(sigma=sigma, level=full))
+        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=full,
+                                                      alpha=50.0))
+        assert post.alpha_source == "user" and post.evidence is None
+        assert post.alpha_used == 50.0 and post.warnings == ()
+
+    def test_evidence_sets_alpha(self, rng):
+        sigma, full, sub = _classical_setup(rng)
+        counts = rng.integers(100, 900, size=6).astype(float)
+        data = ExperimentData.from_counts(counts, full)
+        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=sub))
+        est = estimate_alpha(data, sigma)
+        assert post.alpha_source == "evidence"
+        assert post.evidence == est and post.alpha_used == est.alpha
+        assert post.warnings == (f"evidence ran with only {est.dof} fitted directions",)
+
+    def test_evidence_needs_data(self, rng):
+        sigma, full, _ = _classical_setup(rng)
+        data = ExperimentData(level=full, means=full.gen_offsets.copy(), n=0.0)
+        with pytest.raises(EvidenceNotApplicableError):
+            posterior_estimate(data, EntropicPrior(sigma=sigma, level=full))
+        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=full,
+                                                      alpha=10.0))
+        assert post.t == 1.0
 
     def test_unmeasured_block_present_when_prior_wider(self, rng):
         sigma, full, sub = _classical_setup(rng, k=1)
@@ -321,7 +346,7 @@ class TestPosterior:
                             for i in sub.retained]),
             n=float(counts.sum()))
         prior = EntropicPrior(sigma=sigma, level=full, alpha=200.0)
-        post = posterior_estimate(data_sub, prior, alpha_policy="fixed")
+        post = posterior_estimate(data_sub, prior)
         assert post.unmeasured is not None
         assert post.unmeasured.n_params == full.n_params - sub.n_params
         assert post.cov_unmeasured.shape == (post.unmeasured.n_params,) * 2
@@ -333,7 +358,7 @@ class TestPosterior:
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
         prior = EntropicPrior(sigma=sigma, level=sub, alpha=300.0)
-        post = posterior_estimate(data, prior, alpha_policy="fixed")
+        post = posterior_estimate(data, prior)
         want = post.rho_hat.corr / (300.0 + data.n)
         assert np.allclose(post.cov_measured, want, atol=1e-14)
 
@@ -354,10 +379,11 @@ class TestLevelSignificance:
         fit = project(sigma, full, means_basis, coords="basis")
         counts = 40000.0 * fit.state.probs
         data = ExperimentData.from_counts(counts, full)
-        ent = level_significance(data, sigma, trivial_level(sigma),
-                                 kind="entropy")
-        quad = level_significance(data, sigma, trivial_level(sigma),
-                                  kind="quadratic")
+        # the same means without the histogram select the quadratic form
+        bare = ExperimentData(level=full, means=data.means, n=data.n)
+        ent = level_significance(data, sigma, trivial_level(sigma))
+        quad = level_significance(bare, sigma, trivial_level(sigma))
+        assert (ent.kind, quad.kind) == ("entropy", "quadratic")
         assert ent.statistic == pytest.approx(quad.statistic, rel=2e-2)
 
     def test_requires_strictly_finer_data(self, rng):

@@ -115,7 +115,7 @@ def _qubit_z_posterior(alpha):
     data = ExperimentData(level=make_level([pauli_z()], sigma),
                           means=np.array([0.3]), n=400.0)
     prior = EntropicPrior(sigma=sigma, level=pauli_level(), alpha=alpha)
-    return posterior_estimate(data, prior, alpha_policy="fixed")
+    return posterior_estimate(data, prior)
 
 
 class TestUnmeasuredCovariance:
