@@ -6,9 +6,9 @@ canonical-correlation (Kubo-Mori) product at a reference state.  The
 reference travels with the level so results computed at one reference
 cannot silently be reused at another.
 
-All span arithmetic runs in a Euclidean embedding of operator space, which
-keeps Gram-Schmidt, sublevel tests and principal-angle detection on
-numerically solid ground.
+All span arithmetic runs in a Euclidean embedding of operator space (which
+`make_level` and `intersection` compute once per operator); it keeps
+Gram-Schmidt, sublevel tests and principal-angle detection numerically solid.
 """
 
 from __future__ import annotations
@@ -59,12 +59,14 @@ def _coerce_operator(obj) -> HermitianOperator:
 
 def _embedding(sigma: DensityOperator):
     """Map operators to complex vectors so the canonical-correlation product
-    at sigma becomes Re <u, v> in the Euclidean sense."""
+    at sigma becomes Re <u, v> in the Euclidean sense.  `make_level` and
+    `intersection` embed each operator once and reuse the vector."""
     v = sigma.eigenvectors
+    vh = v.conj().T
     sw = np.sqrt(_kmb_weights(sigma.eigenvalues))
     # exact for diagonal operators at classical references: v is then a
     # permutation and the transform introduces no roundoff
-    return lambda op: (sw * (v.conj().T @ op.matrix @ v)).ravel()
+    return lambda op: (sw * (vh @ op.matrix @ v)).ravel()
 
 
 def _center(op: HermitianOperator, sigma: DensityOperator):
@@ -94,7 +96,7 @@ def _gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
             for bop, bz in zip(basis_ops, basis_z):
                 c = float(np.real(np.vdot(bz, zz)))
                 zz -= c * bz
-                m = m - c * bop.matrix
+                m -= c * bop.matrix
         norm = np.sqrt(max(np.real(np.vdot(zz, zz)), 0.0))
         if norm < drop_tol * orig:
             continue
@@ -185,14 +187,14 @@ def make_level(generators, sigma: DensityOperator, *,
 
     centered = [_center(op, sigma) for op in ops]
     embed = _embedding(sigma)
-    basis_ops, basis_z, kept = _gram_schmidt(
-        [c for _, c in centered], [embed(c) for _, c in centered])
+    embeds = [embed(c) for _, c in centered]
+    basis_ops, basis_z, kept = _gram_schmidt([c for _, c in centered], embeds)
 
     k = len(basis_ops)
     offsets = np.array([centered[i][0] for i in kept], dtype=float)
     coeffs = np.zeros((k, k))
     for a, i in enumerate(kept):
-        zi = embed(centered[i][1])
+        zi = embeds[i]
         for b, bz in enumerate(basis_z):
             coeffs[a, b] = float(np.real(np.vdot(bz, zi)))
     offsets.setflags(write=False)
@@ -233,7 +235,7 @@ def _frame_coords(frame, z: np.ndarray) -> tuple[np.ndarray, float]:
 def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
     """True when span(sub) is contained in span(sup), shared context required."""
     _require_same_context(sub, sup)
-    if sub.is_trivial:
+    if sub is sup or sub.is_trivial:
         return True
     embed = _embedding(sup.sigma)
     sup_z = [embed(b) for b in sup.basis]
@@ -255,16 +257,15 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     if a.is_trivial or b.is_trivial:
         return trivial_level(a.sigma)
     embed = _embedding(a.sigma)
-    _, frame_z, _ = _gram_schmidt(list(a.basis) + list(b.basis),
-                                  [embed(op) for op in list(a.basis) + list(b.basis)])
-    frame = np.array(frame_z)
+    za, zb = [embed(op) for op in a.basis], [embed(op) for op in b.basis]
+    frame = np.array(_gram_schmidt([*a.basis, *b.basis], za + zb)[1])
 
-    def coords(ops):
-        return np.array([[float(np.real(np.vdot(fz, embed(op)))) for fz in frame]
-                         for op in ops])
+    def coords(zs):
+        return np.array([[float(np.real(np.vdot(fz, z))) for fz in frame]
+                         for z in zs])
 
-    ca = coords(a.basis)
-    cb = coords(b.basis)
+    ca = coords(za)
+    cb = coords(zb)
     resid = cb - (cb @ ca.T) @ ca
     u, s, _ = np.linalg.svd(resid, full_matrices=True)
     shared = []

@@ -33,27 +33,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Echo of one CLI invocation, kept verbatim inside the report."""
+    """Echo of one CLI invocation, kept verbatim inside the report.  An
+    option the command does not take stays None and is left out."""
 
     command: str
-    inputs: tuple[str, ...] = ()
+    inputs: tuple[str, ...] | None = None
     level: str | None = None
     coarse: str | None = None
     fine: str | None = None
-    alpha_policy: str = "auto"
-    sig_level: float = 1e-3
-    prior_odds: float = 1.0
+    alpha_policy: str | None = None
+    sig_level: float | None = None
+    prior_odds: float | None = None
     out_format: str = "table"
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {"command": self.command, "inputs": list(self.inputs),
+        d = {"command": self.command, "inputs": self.inputs,
              "alpha_policy": self.alpha_policy, "sig_level": self.sig_level,
-             "prior_odds": self.prior_odds, "format": self.out_format}
-        for key in ("level", "coarse", "fine"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
+             "prior_odds": self.prior_odds, "format": self.out_format,
+             "level": self.level, "coarse": self.coarse, "fine": self.fine}
+        d = {key: val for key, val in d.items() if val is not None}
         d.update(self.extra)
         return d
 
@@ -97,7 +96,7 @@ class Report:
     def build(cls, config: RunConfig, result: dict) -> "Report":
         from . import __version__
         prov = {"tool": "gibbsfit", "version": __version__,
-                "inputs": {str(p): _digest(p) for p in config.inputs}}
+                "inputs": {str(p): _digest(p) for p in config.inputs or ()}}
         return cls(command=config.command, result=_jsonable(result),
                    config=_jsonable(config.as_dict()), provenance=prov)
 

@@ -216,6 +216,33 @@ class TestCompare:
         assert doc["config"]["prior_odds"] == 2.0
 
 
+class TestConfigEcho:
+    # the config block echoes exactly the options each command takes
+    @pytest.mark.parametrize("argv, keys", [
+        (["project", "--data", WOLF_COUNTS],
+         {"command", "inputs", "level", "sig_level", "format"}),
+        (["significance", "--data", WOLF_COUNTS],
+         {"command", "inputs", "level", "sig_level", "format"}),
+        (["estimate", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+          "--level", "G1,G2"],
+         {"command", "inputs", "level", "alpha_policy", "format"}),
+        (["compare", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+          "--coarse", "O", "--fine", "G1,G2"],
+         {"command", "inputs", "coarse", "fine", "alpha_policy", "prior_odds",
+          "format"}),
+        (["demo", "wolf"], {"command", "format"}),
+        (["demo", "qubit"], {"command", "format", "tilt_deg", "r", "n"}),
+        (["demo", "thermal"], {"command", "format"}),
+    ], ids=["project", "significance", "estimate", "compare", "demo-wolf",
+            "demo-qubit", "demo-thermal"])
+    def test_config_keys(self, tmp_path, capsys, argv, keys):
+        dest = tmp_path / "report.json"
+        assert run([*argv, "--format", "json", "--out", str(dest)]) == EXIT_OK
+        rep = load_report(dest)
+        assert set(rep.config) == keys
+        assert rep.command == rep.config["command"]
+
+
 class TestDemos:
     @pytest.mark.parametrize("which", ["wolf", "qubit", "thermal"])
     def test_runs_fast(self, which, capsys):

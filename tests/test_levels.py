@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import gibbsfit.levels
 from gibbsfit.errors import ValidationError
 from gibbsfit.levels import (
     complement,
@@ -89,6 +91,25 @@ class TestLevelQueries:
         assert not is_sublevel(heis, ising)
         assert is_sublevel(ising, ising)
 
+    @given(dim=st.sampled_from([2, 3, 4, 6]),
+           kind=st.sampled_from(["classical", "quantum"]), data=st.data())
+    def test_sublevel_properties(self, dim, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = random_density(rng, dim, kind=kind)
+        draw = random_diagonal if kind == "classical" else random_hermitian
+        max_params = dim - 1 if kind == "classical" else dim * dim - 1
+        k = data.draw(st.integers(0, max_params - 1), label="k")
+        lvl = make_level([draw(rng, dim) for _ in range(k)], sigma)
+        assert is_sublevel(lvl, lvl)
+        # a rebuilt copy is another object, so this runs the projection path
+        copy = make_level(lvl.basis, lvl.sigma)
+        assert copy is not lvl
+        assert is_sublevel(copy, lvl) and is_sublevel(lvl, copy)
+        bigger = make_level([*lvl.generators, draw(rng, dim)], sigma)
+        assert bigger.n_params == lvl.n_params + 1
+        assert not is_sublevel(bigger, lvl)
+        assert is_sublevel(lvl, bigger)
+
     def test_sublevel_requires_same_context(self, rng):
         s1 = random_density(rng, 3, kind="classical")
         s2 = random_density(rng, 3, kind="classical")
@@ -146,3 +167,45 @@ class TestSetOperations:
         lb = make_level([random_diagonal(rng, 3)], sigma)
         with pytest.raises(ValidationError):
             complement(la, lb, sigma)
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """Operators handed to the canonical-correlation embedding, in order."""
+    seen = []
+    original = gibbsfit.levels._embedding
+
+    def counting(sigma):
+        embed = original(sigma)
+
+        def wrapped(op):
+            seen.append(op)
+            return embed(op)
+        return wrapped
+
+    monkeypatch.setattr(gibbsfit.levels, "_embedding", counting)
+    return seen
+
+
+class TestEmbeddingCount:
+    # intersection and make_level embed each operator once, whatever the
+    # frame size, and is_sublevel(L, L) embeds none
+    def test_intersection(self, rng, embedded):
+        sigma = random_density(rng, 64, kind="classical")
+        full = full_classical_level(sigma)
+        small = make_level([random_diagonal(rng, 64) for _ in range(3)], sigma)
+        embedded.clear()
+        shared = intersection(full, small)
+        assert shared.n_params == 3
+        assert len(embedded) <= 2 * (63 + 3)
+
+    def test_make_level(self, rng, embedded):
+        sigma = random_density(rng, 4)
+        make_level([random_hermitian(rng, 4) for _ in range(5)], sigma)
+        assert len(embedded) <= 5
+
+    def test_is_sublevel_of_itself(self, rng, embedded):
+        lvl = full_quantum_level(random_density(rng, 3))
+        embedded.clear()
+        assert is_sublevel(lvl, lvl)
+        assert embedded == []

@@ -36,3 +36,18 @@ def test_run_demos_wolf_json():
     doc = json.loads(proc.stdout)
     assert doc["command"] == "demo wolf"
     assert doc["result"]["compare_trivial_vs_two"]["verdict"] == "Refine"
+
+
+def test_result_digest_on_data():
+    proc = _run_script("result_digest.py", "--only", "data")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 10
+    labels = set()
+    for line in lines:
+        digest, rc, label = line.split(" ", 2)
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        assert rc == "0"
+        assert label.split()[0] in {"significance", "project", "estimate", "compare"}
+        labels.add(label)
+    assert len(labels) == len(lines)
