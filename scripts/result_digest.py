@@ -4,10 +4,15 @@
 Runs a fixed set of CLI commands in process and hashes the ``result`` tree
 of each JSON report (config and provenance are left out, since they echo
 paths and versions).  Each line reads ``<sha256> <exit code> <label>``.
-Run it on two trees and ``diff`` the outputs to show that a change leaves
-every result bit-identical:
+Save the output on one tree and check another against it to show that a
+change leaves every result bit-identical:
 
-    PYTHONPATH=src python3 scripts/result_digest.py > after.txt
+    PYTHONPATH=src python3 scripts/result_digest.py > before.txt
+    PYTHONPATH=src python3 scripts/result_digest.py --against before.txt
+
+With ``--against`` the script prints only the labels whose line differs
+from the saved file (or that only one side has) and exits 1 if there is
+any.
 
 The command set covers every command on the files in ``data/``, the three
 demos, and the first two analyses of each perfbench workload at seeds 1 and
@@ -94,10 +99,18 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", choices=("data", "demos", "perfbench"),
                     help="run one group of commands (default: all)")
+    ap.add_argument("--against", type=Path, metavar="FILE",
+                    help="compare with a saved output: print the labels that "
+                         "differ and exit 1 if any line does")
     args = ap.parse_args()
+    saved = None
+    if args.against is not None:
+        saved = {line.split(" ", 2)[2]: line
+                 for line in args.against.read_text().splitlines() if line}
     os.chdir(ROOT)
     os.environ.setdefault("GIBBSFIT_LOG", "error")
 
+    differ: list[str] = []
     with tempfile.TemporaryDirectory(prefix="result-digest-") as tmp:
         tmp = Path(tmp)
         groups = {
@@ -110,8 +123,18 @@ def main() -> int:
                 continue
             for label, argv in items:
                 digest, rc = result_digest(argv, tmp / "report.json")
-                print(f"{digest} {rc} {label}", flush=True)
-    return 0
+                line = f"{digest} {rc} {label}"
+                if saved is None:
+                    print(line, flush=True)
+                elif saved.pop(label, None) != line:
+                    differ.append(label)
+    if saved is None:
+        return 0
+    differ += saved  # saved lines this run did not produce
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{len(differ)} line(s) differ from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

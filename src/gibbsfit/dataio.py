@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,14 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _parse_float(cell: str, path, what: str) -> float:
+def _parse_float(cell, path, what: str) -> float:
     try:
-        return float(cell)
-    except ValueError:
+        value = float(cell)
+    except (TypeError, ValueError):
         raise DataFormatError(f"{path}: {what} {cell!r} is not a number")
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}: {what} {cell!r} is not finite")
+    return value
 
 
 def load_classical(counts_path, observables_path=None) -> Dataset:
@@ -160,6 +164,8 @@ def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DataFormatError(f"{path}: {what} must be {dim}x{dim}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise DataFormatError(f"{path}: {what} has a non-finite entry")
     return re + 1j * im
 
 
@@ -220,13 +226,16 @@ def load_quantum(path) -> Dataset:
     measured_names = [n for n in observables if n in means_map]
     if not measured_names:
         raise DataFormatError(f"{path}: no observable carries a sample mean")
+    sample_means = {n: _parse_float(means_map[n], path, f"sample mean of {n!r}")
+                    for n in measured_names}
     n_shots = doc["N"]
-    if not isinstance(n_shots, (int, float)) or n_shots < 0:
-        raise DataFormatError(f"{path}: N must be a nonnegative number")
+    if (not isinstance(n_shots, (int, float)) or not math.isfinite(n_shots)
+            or n_shots < 0):
+        raise DataFormatError(f"{path}: N must be a finite nonnegative number")
 
     measured = make_level([observables[n] for n in measured_names],
                           reference, label="F")
-    means = np.array([float(means_map[measured_names[i]]) for i in measured.retained])
+    means = np.array([sample_means[measured_names[i]] for i in measured.retained])
     data = ExperimentData(level=measured, means=means, n=float(n_shots))
 
     named: dict[str, tuple[str, ...]] = {}

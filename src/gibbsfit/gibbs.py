@@ -128,7 +128,9 @@ class GibbsModel:
             return False
         if len(self.level.basis) != len(other.level.basis):
             return False
-        return all(np.array_equal(a.matrix, b.matrix)
+        return all(np.array_equal(a.diagonal, b.diagonal)
+                   if a.diagonal is not None and b.diagonal is not None
+                   else np.array_equal(a.matrix, b.matrix)
                    for a, b in zip(self.level.basis, other.level.basis))
 
     def __repr__(self) -> str:

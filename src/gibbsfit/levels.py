@@ -9,6 +9,13 @@ cannot silently be reused at another.
 All span arithmetic runs in a Euclidean embedding of operator space (which
 `make_level` and `intersection` compute once per operator); it keeps
 Gram-Schmidt, sublevel tests and principal-angle detection numerically solid.
+
+Diagonal operators stay diagonal.  At a classical reference a diagonal
+operator's embedding is written straight onto its diagonal slots, and when
+every input is diagonal Gram-Schmidt projects the real diagonal vectors,
+so a classical level never builds a d x d matrix.  The inner products still
+run over the full length-d^2 embeddings, which keeps every result
+bit-identical to the dense matrix algebra in tests/levels_oracle.py.
 """
 
 from __future__ import annotations
@@ -57,16 +64,40 @@ def _coerce_operator(obj) -> HermitianOperator:
     return HermitianOperator.from_matrix(arr)
 
 
+def _permutation(v: np.ndarray) -> np.ndarray | None:
+    """The column-to-row map of v when v is exactly a permutation matrix
+    (every entry 0 or 1, one 1 per row and column), else None."""
+    ones = v == 1
+    if (np.all(ones | (v == 0)) and np.all(ones.sum(axis=0) == 1)
+            and np.all(ones.sum(axis=1) == 1)):
+        return np.argmax(ones, axis=0)
+    return None
+
+
 def _embedding(sigma: DensityOperator):
-    """Map operators to complex vectors so the canonical-correlation product
-    at sigma becomes Re <u, v> in the Euclidean sense.  `make_level` and
-    `intersection` embed each operator once and reuse the vector."""
+    """Map operators to complex vectors of length d^2 so the
+    canonical-correlation product at sigma becomes Re <u, v> in the
+    Euclidean sense.  `make_level` and `intersection` embed each operator
+    once and reuse the vector.
+
+    When sigma's eigenvectors form an exact permutation (every classical
+    reference), V^dag X V only moves a diagonal operator's entries onto the
+    diagonal, without roundoff; those entries are written straight into the
+    diagonal slots instead, with the same bits as the two matrix products.
+    """
     v = sigma.eigenvectors
     vh = v.conj().T
     sw = np.sqrt(_kmb_weights(sigma.eigenvalues))
-    # exact for diagonal operators at classical references: v is then a
-    # permutation and the transform introduces no roundoff
-    return lambda op: (sw * (vh @ op.matrix @ v)).ravel()
+    perm = _permutation(v)
+    d = sigma.dim
+
+    def embed(op: HermitianOperator) -> np.ndarray:
+        if perm is None or op.diagonal is None:
+            return (sw * (vh @ op.matrix @ v)).ravel()
+        z = np.zeros(d * d, dtype=complex)
+        z[::d + 1] = np.diagonal(sw) * op.diagonal[perm]
+        return z
+    return embed
 
 
 def _center(op: HermitianOperator, sigma: DensityOperator):
@@ -80,30 +111,53 @@ def _center(op: HermitianOperator, sigma: DensityOperator):
     return c, centered
 
 
-def _gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
-    """Orthonormalize (with one reorthogonalization pass); returns the kept
-    input indices alongside the basis operators and their embeddings."""
+def _gram_schmidt(embeds, ops=None, drop_tol=DROP_TOL):
+    """Orthonormalize embeddings (with one reorthogonalization pass).
+
+    Returns the kept input indices, the orthonormal frame of embeddings
+    and, when the operators behind the embeddings are given, the basis
+    operators: each is its input minus the same projections, scaled to
+    unit norm.  When every input is diagonal the operators stay diagonal
+    vectors.  Their scale is ``m * (1.0 / norm)`` because that is how numpy
+    divides a complex matrix by a real scalar, so the diagonal path has the
+    same bits as the dense one.
+    """
+    diagonal = ops is not None and all(op.diagonal is not None for op in ops)
     basis_ops: list[HermitianOperator] = []
     basis_z: list[np.ndarray] = []
     kept: list[int] = []
-    for idx, (op, z) in enumerate(zip(ops, embeds)):
-        orig = np.sqrt(max(np.real(np.vdot(z, z)), 0.0))
+    tmp = np.empty_like(embeds[0]) if embeds else None
+    for idx, z in enumerate(embeds):
+        orig = np.sqrt(max(np.vdot(z, z).real, 0.0))
         if orig == 0.0:
             continue
-        m = op.matrix.copy()
         zz = z.copy()
+        coeffs = []
         for _ in range(2):
-            for bop, bz in zip(basis_ops, basis_z):
-                c = float(np.real(np.vdot(bz, zz)))
-                zz -= c * bz
-                m -= c * bop.matrix
-        norm = np.sqrt(max(np.real(np.vdot(zz, zz)), 0.0))
+            for bz in basis_z:
+                c = np.vdot(bz, zz).real
+                np.multiply(bz, c, out=tmp)
+                zz -= tmp
+                coeffs.append(c)
+        norm = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
         if norm < drop_tol * orig:
             continue
-        basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
+        if ops is not None:
+            # replay the projections on the operator, in the same order
+            projections = zip(coeffs, basis_ops * 2)
+            if diagonal:
+                m = ops[idx].diagonal.copy()
+                for c, bop in projections:
+                    m -= c * bop.diagonal
+                basis_ops.append(HermitianOperator.from_diagonal(m * (1.0 / norm)))
+            else:
+                m = ops[idx].matrix.copy()
+                for c, bop in projections:
+                    m -= c * bop.matrix
+                basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
         basis_z.append(zz / norm)
         kept.append(idx)
-    return basis_ops, basis_z, kept
+    return kept, basis_z, basis_ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +242,7 @@ def make_level(generators, sigma: DensityOperator, *,
     centered = [_center(op, sigma) for op in ops]
     embed = _embedding(sigma)
     embeds = [embed(c) for _, c in centered]
-    basis_ops, basis_z, kept = _gram_schmidt([c for _, c in centered], embeds)
+    kept, basis_z, basis_ops = _gram_schmidt(embeds, [c for _, c in centered])
 
     k = len(basis_ops)
     offsets = np.array([centered[i][0] for i in kept], dtype=float)
@@ -196,7 +250,7 @@ def make_level(generators, sigma: DensityOperator, *,
     for a, i in enumerate(kept):
         zi = embeds[i]
         for b, bz in enumerate(basis_z):
-            coeffs[a, b] = float(np.real(np.vdot(bz, zi)))
+            coeffs[a, b] = np.vdot(bz, zi).real
     offsets.setflags(write=False)
     coeffs.setflags(write=False)
     return LevelOfDescription(
@@ -258,7 +312,7 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
         return trivial_level(a.sigma)
     embed = _embedding(a.sigma)
     za, zb = [embed(op) for op in a.basis], [embed(op) for op in b.basis]
-    frame = np.array(_gram_schmidt([*a.basis, *b.basis], za + zb)[1])
+    frame = np.array(_gram_schmidt(za + zb)[1])
 
     def coords(zs):
         return np.array([[float(np.real(np.vdot(fz, z))) for fz in frame]
@@ -268,12 +322,17 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     cb = coords(zb)
     resid = cb - (cb @ ca.T) @ ca
     u, s, _ = np.linalg.svd(resid, full_matrices=True)
+    diagonal = b.all_diagonal
     shared = []
     for l in range(u.shape[1]):
         sine = s[l] if l < s.size else 0.0
         if sine < ANGLE_TOL:
-            m = sum(u[j, l] * b.basis[j].matrix for j in range(len(b.basis)))
-            shared.append(HermitianOperator.from_matrix(m, atol=1e-9))
+            if diagonal:
+                m = sum(u[j, l] * op.diagonal for j, op in enumerate(b.basis))
+                shared.append(HermitianOperator.from_diagonal(m))
+            else:
+                m = sum(u[j, l] * op.matrix for j, op in enumerate(b.basis))
+                shared.append(HermitianOperator.from_matrix(m, atol=1e-9))
     return make_level(shared, a.sigma, label=_op_label(a, b, "&"))
 
 
@@ -291,6 +350,6 @@ def complement(sub: LevelOfDescription, ambient: LevelOfDescription,
         raise ValidationError("complement requires sub to be contained in ambient")
     embed = _embedding(sigma)
     ordered = list(sub_k.basis) + list(amb_k.basis)
-    basis_ops, _, kept = _gram_schmidt(ordered, [embed(op) for op in ordered])
+    kept, _, basis_ops = _gram_schmidt([embed(op) for op in ordered], ordered)
     comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub_k.basis)]
     return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))

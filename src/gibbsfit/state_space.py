@@ -10,7 +10,8 @@ general matrix path.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,43 +54,60 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # every comparison with NaN is false, so range checks alone let it through
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} has a non-finite entry")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A validated Hermitian matrix, optionally tagged as diagonal.
 
     ``diagonal`` holds the real diagonal vector whenever all off-diagonal
     entries are exactly zero; it is what the classical fast paths consume.
+    A diagonal operator keeps only that vector: ``matrix`` is built from it
+    on first use and cached, so code that stays on the diagonal never pays
+    for the d x d array.
     """
 
-    matrix: np.ndarray
-    diagonal: np.ndarray | None = None
+    diagonal: np.ndarray | None
+    dense: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_matrix(cls, matrix, *, atol: float = 1e-12) -> "HermitianOperator":
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"observable must be a square matrix, got shape {m.shape}")
+        _require_finite(m, "observable")
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
         if float(np.max(np.abs(m - m.conj().T))) > atol * scale:
             raise ValidationError("observable is not Hermitian within tolerance")
         m = 0.5 * (m + m.conj().T)
-        diag = None
         off = m - np.diag(np.diag(m))
         if not np.any(off):
-            diag = np.real(np.diag(m)).copy()
-        obj = cls(matrix=_freeze(m), diagonal=None if diag is None else _freeze(diag))
-        return obj
+            return cls(diagonal=_freeze(np.real(np.diag(m))))
+        return cls(diagonal=None, dense=_freeze(m))
 
     @classmethod
     def from_diagonal(cls, values) -> "HermitianOperator":
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("diagonal observable needs a nonempty 1-d array")
-        return cls(matrix=_freeze(np.diag(v).astype(complex)), diagonal=_freeze(v))
+        _require_finite(v, "diagonal observable")
+        return cls(diagonal=_freeze(v))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x d complex matrix (read-only); built on demand for a
+        diagonal operator."""
+        if self.dense is not None:
+            return self.dense
+        return _freeze(np.diag(self.diagonal).astype(complex))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.dense if self.diagonal is None else self.diagonal).shape[0]
 
     def __repr__(self) -> str:  # keep reprs short in error messages
         tag = "diag" if self.diagonal is not None else "dense"
@@ -132,6 +150,7 @@ class DensityOperator:
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+        _require_finite(m, "density matrix")
         if float(np.max(np.abs(m - m.conj().T))) > atol:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         m = 0.5 * (m + m.conj().T)
@@ -154,6 +173,7 @@ class DensityOperator:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValidationError("classical state needs at least two outcomes")
+        _require_finite(p, "probability vector")
         if p.min() < -1e-10:
             raise ValidationError(f"negative probability {p.min():.3e}")
         total = float(p.sum())

@@ -72,6 +72,56 @@ class TestExitCodes:
         assert "GIBBSFIT_LOG" in capsys.readouterr().err
 
 
+def _classical_files(tmp_path, counts="3,4,5", weights="1,1,1", values="1,2,3"):
+    """A 3-outcome counts file with a reference_weight column and a
+    one-observable table, each column given as comma-separated cells."""
+    data = tmp_path / "counts.csv"
+    data.write_text("outcome,count,reference_weight\n" + "".join(
+        f"{o},{c},{w}\n" for o, c, w in zip("abc", counts.split(","), weights.split(","))))
+    obs = tmp_path / "obs.csv"
+    obs.write_text("outcome,G\n" + "".join(
+        f"{o},{v}\n" for o, v in zip("abc", values.split(","))))
+    return ["--data", str(data), "--observables", str(obs)]
+
+
+def _quantum_file(tmp_path, edit):
+    doc = json.load(open(QUBIT_JSON))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return ["--data", str(path)]
+
+
+def _set_observable_entry(doc):
+    doc["observables"][0]["re"][0][1] = float("nan")
+
+
+def _set_reference(doc):
+    doc["reference"] = {"re": [[float("inf"), 0.0], [0.0, 0.5]]}
+
+
+class TestNonFiniteInput:
+    # every non-finite number is refused at load, whichever input holds it
+    @pytest.mark.parametrize("files", [
+        lambda tmp: _classical_files(tmp, counts="3,nan,5"),
+        lambda tmp: _classical_files(tmp, counts="3,inf,5"),
+        lambda tmp: _classical_files(tmp, weights="1,inf,1"),
+        lambda tmp: _classical_files(tmp, values="1,nan,3"),
+        lambda tmp: _quantum_file(tmp, _set_observable_entry),
+        lambda tmp: _quantum_file(tmp, _set_reference),
+        lambda tmp: _quantum_file(tmp, lambda doc: doc["sample_means"].update(Z=float("nan"))),
+        lambda tmp: _quantum_file(tmp, lambda doc: doc.update(N=float("nan"))),
+    ], ids=["count-nan", "count-inf", "reference-weight", "observable-value",
+            "quantum-observable", "quantum-reference", "sample-mean", "N"])
+    def test_rejected_with_data_error(self, tmp_path, capsys, files):
+        assert run(["significance", *files(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and "finite" in err
+
+    def test_finite_files_pass(self, tmp_path):
+        assert run(["significance", *_classical_files(tmp_path)]) == EXIT_OK
+
+
 class TestLogging:
     def test_warning_visible_by_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("GIBBSFIT_LOG", raising=False)

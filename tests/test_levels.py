@@ -21,6 +21,7 @@ from gibbsfit.state_space import (
     pauli_z,
     uniform_state,
 )
+import levels_oracle as oracle
 from conftest import full_quantum_level, random_density, random_diagonal, random_hermitian
 
 
@@ -209,3 +210,84 @@ class TestEmbeddingCount:
         embedded.clear()
         assert is_sublevel(lvl, lvl)
         assert embedded == []
+
+
+def _assert_same_level(new, old):
+    """Bit-for-bit equality of everything a level computes."""
+    assert new.retained == old.retained
+    assert np.array_equal(new.gen_offsets, old.gen_offsets)
+    assert np.array_equal(new.gen_coeffs, old.gen_coeffs)
+    assert len(new.basis) == len(old.basis)
+    for x, y in zip(new.basis, old.basis):
+        assert (x.diagonal is None) == (y.diagonal is None)
+        if x.diagonal is not None:
+            assert np.array_equal(x.diagonal, y.diagonal)
+        assert np.array_equal(x.matrix, y.matrix)
+
+
+class TestDenseOracle:
+    # diagonal operators stay vectors, with the same bits as the dense
+    # matrix algebra of levels_oracle
+    @given(dim=st.sampled_from([2, 3, 4, 6]),
+           reference=st.sampled_from(["classical", "quantum", "uniform"]),
+           kind=st.sampled_from(["diagonal", "dense", "mixed"]), data=st.data())
+    def test_operations_match(self, dim, reference, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = (uniform_state(dim) if reference == "uniform"
+                 else random_density(rng, dim, kind=reference))
+        max_params = dim - 1 if kind == "diagonal" else dim * dim - 1
+
+        def draw():
+            dense = kind == "dense" or (kind == "mixed" and rng.random() < 0.5)
+            return (random_hermitian if dense else random_diagonal)(rng, dim)
+
+        k = data.draw(st.integers(1, min(4, max_params)), label="k")
+        gens = [draw() for _ in range(k)]
+        # a combination of earlier generators and the identity: dropped
+        dep = HermitianOperator.from_matrix(
+            2.0 * gens[0].matrix - gens[-1].matrix + 0.5 * np.eye(dim))
+        a = make_level([*gens, dep], sigma, label="A")
+        _assert_same_level(a, oracle.make_level([*gens, dep], sigma))
+        assert k not in a.retained
+        b = make_level([gens[0], *(draw() for _ in range(k))], sigma, label="B")
+        _assert_same_level(b, oracle.make_level(b.generators, sigma))
+        for x, y in ((a, b), (b, a)):
+            _assert_same_level(intersection(x, y), oracle.intersection(x, y))
+        sub = make_level(gens[:1], sigma)
+        _assert_same_level(complement(sub, a, sigma), oracle.complement(sub, a, sigma))
+
+    def test_full_classical_level_d64(self, rng):
+        sigma = random_density(rng, 64, kind="classical")
+        full = full_classical_level(sigma)
+        _assert_same_level(full, oracle.make_level(full.generators, sigma))
+        small = make_level([random_diagonal(rng, 64) for _ in range(3)], sigma)
+        _assert_same_level(intersection(full, small), oracle.intersection(full, small))
+
+
+class TestLazyDiagonal:
+    @pytest.fixture
+    def levels(self, rng):
+        sigma = random_density(rng, 64, kind="classical")
+        full = full_classical_level(sigma)
+        return full, make_level([random_diagonal(rng, 64) for _ in range(3)], sigma)
+
+    def test_intersection_constructs_no_frame_operators(self, levels, monkeypatch):
+        built = []
+        init = HermitianOperator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HermitianOperator, "__init__", counting)
+        shared = intersection(*levels)
+        assert shared.n_params == 3
+        # the 66-direction frame makes none: only the shared generators,
+        # their centred copies and the shared basis are operators
+        assert len(built) <= 3 * shared.n_params
+
+    def test_diagonal_bases_build_no_matrix(self, levels):
+        shared = intersection(*levels)
+        for lvl in (*levels, shared):
+            assert all(op.diagonal is not None and "matrix" not in vars(op)
+                       for op in lvl.basis)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,10 +40,15 @@ def test_run_demos_wolf_json():
     assert doc["result"]["compare_trivial_vs_two"]["verdict"] == "Refine"
 
 
-def test_result_digest_on_data():
+@pytest.fixture(scope="module")
+def data_digest():
     proc = _run_script("result_digest.py", "--only", "data")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_result_digest_on_data(data_digest):
+    lines = data_digest.splitlines()
     assert len(lines) > 10
     labels = set()
     for line in lines:
@@ -51,3 +58,20 @@ def test_result_digest_on_data():
         assert label.split()[0] in {"significance", "project", "estimate", "compare"}
         labels.add(label)
     assert len(labels) == len(lines)
+
+
+def test_result_digest_against(data_digest, tmp_path):
+    saved = tmp_path / "saved.txt"
+    saved.write_text(data_digest)
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "differs:" not in proc.stdout
+
+    lines = data_digest.splitlines()
+    label = lines[3].split(" ", 2)[2]
+    lines[3] = "0" * 64 + " 0 " + label
+    saved.write_text("\n".join(lines) + "\n")
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.returncode == 1
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("differs:")] == [
+        f"differs: {label}"]

@@ -54,6 +54,30 @@ class TestConstruction:
             HermitianOperator.from_matrix(m)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructors_reject_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator.from_diagonal([1.0, bad])
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator.from_matrix(np.array([[1.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator.from_matrix(np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator.classical([0.5, 0.5, bad])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator.quantum(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+    def test_diagonal_matrix_built_on_demand(self):
+        op = HermitianOperator.from_diagonal([1.0, -2.0])
+        assert op.dim == 2 and "matrix" not in vars(op)
+        assert np.array_equal(op.matrix, np.diag([1.0, -2.0]).astype(complex))
+        assert op.matrix is op.matrix
+        assert not op.matrix.flags.writeable
+        tagged = HermitianOperator.from_matrix(np.diag([1.0, -2.0]))
+        assert np.array_equal(tagged.diagonal, op.diagonal)
+        assert "matrix" not in vars(tagged)
+
+
 class TestExpectationEntropy:
     def test_expectation_diagonal_shortcut_matches_trace(self, rng):
         rho = random_density(rng, 4, kind="classical")
