@@ -9,6 +9,7 @@ log level is set with GIBBSFIT_LOG (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -135,6 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built once per process: parse_args keeps no
+    state between calls, so one parser serves every command."""
+    return build_parser()
+
+
 def _load_dataset(args):
     path = str(args.data)
     if path.endswith(".json"):
@@ -235,7 +243,7 @@ def _emit(report: Report, args) -> None:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _configure_logging()
         config, result = _dispatch(args)

@@ -157,15 +157,35 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
                    levels={"full": full}, named={}, data=data)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: true/false and numeric strings are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_number(value, path, what: str) -> float:
+    if not _is_number(value) or not math.isfinite(value):
+        raise DataFormatError(f"{path}: {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parse_part(rows, dim: int, path, what: str) -> np.ndarray:
+    """One real dim x dim part of a JSON matrix: a list of rows of numbers."""
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim and all(map(_is_number, r))
+                    for r in rows)):
+        raise DataFormatError(f"{path}: {what} must be {dim}x{dim} numbers")
+    part = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(part)):
+        raise DataFormatError(f"{path}: {what} has a non-finite entry")
+    return part
+
+
 def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise DataFormatError(f"{path}: {what} must be an object with 're' (and 'im')")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise DataFormatError(f"{path}: {what} must be {dim}x{dim}")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise DataFormatError(f"{path}: {what} has a non-finite entry")
+    re = _parse_part(obj["re"], dim, path, f"{what} 're'")
+    im = (_parse_part(obj["im"], dim, path, f"{what} 'im'") if "im" in obj
+          else np.zeros_like(re))
     return re + 1j * im
 
 
@@ -187,7 +207,7 @@ def load_quantum(path) -> Dataset:
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):
         raise DataFormatError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     for key in ("dim", "observables", "sample_means", "N"):
@@ -206,10 +226,15 @@ def load_quantum(path) -> Dataset:
         except ValidationError as exc:
             raise DataFormatError(f"{path}: reference: {exc}")
 
+    if not isinstance(doc["observables"], list):
+        raise DataFormatError(f"{path}: observables must be an array")
+    for key in ("sample_means", "levels"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DataFormatError(f"{path}: {key} must be an object")
     observables: dict[str, HermitianOperator] = {}
     for entry in doc["observables"]:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise DataFormatError(f"{path}: each observable needs a 'name'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise DataFormatError(f"{path}: each observable needs a 'name' string")
         name = entry["name"]
         if name in observables:
             raise DataFormatError(f"{path}: duplicate observable name {name!r}")
@@ -226,22 +251,23 @@ def load_quantum(path) -> Dataset:
     measured_names = [n for n in observables if n in means_map]
     if not measured_names:
         raise DataFormatError(f"{path}: no observable carries a sample mean")
-    sample_means = {n: _parse_float(means_map[n], path, f"sample mean of {n!r}")
+    sample_means = {n: _json_number(means_map[n], path, f"sample mean of {n!r}")
                     for n in measured_names}
-    n_shots = doc["N"]
-    if (not isinstance(n_shots, (int, float)) or not math.isfinite(n_shots)
-            or n_shots < 0):
-        raise DataFormatError(f"{path}: N must be a finite nonnegative number")
+    n_shots = _json_number(doc["N"], path, "N")
+    if n_shots < 0:
+        raise DataFormatError(f"{path}: N must be nonnegative")
 
     measured = make_level([observables[n] for n in measured_names],
                           reference, label="F")
     means = np.array([sample_means[measured_names[i]] for i in measured.retained])
-    data = ExperimentData(level=measured, means=means, n=float(n_shots))
+    data = ExperimentData(level=measured, means=means, n=n_shots)
 
     named: dict[str, tuple[str, ...]] = {}
     for name, obs_names in doc.get("levels", {}).items():
         if name in BUILTIN_LEVELS:
             raise DataFormatError(f"{path}: level name {name!r} is reserved")
+        if not (isinstance(obs_names, list) and all(isinstance(o, str) for o in obs_names)):
+            raise DataFormatError(f"{path}: level {name!r} must be a list of observable names")
         missing = [o for o in obs_names if o not in observables]
         if missing:
             raise DataFormatError(f"{path}: level {name!r} uses unknown observables {missing}")

@@ -14,7 +14,6 @@ Each run_* function returns a JSON-ready result tree (see report.py).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gibbs import (
     bloch_metric,
@@ -139,6 +138,10 @@ def thermal_setup():
     deviation of the 110 K populations from the 100 K reference equals
     THERMAL_CHI2_TARGET; everything downstream is then pure pipeline.
     """
+    # imported here, not at the top: scipy.optimize is slow to import and
+    # no other command needs it
+    from scipy.optimize import brentq
+
     beta0, beta1 = 1.0 / THERMAL_T_REFERENCE, 1.0 / THERMAL_T_SOURCE
     ladder = np.arange(THERMAL_DIM, dtype=float)
     n = THERMAL_N

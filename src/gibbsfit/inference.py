@@ -37,6 +37,7 @@ from .levels import (
     _center,
     _embedding,
     _frame_coords,
+    _slots,
     complement,
     intersection,
     is_sublevel,
@@ -214,11 +215,12 @@ def _sublevel_decomposition(data_level: LevelOfDescription,
     data level's frame.  Requires sub to be contained in the data level."""
     embed = _embedding(data_level.sigma)
     frame = [embed(b) for b in data_level.basis]
+    slots = _slots(data_level.sigma, [*data_level.basis, *sub.basis])
     offsets = np.zeros(len(sub.basis))
     coeffs = np.zeros((len(sub.basis), len(frame)))
     for j, op in enumerate(sub.basis):
         offsets[j], centered = _center(op, data_level.sigma)
-        coeffs[j], resid = _frame_coords(frame, embed(centered))
+        coeffs[j], resid = _frame_coords(frame, embed(centered), slots)
         if resid > SUBLEVEL_TOL:
             raise ValidationError(
                 "level is not contained in the measured level of the data")

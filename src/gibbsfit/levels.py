@@ -13,9 +13,13 @@ Gram-Schmidt, sublevel tests and principal-angle detection numerically solid.
 Diagonal operators stay diagonal.  At a classical reference a diagonal
 operator's embedding is written straight onto its diagonal slots, and when
 every input is diagonal Gram-Schmidt projects the real diagonal vectors,
-so a classical level never builds a d x d matrix.  The inner products still
-run over the full length-d^2 embeddings, which keeps every result
-bit-identical to the dense matrix algebra in tests/levels_oracle.py.
+so a classical level never builds a d x d matrix.  The projections of such
+embeddings then update only the d slots, through one reused length-d
+buffer: the other entries are +0.0 and would stay +0.0.  The inner products
+still run over the full length-d^2 embeddings, because BLAS sums a shorter
+vector in another order.  Together this keeps every result bit-identical
+to the dense matrix algebra in tests/levels_oracle.py.  Each reference
+state computes its embedding frame once (`DensityOperator.kmb_frame`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import ValidationError
 from .state_space import (
     DensityOperator,
     HermitianOperator,
-    _kmb_weights,
     expectation,
 )
 
@@ -64,16 +67,6 @@ def _coerce_operator(obj) -> HermitianOperator:
     return HermitianOperator.from_matrix(arr)
 
 
-def _permutation(v: np.ndarray) -> np.ndarray | None:
-    """The column-to-row map of v when v is exactly a permutation matrix
-    (every entry 0 or 1, one 1 per row and column), else None."""
-    ones = v == 1
-    if (np.all(ones | (v == 0)) and np.all(ones.sum(axis=0) == 1)
-            and np.all(ones.sum(axis=1) == 1)):
-        return np.argmax(ones, axis=0)
-    return None
-
-
 def _embedding(sigma: DensityOperator):
     """Map operators to complex vectors of length d^2 so the
     canonical-correlation product at sigma becomes Re <u, v> in the
@@ -86,18 +79,26 @@ def _embedding(sigma: DensityOperator):
     diagonal slots instead, with the same bits as the two matrix products.
     """
     v = sigma.eigenvectors
-    vh = v.conj().T
-    sw = np.sqrt(_kmb_weights(sigma.eigenvalues))
-    perm = _permutation(v)
+    vh, sw, perm = sigma.kmb_frame
+    sw_diag = np.diagonal(sw)
     d = sigma.dim
 
     def embed(op: HermitianOperator) -> np.ndarray:
         if perm is None or op.diagonal is None:
             return (sw * (vh @ op.matrix @ v)).ravel()
         z = np.zeros(d * d, dtype=complex)
-        z[::d + 1] = np.diagonal(sw) * op.diagonal[perm]
+        z[::d + 1] = sw_diag * op.diagonal[perm]
         return z
     return embed
+
+
+def _slots(sigma: DensityOperator, ops) -> slice:
+    """The entries of the embeddings of ops that can be nonzero: the
+    diagonal slots when every op takes `_embedding`'s diagonal fast path,
+    else all of them."""
+    if sigma.kmb_frame.perm is not None and all(op.diagonal is not None for op in ops):
+        return slice(None, None, sigma.dim + 1)
+    return slice(None)
 
 
 def _center(op: HermitianOperator, sigma: DensityOperator):
@@ -111,7 +112,7 @@ def _center(op: HermitianOperator, sigma: DensityOperator):
     return c, centered
 
 
-def _gram_schmidt(embeds, ops=None, drop_tol=DROP_TOL):
+def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
     """Orthonormalize embeddings (with one reorthogonalization pass).
 
     Returns the kept input indices, the orthonormal frame of embeddings
@@ -121,23 +122,35 @@ def _gram_schmidt(embeds, ops=None, drop_tol=DROP_TOL):
     vectors.  Their scale is ``m * (1.0 / norm)`` because that is how numpy
     divides a complex matrix by a real scalar, so the diagonal path has the
     same bits as the dense one.
+
+    The updates write only the embedding entries ``slots`` picks (see
+    `_slots`), through one reused buffer.  That is bit-identical to the
+    full-length update: every other entry is +0.0 in every input and would
+    stay +0.0 anyway, since 0 - c*0 is +0.0 for finite c, and an elementwise
+    ufunc gives each entry the same bits whatever the stride.  The inner
+    products still run over the full length-d^2 vectors, because BLAS sums
+    a compact vector in another order, and that would rotate the basis
+    `intersection` chooses.
     """
     diagonal = ops is not None and all(op.diagonal is not None for op in ops)
     basis_ops: list[HermitianOperator] = []
     basis_z: list[np.ndarray] = []
+    basis_s: list[np.ndarray] = []
     kept: list[int] = []
-    tmp = np.empty_like(embeds[0]) if embeds else None
+    buf = np.empty_like(embeds[0][slots]) if embeds else None
+    rbuf = np.empty(ops[0].dim) if diagonal and ops else None
     for idx, z in enumerate(embeds):
         orig = np.sqrt(max(np.vdot(z, z).real, 0.0))
         if orig == 0.0:
             continue
         zz = z.copy()
+        zs = zz[slots]
         coeffs = []
         for _ in range(2):
-            for bz in basis_z:
+            for bz, bs in zip(basis_z, basis_s):
                 c = np.vdot(bz, zz).real
-                np.multiply(bz, c, out=tmp)
-                zz -= tmp
+                np.multiply(bs, c, out=buf)
+                zs -= buf
                 coeffs.append(c)
         norm = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
         if norm < drop_tol * orig:
@@ -148,14 +161,17 @@ def _gram_schmidt(embeds, ops=None, drop_tol=DROP_TOL):
             if diagonal:
                 m = ops[idx].diagonal.copy()
                 for c, bop in projections:
-                    m -= c * bop.diagonal
+                    np.multiply(bop.diagonal, c, out=rbuf)
+                    m -= rbuf
                 basis_ops.append(HermitianOperator.from_diagonal(m * (1.0 / norm)))
             else:
                 m = ops[idx].matrix.copy()
                 for c, bop in projections:
                     m -= c * bop.matrix
                 basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
-        basis_z.append(zz / norm)
+        zs /= norm
+        basis_z.append(zz)
+        basis_s.append(zs)
         kept.append(idx)
     return kept, basis_z, basis_ops
 
@@ -241,8 +257,10 @@ def make_level(generators, sigma: DensityOperator, *,
 
     centered = [_center(op, sigma) for op in ops]
     embed = _embedding(sigma)
-    embeds = [embed(c) for _, c in centered]
-    kept, basis_z, basis_ops = _gram_schmidt(embeds, [c for _, c in centered])
+    centered_ops = [c for _, c in centered]
+    embeds = [embed(c) for c in centered_ops]
+    kept, basis_z, basis_ops = _gram_schmidt(embeds, centered_ops,
+                                             _slots(sigma, centered_ops))
 
     k = len(basis_ops)
     offsets = np.array([centered[i][0] for i in kept], dtype=float)
@@ -276,14 +294,20 @@ def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
         raise ValidationError("levels are built at different reference states")
 
 
-def _frame_coords(frame, z: np.ndarray) -> tuple[np.ndarray, float]:
+def _frame_coords(frame, z: np.ndarray,
+                  slots=slice(None)) -> tuple[np.ndarray, float]:
     """Coefficients of z along an orthonormal frame of embeddings, one
-    projection at a time, and the norm of the residual left over."""
+    projection at a time, and the norm of the residual left over.  The
+    updates write only the ``slots`` entries, as in `_gram_schmidt`."""
     coeffs = np.zeros(len(frame))
+    z = z.copy()
+    zs = z[slots]
+    buf = np.empty_like(zs)
     for b, fz in enumerate(frame):
-        coeffs[b] = float(np.real(np.vdot(fz, z)))
-        z = z - coeffs[b] * fz
-    return coeffs, float(np.sqrt(max(np.real(np.vdot(z, z)), 0.0)))
+        coeffs[b] = np.vdot(fz, z).real
+        np.multiply(fz[slots], coeffs[b], out=buf)
+        zs -= buf
+    return coeffs, float(np.sqrt(max(np.vdot(z, z).real, 0.0)))
 
 
 def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
@@ -293,7 +317,9 @@ def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
         return True
     embed = _embedding(sup.sigma)
     sup_z = [embed(b) for b in sup.basis]
-    return all(_frame_coords(sup_z, embed(b))[1] <= SUBLEVEL_TOL for b in sub.basis)
+    slots = _slots(sup.sigma, [*sup.basis, *sub.basis])
+    return all(_frame_coords(sup_z, embed(b), slots)[1] <= SUBLEVEL_TOL
+               for b in sub.basis)
 
 
 def _op_label(a: LevelOfDescription, b: LevelOfDescription, sep: str) -> str:
@@ -312,11 +338,10 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
         return trivial_level(a.sigma)
     embed = _embedding(a.sigma)
     za, zb = [embed(op) for op in a.basis], [embed(op) for op in b.basis]
-    frame = np.array(_gram_schmidt(za + zb)[1])
+    frame = _gram_schmidt(za + zb, slots=_slots(a.sigma, [*a.basis, *b.basis]))[1]
 
     def coords(zs):
-        return np.array([[float(np.real(np.vdot(fz, z))) for fz in frame]
-                         for z in zs])
+        return np.array([[np.vdot(fz, z).real for fz in frame] for z in zs])
 
     ca = coords(za)
     cb = coords(zb)
@@ -350,6 +375,7 @@ def complement(sub: LevelOfDescription, ambient: LevelOfDescription,
         raise ValidationError("complement requires sub to be contained in ambient")
     embed = _embedding(sigma)
     ordered = list(sub_k.basis) + list(amb_k.basis)
-    kept, _, basis_ops = _gram_schmidt([embed(op) for op in ordered], ordered)
+    kept, _, basis_ops = _gram_schmidt([embed(op) for op in ordered], ordered,
+                                       _slots(sigma, ordered))
     comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub_k.basis)]
     return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))

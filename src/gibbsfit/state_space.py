@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +127,26 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return v
 
 
+def _permutation(v: np.ndarray) -> np.ndarray | None:
+    """The column-to-row map of v when v is exactly a permutation matrix
+    (every entry 0 or 1, one 1 per row and column), else None."""
+    ones = v == 1
+    if (np.all(ones | (v == 0)) and np.all(ones.sum(axis=0) == 1)
+            and np.all(ones.sum(axis=1) == 1)):
+        return np.argmax(ones, axis=0)
+    return None
+
+
+class KmbFrame(NamedTuple):
+    """What the canonical-correlation embedding needs of a state: V^dag,
+    the square roots of the logarithmic-mean weights, and the column-to-row
+    map of V when V is an exact permutation (every classical reference)."""
+
+    vh: np.ndarray
+    sw: np.ndarray
+    perm: np.ndarray | None
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A state: unit-trace positive operator, eagerly eigendecomposed.
@@ -210,6 +231,18 @@ class DensityOperator:
     @property
     def is_classical(self) -> bool:
         return self.probs is not None
+
+    @cached_property
+    def kmb_frame(self) -> KmbFrame:
+        """The embedding frame (read-only), computed on first use and kept:
+        the level operations at one reference all share it."""
+        v = self.eigenvectors
+        frame = KmbFrame(vh=v.conj().T, sw=np.sqrt(_kmb_weights(self.eigenvalues)),
+                         perm=_permutation(v))
+        for a in frame:
+            if a is not None:
+                a.setflags(write=False)
+        return frame
 
     def same_state(self, other: "DensityOperator") -> bool:
         return self is other or (self.dim == other.dim

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gibbsfit.cli
 import gibbsfit.dataio
 import gibbsfit.levels
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
@@ -85,7 +90,7 @@ def _classical_files(tmp_path, counts="3,4,5", weights="1,1,1", values="1,2,3"):
 
 
 def _quantum_file(tmp_path, edit):
-    doc = json.load(open(QUBIT_JSON))
+    doc = json.loads(Path(QUBIT_JSON).read_text())
     edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
@@ -120,6 +125,30 @@ class TestNonFiniteInput:
 
     def test_finite_files_pass(self, tmp_path):
         assert run(["significance", *_classical_files(tmp_path)]) == EXIT_OK
+
+
+def _set_text_entry(doc):
+    doc["observables"][0]["re"][0][1] = "a"
+
+
+class TestMalformedQuantumFile:
+    # a value of the wrong JSON type is refused at load, naming its field
+    @pytest.mark.parametrize("edit, field", [
+        (_set_text_entry, "observable 'X' 're'"),
+        (lambda doc: doc["observables"][0]["re"][1].pop(), "observable 'X' 're'"),
+        (lambda doc: doc.update(observables=5), "observables"),
+        (lambda doc: doc.update(N=True), "N must be"),
+        (lambda doc: doc["sample_means"].update(Z=True), "sample mean of 'Z'"),
+        (lambda doc: doc["sample_means"].update(Z="0.73"), "sample mean of 'Z'"),
+        (lambda doc: doc["levels"].update(a="XZ"), "level 'a'"),
+        (lambda doc: doc.update(format_version=True), "format_version"),
+    ], ids=["non-numeric-entry", "ragged-rows", "observables-not-array",
+            "N-bool", "sample-mean-bool", "sample-mean-string", "level-string",
+            "format-version-bool"])
+    def test_rejected_with_data_error(self, tmp_path, capsys, edit, field):
+        assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and field in err
 
 
 class TestLogging:
@@ -319,3 +348,42 @@ class TestDemos:
         post = doc["result"]["posterior"]
         assert post["temperature_estimate"] == pytest.approx(107.317, abs=5e-3)
         assert doc["result"]["evidence"]["t"] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_optimize(self):
+        # only demo thermal needs scipy.optimize; the rest should not pay
+        # for its import
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        code = "import sys, gibbsfit.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_run_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        build = gibbsfit.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(gibbsfit.cli, "build_parser", counting)
+        gibbsfit.cli._parser.cache_clear()
+        assert run(["demo", "wolf"]) == EXIT_OK
+        assert run(["project", "--data", WOLF_COUNTS]) == EXIT_OK
+        assert len(built) == 1
+        assert build() is not build()
+
+    def test_defaults_do_not_leak_between_runs(self, tmp_path):
+        dest = tmp_path / "report.json"
+        out = ["--format", "json", "--out", str(dest)]
+        assert run(["project", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+                    "--level", "G1,G2", *out]) == EXIT_OK
+        assert load_report(dest).config["level"] == "G1,G2"
+        assert run(["project", "--data", WOLF_COUNTS, *out]) == EXIT_OK
+        assert load_report(dest).config["level"] == "full"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import gibbsfit.levels
+import gibbsfit.state_space
 from gibbsfit.errors import ValidationError
 from gibbsfit.levels import (
     complement,
@@ -210,6 +213,72 @@ class TestEmbeddingCount:
         embedded.clear()
         assert is_sublevel(lvl, lvl)
         assert embedded == []
+
+
+class TestSlotUpdates:
+    # diagonal operators at a permutation eigenframe: the projections update
+    # only the d diagonal slots of each length-d^2 embedding, through one
+    # length-d buffer
+    D = 64
+    ENTRY = np.dtype(complex).itemsize
+
+    @pytest.fixture
+    def diagonal_inputs(self, rng):
+        sigma = random_density(rng, self.D, kind="classical")
+        ops = [gibbsfit.levels._center(random_diagonal(rng, self.D), sigma)[1]
+               for _ in range(6)]
+        slots = gibbsfit.levels._slots(sigma, ops)
+        assert slots != slice(None)
+        embed = gibbsfit.levels._embedding(sigma)
+        return [embed(op) for op in ops], ops, slots
+
+    @staticmethod
+    def _traced(call):
+        """What call returns, and the peak and the retained bytes it
+        allocates."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - base, current - base
+
+    def test_gram_schmidt_allocates_only_its_frame(self, diagonal_inputs):
+        embeds, ops, slots = diagonal_inputs
+        (_, frame, _), peak, retained = self._traced(
+            lambda: gibbsfit.levels._gram_schmidt(embeds, ops, slots))
+        assert len(frame) == len(ops)
+        # no length-d^2 temporary on top of the frame it returns
+        assert peak - retained < self.D * self.D * self.ENTRY / 2
+
+    def test_frame_coords_allocates_one_working_copy(self, diagonal_inputs):
+        embeds, _, slots = diagonal_inputs
+        frame = gibbsfit.levels._gram_schmidt(embeds[1:], slots=slots)[1]
+        (_, resid), peak, _ = self._traced(
+            lambda: gibbsfit.levels._frame_coords(frame, embeds[0], slots))
+        assert resid > 0
+        assert peak < 1.5 * self.D * self.D * self.ENTRY
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_frame_computed_once_per_reference(self, rng, monkeypatch, kind):
+        calls = []
+        weights = gibbsfit.state_space._kmb_weights
+
+        def counting(p):
+            calls.append(p)
+            return weights(p)
+
+        monkeypatch.setattr(gibbsfit.state_space, "_kmb_weights", counting)
+        sigma = random_density(rng, 4, kind=kind)
+        draw = random_diagonal if kind == "classical" else random_hermitian
+        amb = make_level([draw(rng, 4) for _ in range(3)], sigma)
+        sub = make_level(amb.generators[:1], sigma)
+        assert is_sublevel(sub, amb)
+        assert intersection(sub, amb).n_params == 1
+        assert complement(sub, amb, sigma).n_params == 2
+        assert len(calls) == 1
 
 
 def _assert_same_level(new, old):
