@@ -36,6 +36,9 @@ ANALYSES = 2
 WOLF = ["--data", "data/wolf_counts.csv"]
 WOLF_OBS = WOLF + ["--observables", "data/wolf_observables.csv"]
 QUBIT = ["--data", "data/qubit_tilt3.json"]
+# qubit_tilt3 without Y's sample mean: the heisenberg prior keeps an
+# unmeasured direction, so the report carries a complement block
+QUBIT_PARTIAL = ["--data", "data/qubit_partial.json"]
 
 DATA_COMMANDS = [
     ["significance", *WOLF],
@@ -60,6 +63,7 @@ DATA_COMMANDS = [
     ["estimate", *QUBIT, "--level", "ising", "--alpha", "100"],
     ["compare", *QUBIT, "--coarse", "O", "--fine", "ising"],
     ["compare", *QUBIT, "--coarse", "ising", "--fine", "full"],
+    ["estimate", *QUBIT_PARTIAL, "--level", "heisenberg", "--alpha", "50"],
 ]
 
 DEMO_COMMANDS = [["demo", "wolf"], ["demo", "qubit"], ["demo", "thermal"],

@@ -30,7 +30,7 @@ def tilt_rates(r: float, tilt_deg: float, n: float):
     coarse = make_level([pauli_z()], sigma, label="z-only")
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=fine, means=means, n=n)
-    cmp_ = compare_levels(coarse, fine, data, sigma, alpha=None)
+    cmp_ = compare_levels(coarse, fine, data, alpha=None)
     rate_metric = n * r * np.arctanh(r) * tau * tau / cmp_.s
     return rate_metric, cmp_.chi2_exact / cmp_.s, cmp_
 

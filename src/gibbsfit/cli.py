@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 
@@ -153,15 +154,15 @@ def _load_dataset(args):
 
 
 def _parse_alpha(text: str) -> float | None:
-    """'auto' -> None (evidence procedure); otherwise a positive number."""
+    """'auto' -> None (evidence procedure); otherwise a finite positive number."""
     if text.strip().lower() == "auto":
         return None
     try:
         val = float(text)
     except ValueError:
         raise ValidationError(f"--alpha must be 'auto' or a number, got {text!r}")
-    if val <= 0:
-        raise ValidationError("--alpha must be positive")
+    if not (math.isfinite(val) and val > 0):
+        raise ValidationError(f"--alpha must be finite and positive, got {text!r}")
     return val
 
 
@@ -179,16 +180,14 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         return config, result
 
     ds = _load_dataset(args)
-    sigma = ds.reference
     inputs = tuple(p for p in (args.data, args.observables) if p)
 
     if args.command == "project":
         level = resolve_level(ds, args.level)
-        fit = project(sigma, level, ds.data.means_for(level), coords="basis")
+        fit = project(level, ds.data.means_for(level))
         result = {"fit": model_summary(fit)}
         if ds.data.level.n_params > level.n_params:
-            rep = level_significance(ds.data, sigma, level,
-                                     sig_level=args.sig_level)
+            rep = level_significance(ds.data, level, sig_level=args.sig_level)
             result["residual"] = significance_summary(rep)
         config = RunConfig(command="project", inputs=inputs, level=args.level,
                            sig_level=args.sig_level, out_format=args.format)
@@ -196,7 +195,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
 
     if args.command == "significance":
         level = resolve_level(ds, args.level)
-        rep = level_significance(ds.data, sigma, level, sig_level=args.sig_level)
+        rep = level_significance(ds.data, level, sig_level=args.sig_level)
         config = RunConfig(command="significance", inputs=inputs,
                            level=args.level, sig_level=args.sig_level,
                            out_format=args.format)
@@ -204,7 +203,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
 
     if args.command == "estimate":
         level = resolve_level(ds, args.level)
-        prior = EntropicPrior(sigma=sigma, level=level, alpha=_parse_alpha(args.alpha))
+        prior = EntropicPrior(level=level, alpha=_parse_alpha(args.alpha))
         post = posterior_estimate(ds.data, prior)
         result = {}
         if post.evidence is not None:
@@ -218,7 +217,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         coarse = resolve_level(ds, args.coarse)
         fine = resolve_level(ds, args.fine)
         alpha = _parse_alpha(args.alpha)
-        rep = compare_levels(coarse, fine, ds.data, sigma,
+        rep = compare_levels(coarse, fine, ds.data,
                              alpha="evidence" if alpha is None else alpha,
                              prior_odds=args.prior_odds)
         config = RunConfig(command="compare", inputs=inputs,

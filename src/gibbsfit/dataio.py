@@ -46,14 +46,18 @@ class Dataset:
     ``levels`` holds the measured level under its built-in names ("full",
     and "F" for quantum data); ``named`` maps each level a quantum file
     names to its observable names, in file order (empty for classical
-    data).  Classical ``data`` keeps the raw counts.
+    data).  Classical ``data`` keeps the raw counts.  ``reference`` is the
+    state the measured level carries.
     """
 
-    reference: DensityOperator
     observables: dict[str, HermitianOperator]
     levels: dict[str, LevelOfDescription]
     named: dict[str, tuple[str, ...]]
     data: ExperimentData
+
+    @property
+    def reference(self) -> DensityOperator:
+        return self.data.level.sigma
 
     @property
     def n(self) -> float:
@@ -153,8 +157,7 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
 
     full = full_classical_level(reference)
     data = ExperimentData.from_counts(counts_arr, full)
-    return Dataset(reference=reference, observables=observables,
-                   levels={"full": full}, named={}, data=data)
+    return Dataset(observables=observables, levels={"full": full}, named={}, data=data)
 
 
 def _is_number(x) -> bool:
@@ -272,7 +275,7 @@ def load_quantum(path) -> Dataset:
         if missing:
             raise DataFormatError(f"{path}: level {name!r} uses unknown observables {missing}")
         named[name] = tuple(obs_names)
-    return Dataset(reference=reference, observables=observables,
+    return Dataset(observables=observables,
                    levels={"full": measured, "F": measured}, named=named,
                    data=data)
 

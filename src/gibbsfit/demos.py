@@ -13,8 +13,11 @@ Each run_* function returns a JSON-ready result tree (see report.py).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ValidationError
 from .gibbs import (
     bloch_metric,
     model_to_bloch,
@@ -77,11 +80,11 @@ def wolf_levels():
 
 
 def run_wolf() -> dict:
-    sigma, level_o, level_g, level_f, data = wolf_levels()
-    sig = level_significance(data, sigma, level_o)
-    est = estimate_alpha(data, sigma)
-    cmp_og = compare_levels(level_o, level_g, data, sigma, alpha=est.alpha)
-    cmp_gf = compare_levels(level_g, level_f, data, sigma, alpha=est.alpha)
+    _, level_o, level_g, level_f, data = wolf_levels()
+    sig = level_significance(data, level_o)
+    est = estimate_alpha(data)
+    cmp_og = compare_levels(level_o, level_g, data, alpha=est.alpha)
+    cmp_gf = compare_levels(level_g, level_f, data, alpha=est.alpha)
     return {
         "data": {"counts": list(WOLF_COUNTS), "n": data.n,
                  "frequencies": (np.asarray(WOLF_COUNTS, float) / data.n).tolist()},
@@ -98,8 +101,14 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
 
     The coarse candidate keeps only the z component; the fine one the full
     spin level.  Sample means are the exact expectations of the tilted
-    state, so the verdict reflects the systematic tilt alone.
+    state, so the verdict reflects the systematic tilt alone.  The Bloch
+    radius r must lie in [0, 1) and tilt_deg be finite; ExperimentData
+    checks n.
     """
+    if not 0.0 <= r < 1.0:
+        raise ValidationError(f"Bloch radius r must lie in [0, 1), got {r!r}")
+    if not math.isfinite(tilt_deg):
+        raise ValidationError(f"tilt angle tilt_deg must be finite, got {tilt_deg!r}")
     tau = np.deg2rad(tilt_deg)
     sigma = uniform_state(2)
     heis = pauli_level(sigma).with_label("heisenberg")
@@ -107,8 +116,8 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=heis, means=means, n=float(n))
 
-    est = estimate_alpha(data, sigma)
-    cmp_ih = compare_levels(ising, heis, data, sigma, alpha=est.alpha)
+    est = estimate_alpha(data)
+    cmp_ih = compare_levels(ising, heis, data, alpha=est.alpha)
 
     # closed-form route: the tilt is a pure theta displacement, so the
     # squared distance is the theta-theta metric times tilt^2
@@ -166,13 +175,13 @@ def thermal_setup():
 
 
 def run_thermal() -> dict:
-    sigma, level_e, level_f, data, spacing, beta0, beta1 = thermal_setup()
-    post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=level_e))
+    _, level_e, level_f, data, spacing, beta0, beta1 = thermal_setup()
+    post = posterior_estimate(data, EntropicPrior(level=level_e))
 
     # express posterior and data projection on the energy level, whose raw
     # generator is conjugate to the inverse-temperature shift
-    fit_hat = project_state(sigma, level_e, post.state)
-    fit_data = project_state(sigma, level_e, post.data_model.state)
+    fit_hat = project_state(level_e, post.state)
+    fit_data = project_state(level_e, post.data_model.state)
     beta_hat = beta0 + float(fit_hat.generator_multipliers()[0])
     beta_data = beta0 + float(fit_data.generator_multipliers()[0])
     # 1-sigma widths from the measured-direction covariance, mapped through

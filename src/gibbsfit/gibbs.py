@@ -1,13 +1,16 @@
 """Gibbs manifolds: exponential families anchored at a reference state.
 
-A point on the manifold of a level G at reference sigma is
+A manifold is fixed by a level alone: the level carries its reference
+sigma.  A point on the manifold of a level G at reference sigma is
 
     pi(lam) = exp[(ln sigma - <ln sigma>_sigma) - sum_b lam_b B_b] / Z(lam)
 
 with {B_b} the level's orthonormal centered basis.  lam = 0 reproduces
 sigma exactly.  ln Z is strictly convex with gradient -g(lam) and Hessian
 equal to the canonical-correlation covariance of the basis at pi(lam), so
-matching expectation values is an unconstrained convex solve.
+matching expectation values is an unconstrained convex solve.  Targets
+and multipliers are in basis coordinates; `_basis_targets` converts means
+of the retained generators.
 
 Off the classical vector path an evaluation works on the level's stacked
 (k, d, d) basis: lam.B is one contraction, and g and the covariance come
@@ -20,7 +23,6 @@ an independent check on the generic machinery.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,6 @@ from .state_space import (
     uniform_state,
     von_neumann_entropy,
 )
-
-logger = logging.getLogger("gibbsfit.gibbs")
 
 # Newton refuses to chase multipliers beyond this: expectation targets on
 # the boundary of the achievable set push |lam| to infinity.
@@ -88,13 +88,17 @@ class GibbsModel:
     the Hessian of ln Z and the metric the chi-square forms use.
     """
 
-    sigma: DensityOperator
     level: LevelOfDescription
     lam: np.ndarray
     ln_z: float
     state: DensityOperator
     g: np.ndarray
     corr: np.ndarray
+
+    @property
+    def sigma(self) -> DensityOperator:
+        """The reference state, which the level carries."""
+        return self.level.sigma
 
     @property
     def n_params(self) -> int:
@@ -120,8 +124,6 @@ class GibbsModel:
         return np.linalg.solve(self.level.gen_coeffs.T, self.lam)
 
     def same_manifold(self, other: "GibbsModel") -> bool:
-        if not self.sigma.same_state(other.sigma):
-            return False
         if self.level is other.level:
             return True
         if not self.level.same_context(other.level):
@@ -157,9 +159,10 @@ def _moments(state: DensityOperator,
     return g, 0.5 * (corr + corr.T)
 
 
-def _eval(sigma: DensityOperator, level: LevelOfDescription,
+def _eval(level: LevelOfDescription,
           lam: np.ndarray) -> tuple[DensityOperator, float, np.ndarray, np.ndarray]:
-    """Evaluate (state, ln_z, g, corr) at multipliers lam.
+    """Evaluate (state, ln_z, g, corr) at multipliers lam, at the level's
+    reference sigma.
 
     The exponent is computed as ln sigma - lam.B and shifted by its top
     eigenvalue before exponentiation; the centering constant <ln sigma>_sigma
@@ -167,6 +170,7 @@ def _eval(sigma: DensityOperator, level: LevelOfDescription,
     entropy of sigma).  g and corr come from _moments at the new state:
     the eigenframe kernel on the stacked basis unless all is classical.
     """
+    sigma = level.sigma
     ent_sigma = von_neumann_entropy(sigma)
     vector = sigma.is_classical and level.all_diagonal
     if vector:
@@ -192,25 +196,14 @@ def _eval(sigma: DensityOperator, level: LevelOfDescription,
     return state, ln_z, g, corr
 
 
-def _check_inputs(sigma: DensityOperator, level: LevelOfDescription) -> None:
-    if sigma.dim != level.dim_hilbert:
-        raise ValidationError(
-            f"reference dimension {sigma.dim} != level dimension {level.dim_hilbert}")
-    if not level.sigma.same_state(sigma):
-        # a level orthonormalized at one state may still be used at another;
-        # the span is what matters, so this is deliberate and allowed
-        logger.debug("level orthonormalized at a different reference state")
-
-
-def gibbs_state(sigma: DensityOperator, level: LevelOfDescription, lam) -> GibbsModel:
+def gibbs_state(level: LevelOfDescription, lam) -> GibbsModel:
     """The manifold point at given multipliers (basis coordinates)."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    _check_inputs(sigma, level)
     if lam.size != level.n_params:
         raise ValidationError(
             f"expected {level.n_params} multipliers, got {lam.size}")
-    state, ln_z, g, corr = _eval(sigma, level, lam)
-    return GibbsModel(sigma=sigma, level=level, lam=lam.copy(), ln_z=ln_z,
+    state, ln_z, g, corr = _eval(level, lam)
+    return GibbsModel(level=level, lam=lam.copy(), ln_z=ln_z,
                       state=state, g=g, corr=corr)
 
 
@@ -225,39 +218,31 @@ def _basis_targets(level: LevelOfDescription, targets: np.ndarray) -> np.ndarray
     return np.linalg.solve(level.gen_coeffs, targets - level.gen_offsets)
 
 
-def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
-            coords: str = "generators") -> GibbsModel:
+def project(level: LevelOfDescription, targets) -> GibbsModel:
     """Damped-Newton solve for the manifold point matching expectation targets.
 
-    ``targets`` are expectation values of the retained generators (or of the
-    orthonormal basis when coords="basis").  This is the projection of any
-    state with those expectations onto the manifold: the unique minimizer of
-    relative entropy to the reference among states matching the targets.
+    ``targets`` are expectation values of the level's orthonormal basis
+    (`_basis_targets` and `ExperimentData.basis_means` convert means of the
+    retained generators).  The result is the projection of any state with
+    those expectations onto the manifold of the level at its reference: the
+    unique minimizer of relative entropy to the reference among states
+    matching the targets.
 
     Raises InfeasibleTargetError when the iteration caps out or multipliers
     blow past LAMBDA_CAP (targets on or outside the achievable set), and
     NotConvergedError if the line search stagnates without that signature.
     """
-    tau = np.asarray(targets, dtype=float).reshape(-1)
-    _check_inputs(sigma, level)
-    if coords == "generators":
-        t = _basis_targets(level, tau)
-        back = level.gen_coeffs
-    elif coords == "basis":
-        if tau.size != level.n_params:
-            raise ValidationError(
-                f"expected {level.n_params} basis targets, got {tau.size}")
-        t = tau
-        back = np.eye(level.n_params)
-    else:
-        raise ValidationError(f"unknown coordinate tag {coords!r}")
+    t = np.asarray(targets, dtype=float).reshape(-1)
+    if t.size != level.n_params:
+        raise ValidationError(
+            f"expected {level.n_params} basis targets, got {t.size}")
 
-    scale = float(np.max(np.abs(tau))) if tau.size else 0.0
+    scale = float(np.max(np.abs(t))) if t.size else 0.0
     tol = 1e-10 * (1.0 + scale)
     lam = np.zeros(level.n_params)
-    state, ln_z, g, corr = _eval(sigma, level, lam)
+    state, ln_z, g, corr = _eval(level, lam)
     if level.n_params == 0:
-        return GibbsModel(sigma=sigma, level=level, lam=lam, ln_z=ln_z,
+        return GibbsModel(level=level, lam=lam, ln_z=ln_z,
                           state=state, g=g, corr=corr)
 
     def objective(ln_z_val: float, lam_val: np.ndarray) -> float:
@@ -265,10 +250,9 @@ def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
 
     gamma = objective(ln_z, lam)
     for _ in range(MAX_NEWTON_ITER):
-        resid = back @ (g - t)
-        resid_inf = float(np.max(np.abs(resid)))
+        resid_inf = float(np.max(np.abs(g - t)))
         if resid_inf <= tol:
-            return GibbsModel(sigma=sigma, level=level, lam=lam, ln_z=ln_z,
+            return GibbsModel(level=level, lam=lam, ln_z=ln_z,
                               state=state, g=g, corr=corr)
         grad = t - g
         try:
@@ -284,7 +268,7 @@ def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
         noise = 1e-14 * (1.0 + abs(gamma))
         while True:
             cand = lam + s * step
-            state_c, ln_z_c, g_c, corr_c = _eval(sigma, level, cand)
+            state_c, ln_z_c, g_c, corr_c = _eval(level, cand)
             if objective(ln_z_c, cand) <= gamma + _ARMIJO * s * slope + noise:
                 break
             s *= 0.5
@@ -297,15 +281,14 @@ def project(sigma: DensityOperator, level: LevelOfDescription, targets, *,
         if float(np.max(np.abs(lam))) > LAMBDA_CAP:
             raise InfeasibleTargetError(
                 "multipliers diverged; targets lie outside the achievable set",
-                last_lambda=lam, residual=float(np.max(np.abs(back @ (g - t)))))
+                last_lambda=lam, residual=float(np.max(np.abs(g - t))))
     raise InfeasibleTargetError(
         f"no convergence within {MAX_NEWTON_ITER} Newton steps; targets are likely "
         "on the boundary of the achievable set",
-        last_lambda=lam, residual=float(np.max(np.abs(back @ (g - t)))))
+        last_lambda=lam, residual=float(np.max(np.abs(g - t))))
 
 
-def project_state(sigma: DensityOperator, level: LevelOfDescription,
-                  rho: DensityOperator) -> GibbsModel:
+def project_state(level: LevelOfDescription, rho: DensityOperator) -> GibbsModel:
     """Project a state onto the manifold: match all level expectations.
 
     The result is the generalized Gibbs state of rho at this level and
@@ -316,7 +299,7 @@ def project_state(sigma: DensityOperator, level: LevelOfDescription,
         raise ValidationError(
             f"state dimension {rho.dim} != level dimension {level.dim_hilbert}")
     t, _ = _moments(rho, level)
-    return project(sigma, level, t, coords="basis")
+    return project(level, t)
 
 
 def _require_same_manifold(a: GibbsModel, b: GibbsModel) -> None:
@@ -416,7 +399,7 @@ def bloch_to_model(b: BlochVector, level: LevelOfDescription | None = None) -> G
     """Evaluate the generic machinery at the closed-form multipliers."""
     if level is None:
         level = pauli_level()
-    return gibbs_state(uniform_state(2), level, lambdas_from_bloch(b))
+    return gibbs_state(level, lambdas_from_bloch(b))
 
 
 def model_to_bloch(model: GibbsModel) -> BlochVector:

@@ -16,6 +16,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,8 @@ from .gibbs import (
     quadratic_form,
 )
 from .levels import (
-    SUBLEVEL_TOL,
     LevelOfDescription,
-    _center,
-    _embedding,
-    _frame_coords,
-    _slots,
+    _sublevel_decomposition,
     complement,
     intersection,
     is_sublevel,
@@ -209,24 +206,6 @@ def significance(chi2: float, k: int, n: float, *,
 # -- measured data ------------------------------------------------------
 
 
-def _sublevel_decomposition(data_level: LevelOfDescription,
-                            sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
-    data level's frame.  Requires sub to be contained in the data level."""
-    embed = _embedding(data_level.sigma)
-    frame = [embed(b) for b in data_level.basis]
-    slots = _slots(data_level.sigma, [*data_level.basis, *sub.basis])
-    offsets = np.zeros(len(sub.basis))
-    coeffs = np.zeros((len(sub.basis), len(frame)))
-    for j, op in enumerate(sub.basis):
-        offsets[j], centered = _center(op, data_level.sigma)
-        coeffs[j], resid = _frame_coords(frame, embed(centered), slots)
-        if resid > SUBLEVEL_TOL:
-            raise ValidationError(
-                "level is not contained in the measured level of the data")
-    return offsets, coeffs
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentData:
     """Sample means of a level's retained generators over n shots.
@@ -248,8 +227,11 @@ class ExperimentData:
         if m.size != len(self.level.retained):
             raise ValidationError(
                 f"expected {len(self.level.retained)} sample means, got {m.size}")
-        if self.n < 0:
-            raise ValidationError("sample size must be nonnegative")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("sample means must be finite")
+        if not (math.isfinite(self.n) and self.n >= 0):
+            raise ValidationError(
+                f"sample size n must be finite and nonnegative, got {self.n!r}")
         if self.counts is not None:
             c = np.asarray(self.counts, dtype=float)
             if c.ndim != 1 or np.any(c < 0):
@@ -302,9 +284,15 @@ class ExperimentData:
 # -- entropic prior and evidence weighting --------------------------
 
 
+def _require_positive(value: float, what: str) -> None:
+    # every comparison with NaN is false, so "value <= 0" alone lets it through
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EntropicPrior:
-    """Prior over the manifold of ``level`` at ``sigma``: density
+    """Prior over the manifold of ``level`` at its reference sigma: density
     proportional to exp(-alpha S(omega||sigma)).
 
     ``alpha`` set pins the weight; None leaves it to the evidence
@@ -312,21 +300,24 @@ class EntropicPrior:
     number checks first.
     """
 
-    sigma: DensityOperator
     level: LevelOfDescription
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValidationError("prior weight alpha must be positive")
+        if self.alpha is not None:
+            _require_positive(self.alpha, "prior weight alpha")
+
+    @property
+    def sigma(self) -> DensityOperator:
+        """The reference state, which the level carries."""
+        return self.level.sigma
 
 
 def gaussian_log_norm(alpha: float, n_params: int) -> float:
     """Log normalization of the entropic density in the Gaussian regime
     around the reference: (k/2) ln(2 pi / alpha).  The local volume factor
     cancels against the covariance of the quadratic entropy expansion."""
-    if alpha <= 0:
-        raise ValidationError("prior weight alpha must be positive")
+    _require_positive(alpha, "prior weight alpha")
     return 0.5 * n_params * float(np.log(2.0 * np.pi / alpha))
 
 
@@ -340,8 +331,7 @@ def entropic_log_density(omega: GibbsModel, prior: EntropicPrior) -> float:
     if prior.alpha is None:
         raise EvidenceNotApplicableError(
             "prior weight alpha is unset; run the evidence estimate first")
-    if (not omega.sigma.same_state(prior.sigma)
-            or not omega.level.same_context(prior.level)
+    if (not omega.level.same_context(prior.level)
             or len(omega.level.basis) != len(prior.level.basis)
             or not is_sublevel(omega.level, prior.level)):
         logger.info("state lies outside the prior's manifold; density is zero")
@@ -371,7 +361,7 @@ class AlphaEstimate:
     detail_ok: bool
 
 
-def estimate_alpha(data: ExperimentData, sigma: DensityOperator) -> AlphaEstimate:
+def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
     """Weight the prior by the data's own deviation off the reference.
 
     chi2 is the squared distance of the measured expectations from the
@@ -385,7 +375,7 @@ def estimate_alpha(data: ExperimentData, sigma: DensityOperator) -> AlphaEstimat
     if data.n <= 0:
         raise EvidenceNotApplicableError("evidence weighting needs data (n > 0)")
     level = data.level
-    base = gibbs_state(sigma, level, np.zeros(level.n_params))
+    base = gibbs_state(level, np.zeros(level.n_params))
     delta = data.basis_means() - base.g
     chi2 = float(data.n) * quadratic_form(base, delta)
     dof = level.n_params
@@ -408,8 +398,7 @@ def estimate_alpha(data: ExperimentData, sigma: DensityOperator) -> AlphaEstimat
 # -- posterior estimate ----------------------------------------------
 
 
-def interpolate_states(mu_proj: GibbsModel, sigma: DensityOperator,
-                       t: float) -> GibbsModel:
+def interpolate_states(mu_proj: GibbsModel, t: float) -> GibbsModel:
     """Slide a manifold point toward its reference: exp[(1-t) ln mu' + t ln sigma]
     renormalized, which on the manifold is exactly multiplier scaling by (1-t).
 
@@ -417,9 +406,7 @@ def interpolate_states(mu_proj: GibbsModel, sigma: DensityOperator,
     """
     if not 0.0 <= t <= 1.0:
         raise ValidationError("interpolation weight must lie in [0, 1]")
-    if not mu_proj.sigma.same_state(sigma):
-        raise ValidationError("interpolation reference differs from the manifold's")
-    return gibbs_state(mu_proj.sigma, mu_proj.level, (1.0 - t) * mu_proj.lam)
+    return gibbs_state(mu_proj.level, (1.0 - t) * mu_proj.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,13 +453,12 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorE
     is raised when there are no data or their deviation does not exceed its
     noise floor.
     """
-    sigma = prior.sigma
     warnings: list[str] = []
     evidence = None
     if prior.alpha is not None:
         alpha = prior.alpha
     else:
-        evidence = estimate_alpha(data, sigma)
+        evidence = estimate_alpha(data)
         if evidence.alpha is None:
             raise EvidenceNotApplicableError(
                 "evidence weighting inapplicable: the deviation does not exceed "
@@ -485,16 +471,16 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorE
     inter = intersection(data.level, prior.level)
     if data.n > 0:
         targets = data.means_for(inter)
-        data_model = project(sigma, inter, targets, coords="basis")
+        data_model = project(inter, targets)
     else:
-        data_model = gibbs_state(sigma, inter, np.zeros(inter.n_params))
+        data_model = gibbs_state(inter, np.zeros(inter.n_params))
     t = alpha / (alpha + data.n)
-    rho_hat = interpolate_states(data_model, sigma, t)
+    rho_hat = interpolate_states(data_model, t)
     cov_measured = rho_hat.corr / (alpha + data.n)
 
     unmeasured = None
     cov_unmeasured = None
-    comp = complement(inter, prior.level, sigma)
+    comp = complement(inter, prior.level)
     if not comp.is_trivial:
         unmeasured = comp
         cov_unmeasured = _moments(rho_hat.state, comp)[1] / alpha
@@ -508,8 +494,7 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorE
 # -- significance of a fitted level -----------------------------------
 
 
-def level_significance(data: ExperimentData, sigma: DensityOperator,
-                       level: LevelOfDescription, *,
+def level_significance(data: ExperimentData, level: LevelOfDescription, *,
                        sig_level: float = DEFAULT_SIG_LEVEL) -> SignificanceReport:
     """How surprising is the measured deviation from the best fit at `level`?
 
@@ -517,23 +502,27 @@ def level_significance(data: ExperimentData, sigma: DensityOperator,
     unexplained inside the measured level: exactly, 2 N S(f || fit), when
     the data carry raw counts (kind "entropy"), else quadratically in the
     measured level's metric at the fit (kind "quadratic").  Degrees of
-    freedom: measured minus fitted parameters.
+    freedom: measured minus fitted parameters.  The level must be built at
+    the measured level's reference.
     """
     if data.n <= 0:
         raise ValidationError("significance needs data (n > 0)")
+    if not level.same_context(data.level):
+        raise ValidationError(
+            "fitted level is built at a different reference than the measured level")
     dof = data.level.n_params - level.n_params
     if dof <= 0:
         raise ValidationError(
             "the measured level must be strictly finer than the fitted one")
     targets = data.means_for(level) if not level.is_trivial else np.zeros(0)
-    fit = project(sigma, level, targets, coords="basis")
+    fit = project(level, targets)
     emp = data.empirical
     if emp is not None:
         kind = "entropy"
         stat = 2.0 * data.n * relative_entropy(emp, fit.state)
     else:
         kind = "quadratic"
-        frame_fit = project_state(sigma, data.level, fit.state)
+        frame_fit = project_state(data.level, fit.state)
         stat = data.n * quadratic_form(frame_fit, data.basis_means() - frame_fit.g)
     return significance(stat, dof, data.n, sig_level=sig_level, kind=kind)
 
@@ -582,7 +571,7 @@ class ComparisonReport:
 
 
 def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
-                   data: ExperimentData, sigma: DensityOperator, *,
+                   data: ExperimentData, *,
                    alpha="evidence", prior_odds: float = 1.0) -> ComparisonReport:
     """Does the finer level earn its extra parameters on this data?
 
@@ -605,15 +594,14 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     s = fine.dim - coarse.dim
     if s <= 0:
         raise ValidationError("fine level adds no parameters over the coarse one")
-    if prior_odds <= 0:
-        raise ValidationError("prior odds must be positive")
+    _require_positive(prior_odds, "prior odds")
 
-    fine_model = project(sigma, fine, data.means_for(fine), coords="basis")
-    coarse_model = project_state(sigma, coarse, fine_model.state)
+    fine_model = project(fine, data.means_for(fine))
+    coarse_model = project_state(coarse, fine_model.state)
     s_gain = relative_entropy(fine_model.state, coarse_model.state)
     chi2_exact = 2.0 * data.n * s_gain
     # metric at the coarse fit, deviation measured inside the fine level
-    coarse_on_fine = project_state(sigma, fine, coarse_model.state)
+    coarse_on_fine = project_state(fine, coarse_model.state)
     chi2_gain = data.n * quadratic_form(coarse_on_fine,
                                         fine_model.g - coarse_on_fine.g)
     per_param = chi2_gain / s
@@ -622,7 +610,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
 
     alpha_used: float | None
     if alpha == "evidence":
-        est = estimate_alpha(data, sigma)
+        est = estimate_alpha(data)
         alpha_used = est.alpha
         if alpha_used is None:
             logger.info("evidence weighting inapplicable; posterior odds omitted")
@@ -630,8 +618,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
         alpha_used = None
     else:
         alpha_used = float(alpha)
-        if alpha_used <= 0:
-            raise ValidationError("prior weight alpha must be positive")
+        _require_positive(alpha_used, "prior weight alpha")
 
     log_ratio = None
     if alpha_used is not None:
@@ -646,12 +633,12 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
         coarse_model=coarse_model, fine_model=fine_model)
 
 
-def pythagoras_residual(rho: DensityOperator, sigma: DensityOperator,
-                        level: LevelOfDescription) -> float:
+def pythagoras_residual(rho: DensityOperator, level: LevelOfDescription) -> float:
     """|S(rho||sigma) - S(rho||pi) - S(pi||sigma)| with pi the projection of
-    rho at the level; identically zero in exact arithmetic.  Exposed as a
-    cheap end-to-end consistency diagnostic."""
-    pi = project_state(sigma, level, rho)
+    rho at the level and sigma its reference; identically zero in exact
+    arithmetic.  Exposed as a cheap end-to-end consistency diagnostic."""
+    sigma = level.sigma
+    pi = project_state(level, rho)
     lhs = relative_entropy(rho, sigma)
     rhs = relative_entropy(rho, pi.state) + relative_entropy(pi.state, sigma)
     return abs(lhs - rhs)

@@ -262,13 +262,8 @@ def make_level(generators, sigma: DensityOperator, *,
     kept, basis_z, basis_ops = _gram_schmidt(embeds, centered_ops,
                                              _slots(sigma, centered_ops))
 
-    k = len(basis_ops)
     offsets = np.array([centered[i][0] for i in kept], dtype=float)
-    coeffs = np.zeros((k, k))
-    for a, i in enumerate(kept):
-        zi = embeds[i]
-        for b, bz in enumerate(basis_z):
-            coeffs[a, b] = np.vdot(bz, zi).real
+    coeffs = _frame_dots(basis_z, [embeds[i] for i in kept])
     offsets.setflags(write=False)
     coeffs.setflags(write=False)
     return LevelOfDescription(
@@ -292,6 +287,13 @@ def full_classical_level(sigma: DensityOperator) -> LevelOfDescription:
 def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
     if not a.same_context(b):
         raise ValidationError("levels are built at different reference states")
+
+
+def _frame_dots(frame, zs) -> np.ndarray:
+    """Re <f, z> for every embedding z (rows) and frame vector f (columns),
+    each a full-length vdot."""
+    dots = np.array([[np.vdot(fz, z).real for fz in frame] for z in zs])
+    return dots.reshape(len(zs), len(frame))
 
 
 def _frame_coords(frame, z: np.ndarray,
@@ -339,12 +341,8 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     embed = _embedding(a.sigma)
     za, zb = [embed(op) for op in a.basis], [embed(op) for op in b.basis]
     frame = _gram_schmidt(za + zb, slots=_slots(a.sigma, [*a.basis, *b.basis]))[1]
-
-    def coords(zs):
-        return np.array([[np.vdot(fz, z).real for fz in frame] for z in zs])
-
-    ca = coords(za)
-    cb = coords(zb)
+    ca = _frame_dots(frame, za)
+    cb = _frame_dots(frame, zb)
     resid = cb - (cb @ ca.T) @ ca
     u, s, _ = np.linalg.svd(resid, full_matrices=True)
     diagonal = b.all_diagonal
@@ -361,21 +359,35 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     return make_level(shared, a.sigma, label=_op_label(a, b, "&"))
 
 
-def complement(sub: LevelOfDescription, ambient: LevelOfDescription,
-               sigma: DensityOperator) -> LevelOfDescription:
+def complement(sub: LevelOfDescription,
+               ambient: LevelOfDescription) -> LevelOfDescription:
     """Orthogonal complement of sub inside ambient, in the canonical
-    correlation geometry at sigma.
-
-    Both arguments are rebuilt at sigma first, so the operation is well
-    defined whichever reference the inputs were built at.
-    """
-    sub_k = make_level(sub.basis, sigma)
-    amb_k = make_level(ambient.basis, sigma)
-    if not is_sublevel(sub_k, amb_k):
+    correlation geometry at their shared reference: the ambient basis
+    orthonormalized against sub's basis."""
+    if not is_sublevel(sub, ambient):
         raise ValidationError("complement requires sub to be contained in ambient")
+    sigma = ambient.sigma
     embed = _embedding(sigma)
-    ordered = list(sub_k.basis) + list(amb_k.basis)
+    ordered = list(sub.basis) + list(ambient.basis)
     kept, _, basis_ops = _gram_schmidt([embed(op) for op in ordered], ordered,
                                        _slots(sigma, ordered))
-    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub_k.basis)]
+    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub.basis)]
     return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))
+
+
+def _sublevel_decomposition(level: LevelOfDescription,
+                            sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
+    """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
+    frame of ``level``.  Requires sub to be contained in ``level``."""
+    embed = _embedding(level.sigma)
+    frame = [embed(b) for b in level.basis]
+    slots = _slots(level.sigma, [*level.basis, *sub.basis])
+    offsets = np.zeros(len(sub.basis))
+    coeffs = np.zeros((len(sub.basis), len(frame)))
+    for j, op in enumerate(sub.basis):
+        offsets[j], centered = _center(op, level.sigma)
+        coeffs[j], resid = _frame_coords(frame, embed(centered), slots)
+        if resid > SUBLEVEL_TOL:
+            raise ValidationError(
+                "level is not contained in the measured level of the data")
+    return offsets, coeffs

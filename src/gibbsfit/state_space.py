@@ -151,14 +151,13 @@ class KmbFrame(NamedTuple):
 class DensityOperator:
     """A state: unit-trace positive operator, eagerly eigendecomposed.
 
-    ``kind`` is either ``"quantum"`` or ``"classical-diagonal"``; the latter
-    additionally stores the probability vector in outcome order.  All
+    A classical (diagonal) state also stores its probability vector
+    ``probs`` in outcome order; a quantum one has ``probs`` None.  All
     eigenvalues are clamped to at least ``EIG_FLOOR`` at construction and
     the state renormalized; ``clamped`` records whether that fired.
     """
 
     matrix: np.ndarray
-    kind: str
     probs: np.ndarray | None
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -186,7 +185,7 @@ class DensityOperator:
         v = _fix_phases(v[:, ::-1])
         w = w[::-1].copy()
         mat = (v * w) @ v.conj().T
-        return cls(matrix=_freeze(mat), kind="quantum", probs=None,
+        return cls(matrix=_freeze(mat), probs=None,
                    eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=clamped)
 
     @classmethod
@@ -204,9 +203,9 @@ class DensityOperator:
         p, clamped = _clamp_spectrum(p)
         order = np.argsort(p)[::-1]
         vecs = np.eye(p.size, dtype=complex)[:, order]
-        return cls(matrix=_freeze(np.diag(p).astype(complex)), kind="classical-diagonal",
-                   probs=_freeze(p), eigenvalues=_freeze(p[order]),
-                   eigenvectors=_freeze(vecs), clamped=clamped)
+        return cls(matrix=_freeze(np.diag(p).astype(complex)), probs=_freeze(p),
+                   eigenvalues=_freeze(p[order]), eigenvectors=_freeze(vecs),
+                   clamped=clamped)
 
     @classmethod
     def _from_spectrum(cls, eigenvalues, eigenvectors, *, probs=None) -> "DensityOperator":
@@ -215,11 +214,10 @@ class DensityOperator:
         v = _as_complex(eigenvectors)
         if probs is not None:
             p = np.asarray(probs, dtype=float)
-            return cls(matrix=_freeze(np.diag(p).astype(complex)), kind="classical-diagonal",
-                       probs=_freeze(p), eigenvalues=_freeze(w), eigenvectors=_freeze(v),
-                       clamped=False)
+            return cls(matrix=_freeze(np.diag(p).astype(complex)), probs=_freeze(p),
+                       eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=False)
         mat = (v * w) @ v.conj().T
-        return cls(matrix=_freeze(mat), kind="quantum", probs=None,
+        return cls(matrix=_freeze(mat), probs=None,
                    eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=False)
 
     # -- basic queries ------------------------------------------------
@@ -249,7 +247,8 @@ class DensityOperator:
                                  and np.array_equal(self.matrix, other.matrix))
 
     def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim}, kind={self.kind!r})"
+        kind = "classical" if self.is_classical else "quantum"
+        return f"DensityOperator(dim={self.dim}, {kind})"
 
 
 def _clamp_spectrum(w: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -104,12 +104,11 @@ def intersection(a, b):
     return make_level(shared, a.sigma, label=_op_label(a, b, "&"))
 
 
-def complement(sub, ambient, sigma):
-    sub_k = make_level(sub.basis, sigma)
-    amb_k = make_level(ambient.basis, sigma)
-    assert is_sublevel(sub_k, amb_k)
+def complement(sub, ambient):
+    assert is_sublevel(sub, ambient)
+    sigma = ambient.sigma
     embed = dense_embedding(sigma)
-    ordered = list(sub_k.basis) + list(amb_k.basis)
+    ordered = list(sub.basis) + list(ambient.basis)
     basis_ops, _, kept = dense_gram_schmidt(ordered, [embed(op) for op in ordered])
-    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub_k.basis)]
+    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub.basis)]
     return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))

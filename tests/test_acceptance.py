@@ -42,6 +42,7 @@ from gibbsfit import (
     uniform_state,
 )
 from gibbsfit.dataio import load_classical, resolve_level
+from gibbsfit.gibbs import _basis_targets
 from gibbsfit.demos import run_qubit, run_thermal, run_wolf, thermal_setup
 from gibbsfit.state_space import DensityOperator
 from conftest import random_density, random_diagonal, random_hermitian
@@ -92,9 +93,9 @@ def test_two_observable_selection(capfd):
     lvl_g = resolve_level(ds, "G1,G2")
     lvl_f = resolve_level(ds, "full")
 
-    cog = compare_levels(lvl_o, lvl_g, ds.data, sigma, alpha="evidence")
-    cgf = compare_levels(lvl_g, lvl_f, ds.data, sigma, alpha="evidence")
-    cof = compare_levels(lvl_o, lvl_f, ds.data, sigma, alpha="evidence")
+    cog = compare_levels(lvl_o, lvl_g, ds.data, alpha="evidence")
+    cgf = compare_levels(lvl_g, lvl_f, ds.data, alpha="evidence")
+    cof = compare_levels(lvl_o, lvl_f, ds.data, alpha="evidence")
 
     fit_means = cog.fine_model.generator_expectations()
     for got, want, tag in zip(fit_means, (0.0983, 0.1393), ("spot", "parity")):
@@ -127,7 +128,7 @@ def _tilt_comparison(r: float, tilt_deg: float, n: float = 20000.0):
     coarse = make_level([pauli_z()], sigma, label="z-only")
     means = np.array([r * np.sin(tau), 0.0, r * np.cos(tau)])
     data = ExperimentData(level=fine, means=means, n=n)
-    cmp_ = compare_levels(coarse, fine, data, sigma, alpha=None)
+    cmp_ = compare_levels(coarse, fine, data, alpha=None)
     rate_metric = n * r * np.arctanh(r) * tau * tau / cmp_.s
     rate_exact = cmp_.chi2_exact / cmp_.s
     return rate_metric, rate_exact, cmp_
@@ -190,15 +191,15 @@ def test_thermal_evidence_weight(capfd):
     sigma, level_e, level_f, data, spacing, beta0, beta1 = thermal_setup()
     _expect(problems, data.n == 12000.0, f"shot count {data.n}")
 
-    est = estimate_alpha(data, sigma)
+    est = estimate_alpha(data)
     _expect(problems, abs(est.chi2 - 96.0) <= 1e-6,
             f"chi2 {est.chi2!r} != 96")
     _expect(problems, est.dof == 24, f"dof {est.dof} != 24")
     _expect(problems, abs(est.t - 0.25) <= 1e-9,
             f"mixing weight {est.t!r} != 0.25")
 
-    post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=level_e))
-    fit = project_state(sigma, level_e, post.state)
+    post = posterior_estimate(data, EntropicPrior(level=level_e))
+    fit = project_state(level_e, post.state)
     beta_hat = beta0 + float(fit.generator_multipliers()[0])
     _expect(problems, 1.0 / 110.0 < beta_hat < 1.0 / 100.0,
             f"inverse temperature {beta_hat:.6f} outside (1/110, 1/100)")
@@ -217,7 +218,7 @@ def test_pythagoras_additivity(capfd, rng):
         sigma = random_density(rng, dim, kind=kind)
         rho = random_density(rng, dim, kind=kind)
         lvl = _mixed_level(rng, sigma, 1 + i % 2)
-        worst = max(worst, pythagoras_residual(rho, sigma, lvl))
+        worst = max(worst, pythagoras_residual(rho, lvl))
     _expect(problems, worst < 1e-9,
             f"worst additivity residual {worst:.3e} >= 1e-9")
     _gate(capfd, "pythagoras-additivity", problems)
@@ -255,13 +256,13 @@ def test_projection_idempotence_composition(capfd, rng):
         wide = make_level(ops, sigma)
         narrow = make_level(ops[:1], sigma)
 
-        pi_w = project_state(sigma, wide, rho)
-        again = project_state(sigma, wide, pi_w.state)
+        pi_w = project_state(wide, rho)
+        again = project_state(wide, pi_w.state)
         worst_idem = max(worst_idem, float(np.max(np.abs(
             again.state.matrix - pi_w.state.matrix))))
 
-        direct = project_state(sigma, narrow, rho)
-        via = project_state(sigma, narrow, pi_w.state)
+        direct = project_state(narrow, rho)
+        via = project_state(narrow, pi_w.state)
         worst_comp = max(worst_comp, float(np.max(np.abs(
             via.state.matrix - direct.state.matrix))))
     _expect(problems, worst_idem < 1e-9, f"idempotence drift {worst_idem:.3e}")
@@ -277,17 +278,17 @@ def test_free_energy_derivatives(capfd, rng):
         sigma = random_density(rng, 3, kind=kind)
         lvl = _mixed_level(rng, sigma, 2)
         lam = rng.uniform(-0.5, 0.5, size=2)
-        model = gibbs_state(sigma, lvl, lam)
+        model = gibbs_state(lvl, lam)
         for b in range(2):
             dlam = np.zeros(2)
             dlam[b] = 1e-6
-            fd = (gibbs_state(sigma, lvl, lam + dlam).ln_z
-                  - gibbs_state(sigma, lvl, lam - dlam).ln_z) / 2e-6
+            fd = (gibbs_state(lvl, lam + dlam).ln_z
+                  - gibbs_state(lvl, lam - dlam).ln_z) / 2e-6
             worst_grad = max(worst_grad,
                              abs(-fd - model.g[b]) / (abs(model.g[b]) + 1e-6))
             dlam[b] = 1e-5
-            fd_h = -(gibbs_state(sigma, lvl, lam + dlam).g
-                     - gibbs_state(sigma, lvl, lam - dlam).g) / 2e-5
+            fd_h = -(gibbs_state(lvl, lam + dlam).g
+                     - gibbs_state(lvl, lam - dlam).g) / 2e-5
             denom = np.abs(model.corr[:, b]) + 1e-6
             worst_hess = max(worst_hess,
                              float(np.max(np.abs(fd_h - model.corr[:, b]) / denom)))
@@ -307,7 +308,7 @@ def test_bloch_closed_forms(capfd):
             target = bloch_state(r, theta, 0.6)
             means = [expectation(target, op)
                      for op in (pauli_x(), pauli_y(), pauli_z())]
-            model = project(sigma, lvl, means)
+            model = project(lvl, _basis_targets(lvl, np.array(means)))
             worst_state = max(worst_state, float(np.max(np.abs(
                 model.state.matrix - target.matrix))))
             worst_lnz = max(worst_lnz, abs(bloch_log_norm(b) - model.ln_z))
@@ -324,9 +325,9 @@ def test_interpolation_linearity(capfd, rng):
         sigma = random_density(rng, 3, kind=kind)
         lvl = _mixed_level(rng, sigma, 2)
         lam = rng.uniform(-0.6, 0.6, size=2)
-        model = gibbs_state(sigma, lvl, lam)
+        model = gibbs_state(lvl, lam)
         for t in (0.0, 0.25, 0.5, 0.9, 1.0):
-            mix = interpolate_states(model, sigma, t)
+            mix = interpolate_states(model, t)
             worst = max(worst, float(np.max(np.abs(mix.lam - (1 - t) * lam))))
     _expect(problems, worst < 1e-9, f"multiplier nonlinearity {worst:.3e}")
     _gate(capfd, "interpolation-linearity", problems)
@@ -342,8 +343,8 @@ def test_entropy_differential(capfd, rng):
         lam = rng.uniform(0.2, 0.6, size=2) * rng.choice((-1.0, 1.0), size=2)
         direction = rng.uniform(0.5, 1.0, size=2)
         eps = 1e-6
-        plus = gibbs_state(sigma, lvl, lam + eps * direction)
-        minus = gibbs_state(sigma, lvl, lam - eps * direction)
+        plus = gibbs_state(lvl, lam + eps * direction)
+        minus = gibbs_state(lvl, lam - eps * direction)
         ds = thermodynamic_entropy(plus) - thermodynamic_entropy(minus)
         want = float(lam @ (plus.g - minus.g))
         worst = max(worst, abs(ds - want) / max(abs(want), 1e-9))
@@ -365,8 +366,8 @@ def test_classical_quantum_agreement(capfd, rng):
         # a 2-outcome system keeps only one independent direction
         assert lvl_q.n_params == lvl_c.n_params
         lam = rng.uniform(-0.4, 0.4, size=lvl_c.n_params)
-        mc = gibbs_state(sig_c, lvl_c, lam)
-        mq = gibbs_state(sig_q, lvl_q, lam)
+        mc = gibbs_state(lvl_c, lam)
+        mq = gibbs_state(lvl_q, lam)
         worst = max(worst, abs(mc.ln_z - mq.ln_z),
                     float(np.max(np.abs(mc.g - mq.g))),
                     float(np.max(np.abs(mc.corr - mq.corr))))

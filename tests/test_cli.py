@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from gibbsfit.report import alpha_summary, load_report
 WOLF_COUNTS = "data/wolf_counts.csv"
 WOLF_OBS = "data/wolf_observables.csv"
 QUBIT_JSON = "data/qubit_tilt3.json"
+QUBIT_PARTIAL = "data/qubit_partial.json"
 
 
 def _variant_qubit(tmp_path, name, **means):
@@ -131,6 +133,31 @@ def _set_text_entry(doc):
     doc["observables"][0]["re"][0][1] = "a"
 
 
+class TestNonFiniteOption:
+    # a NaN, infinite or out-of-range number on the command line is a data
+    # error whose message names the option
+    @pytest.mark.parametrize("argv, name", [
+        (["estimate", "--data", WOLF_COUNTS, "--alpha", "nan"], "--alpha"),
+        (["estimate", "--data", WOLF_COUNTS, "--alpha", "inf"], "--alpha"),
+        (["compare", "--data", WOLF_COUNTS, "--coarse", "O", "--fine", "full",
+          "--alpha", "nan"], "--alpha"),
+        (["compare", "--data", WOLF_COUNTS, "--coarse", "O", "--fine", "full",
+          "--prior-odds", "nan"], "prior odds"),
+        (["compare", "--data", WOLF_COUNTS, "--coarse", "O", "--fine", "full",
+          "--prior-odds", "inf"], "prior odds"),
+        (["demo", "qubit", "--n", "nan"], "sample size n"),
+        (["demo", "qubit", "--r", "nan"], "radius r"),
+        (["demo", "qubit", "--r", "1.5"], "radius r"),
+        (["demo", "qubit", "--tilt-deg", "nan"], "tilt_deg"),
+    ], ids=["estimate-alpha-nan", "estimate-alpha-inf", "compare-alpha-nan",
+            "prior-odds-nan", "prior-odds-inf", "qubit-n-nan", "qubit-r-nan",
+            "qubit-r-above-one", "qubit-tilt-nan"])
+    def test_rejected_with_data_error(self, capsys, argv, name):
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and name in err
+
+
 class TestMalformedQuantumFile:
     # a value of the wrong JSON type is refused at load, naming its field
     @pytest.mark.parametrize("edit, field", [
@@ -203,7 +230,7 @@ class TestOutput:
              "--level", "G1,G2", "--format", "json", "--out", str(dest)])
         rep = load_report(dest)
         ds = load_classical(WOLF_COUNTS, WOLF_OBS)
-        direct = estimate_alpha(ds.data, ds.reference)
+        direct = estimate_alpha(ds.data)
         # full-precision JSON: numbers survive the file unchanged
         assert rep.result["evidence"]["alpha"] == direct.alpha
         assert rep.result["evidence"]["t"] == direct.t
@@ -260,8 +287,7 @@ class TestEstimate:
         assert err.count("fitted directions") == 1
         ds = load_quantum(QUBIT_JSON)
         result = json.loads(out)["result"]
-        assert result["evidence"] == alpha_summary(
-            estimate_alpha(ds.data, ds.reference))
+        assert result["evidence"] == alpha_summary(estimate_alpha(ds.data))
         assert result["posterior"]["alpha"] == result["evidence"]["alpha"]
         assert result["posterior"]["alpha_source"] == "evidence"
 
@@ -274,6 +300,24 @@ class TestEstimate:
         assert "evidence" not in result and "fitted directions" not in err
         assert result["posterior"]["alpha"] == 100.0
         assert result["posterior"]["alpha_source"] == "user"
+
+
+    def test_unmeasured_block_from_file(self, capsys):
+        # Y carries no sample mean, so the heisenberg prior keeps one
+        # unmeasured direction; at the uniform qubit reference its variance
+        # at Bloch radius r is r / atanh r, widened by the prior weight
+        rc = run(["estimate", "--data", QUBIT_PARTIAL, "--level", "heisenberg",
+                  "--alpha", "50", "--format", "json"])
+        assert rc == EXIT_OK
+        post = json.loads(capsys.readouterr().out)["result"]["posterior"]
+        assert post["unmeasured_dim"] == 2
+        doc = json.loads(Path(QUBIT_PARTIAL).read_text())
+        alpha, n = 50.0, float(doc["N"])
+        r_data = math.hypot(doc["sample_means"]["X"], doc["sample_means"]["Z"])
+        t = alpha / (alpha + n)
+        r_hat = math.tanh((1.0 - t) * math.atanh(r_data))
+        want = r_hat / math.atanh(r_hat) / alpha
+        assert post["cov_unmeasured"][0][0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCompare:

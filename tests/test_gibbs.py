@@ -4,6 +4,7 @@ import pytest
 from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
+    _basis_targets,
     bloch_from_lambdas,
     bloch_log_norm,
     bloch_metric,
@@ -47,14 +48,14 @@ class TestGibbsState:
         for kind in ("classical", "quantum"):
             sigma = random_density(rng, 4, kind=kind)
             lvl = _random_level(rng, sigma, 2)
-            model = gibbs_state(sigma, lvl, np.zeros(2))
+            model = gibbs_state(lvl, np.zeros(2))
             assert np.allclose(model.state.matrix, sigma.matrix, atol=1e-12)
             assert model.ln_z == pytest.approx(von_neumann_entropy(sigma), abs=1e-12)
 
     def test_expectations_match_gradient(self, rng):
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.4, -0.7])
+        model = gibbs_state(lvl, [0.4, -0.7])
         for gk, op in zip(model.g, lvl.basis):
             assert expectation(model.state, op) == pytest.approx(gk, abs=1e-10)
 
@@ -62,13 +63,13 @@ class TestGibbsState:
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
         lam = np.array([0.3, -0.2])
-        model = gibbs_state(sigma, lvl, lam)
+        model = gibbs_state(lvl, lam)
         eps = 1e-6
         for b in range(2):
             dlam = np.zeros(2)
             dlam[b] = eps
-            plus = gibbs_state(sigma, lvl, lam + dlam).ln_z
-            minus = gibbs_state(sigma, lvl, lam - dlam).ln_z
+            plus = gibbs_state(lvl, lam + dlam).ln_z
+            minus = gibbs_state(lvl, lam - dlam).ln_z
             fd = (plus - minus) / (2 * eps)
             assert -fd == pytest.approx(model.g[b], rel=1e-6, abs=1e-8)
 
@@ -76,20 +77,20 @@ class TestGibbsState:
         sigma = random_density(rng, 3, kind="classical")
         lvl = _random_level(rng, sigma, 2)
         lam = np.array([0.2, 0.5])
-        model = gibbs_state(sigma, lvl, lam)
+        model = gibbs_state(lvl, lam)
         eps = 1e-5
         for b in range(2):
             dlam = np.zeros(2)
             dlam[b] = eps
-            gp = gibbs_state(sigma, lvl, lam + dlam).g
-            gm = gibbs_state(sigma, lvl, lam - dlam).g
+            gp = gibbs_state(lvl, lam + dlam).g
+            gm = gibbs_state(lvl, lam - dlam).g
             fd = -(gp - gm) / (2 * eps)
             assert np.allclose(fd, model.corr[:, b], rtol=1e-4, atol=1e-7)
 
     def test_generator_expectations_and_multipliers_consistent(self, rng):
         sigma = random_density(rng, 4, kind="classical")
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.3, 0.1])
+        model = gibbs_state(lvl, [0.3, 0.1])
         gen_means = model.generator_expectations()
         for a, idx in enumerate(lvl.retained):
             direct = expectation(model.state, lvl.generators[idx])
@@ -103,7 +104,7 @@ class TestProjection:
         sigma = random_density(rng, 4)
         lvl = _random_level(rng, sigma, 3)
         rho = random_density(rng, 4)
-        model = project_state(sigma, lvl, rho)
+        model = project_state(lvl, rho)
         for op, gk in zip(lvl.basis, model.g):
             assert expectation(rho, op) == pytest.approx(gk, abs=1e-9)
 
@@ -111,8 +112,8 @@ class TestProjection:
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
         rho = random_density(rng, 3)
-        once = project_state(sigma, lvl, rho)
-        twice = project_state(sigma, lvl, once.state)
+        once = project_state(lvl, rho)
+        twice = project_state(lvl, once.state)
         assert np.allclose(once.lam, twice.lam, atol=1e-9)
 
     def test_projection_composition(self, rng):
@@ -122,15 +123,15 @@ class TestProjection:
         fine = make_level(ops, sigma)
         coarse = make_level(ops[:1], sigma)
         rho = random_density(rng, 4, kind="classical")
-        via = project_state(sigma, coarse, project_state(sigma, fine, rho).state)
-        direct = project_state(sigma, coarse, rho)
+        via = project_state(coarse, project_state(fine, rho).state)
+        direct = project_state(coarse, rho)
         assert np.allclose(via.lam, direct.lam, atol=1e-9)
 
     def test_pythagoras(self, rng):
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
         rho = random_density(rng, 3)
-        pi = project_state(sigma, lvl, rho)
+        pi = project_state(lvl, rho)
         lhs = relative_entropy(rho, sigma)
         rhs = relative_entropy(rho, pi.state) + relative_entropy(pi.state, sigma)
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -139,7 +140,7 @@ class TestProjection:
         sigma = uniform_state(2)
         lvl = pauli_level(sigma)
         with pytest.raises(InfeasibleTargetError):
-            project(sigma, lvl, [0.0, 0.0, 1.5], coords="generators")
+            project(lvl, [0.0, 0.0, 1.5])
 
     def test_generator_vs_basis_coordinates(self, rng):
         sigma = random_density(rng, 4, kind="classical")
@@ -147,30 +148,30 @@ class TestProjection:
         rho = random_density(rng, 4, kind="classical")
         gen_targets = np.array([expectation(rho, lvl.generators[i]) for i in lvl.retained])
         basis_targets = np.array([expectation(rho, op) for op in lvl.basis])
-        m1 = project(sigma, lvl, gen_targets, coords="generators")
-        m2 = project(sigma, lvl, basis_targets, coords="basis")
+        m1 = project(lvl, _basis_targets(lvl, gen_targets))
+        m2 = project(lvl, basis_targets)
         assert np.allclose(m1.lam, m2.lam, atol=1e-10)
 
-    def test_project_rejects_bad_coords(self, rng):
+    def test_project_rejects_wrong_target_count(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         lvl = _random_level(rng, sigma, 1)
         with pytest.raises(ValidationError):
-            project(sigma, lvl, [0.1], coords="nope")
+            project(lvl, [0.1, 0.2])
 
 
 class TestGeometry:
     def test_manifold_relative_entropy_matches_direct(self, rng):
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
-        a = gibbs_state(sigma, lvl, [0.2, -0.1])
-        b = gibbs_state(sigma, lvl, [-0.3, 0.4])
+        a = gibbs_state(lvl, [0.2, -0.1])
+        b = gibbs_state(lvl, [-0.3, 0.4])
         want = relative_entropy(a.state, b.state)
         assert manifold_relative_entropy(a, b) == pytest.approx(want, abs=1e-10)
 
     def test_quadratic_form_is_metric_square(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.1, 0.2])
+        model = gibbs_state(lvl, [0.1, 0.2])
         delta = np.array([0.03, -0.04])
         want = float(delta @ np.linalg.solve(model.corr, delta))
         assert quadratic_form(model, delta) == pytest.approx(want, rel=1e-12)
@@ -178,7 +179,7 @@ class TestGeometry:
     def test_thermodynamic_entropy_equals_von_neumann_at_uniform(self, rng):
         sigma = uniform_state(3)
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.4, 0.3])
+        model = gibbs_state(lvl, [0.4, 0.3])
         assert thermodynamic_entropy(model) == pytest.approx(
             von_neumann_entropy(model.state), abs=1e-10)
 
@@ -186,7 +187,7 @@ class TestGeometry:
         # ln Z + lam.g = S(sigma) - S(pi||sigma) for any reference
         sigma = random_density(rng, 3)
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.4, 0.3])
+        model = gibbs_state(lvl, [0.4, 0.3])
         want = von_neumann_entropy(sigma) - relative_entropy(model.state, sigma)
         assert thermodynamic_entropy(model) == pytest.approx(want, abs=1e-10)
 
@@ -197,11 +198,11 @@ class TestGeometry:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u, _ = np.linalg.qr(a)
         lvl = make_level(ops, sigma)
-        plain = project_state(sigma, lvl, rho).state.matrix
+        plain = project_state(lvl, rho).state.matrix
         sig_u = DensityOperator.quantum(u @ sigma.matrix @ u.conj().T)
         rho_u = DensityOperator.quantum(u @ rho.matrix @ u.conj().T)
         lvl_u = make_level([u @ op.matrix @ u.conj().T for op in ops], sig_u)
-        rotated = project_state(sig_u, lvl_u, rho_u).state.matrix
+        rotated = project_state(lvl_u, rho_u).state.matrix
         assert np.max(np.abs(rotated - u @ plain @ u.conj().T)) < 1e-9
 
     def test_entropy_differential(self, rng):
@@ -211,17 +212,17 @@ class TestGeometry:
         lam = np.array([0.3, -0.2])
         eps = 1e-6
         direction = np.array([1.0, 0.7])
-        plus = gibbs_state(sigma, lvl, lam + eps * direction)
-        minus = gibbs_state(sigma, lvl, lam - eps * direction)
+        plus = gibbs_state(lvl, lam + eps * direction)
+        minus = gibbs_state(lvl, lam - eps * direction)
         ds = thermodynamic_entropy(plus) - thermodynamic_entropy(minus)
-        mid = gibbs_state(sigma, lvl, lam)
+        mid = gibbs_state(lvl, lam)
         want = float(mid.lam @ (plus.g - minus.g))
         assert ds == pytest.approx(want, rel=1e-5)
 
     def test_volume_weight_is_sqrt_det(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         lvl = _random_level(rng, sigma, 2)
-        model = gibbs_state(sigma, lvl, [0.2, 0.1])
+        model = gibbs_state(lvl, [0.2, 0.1])
         assert volume_weight(model) == pytest.approx(
             np.sqrt(np.linalg.det(model.corr)), rel=1e-10)
 
@@ -233,8 +234,8 @@ class TestClassicalQuantumAgreement:
         sc = classical_state(p)
         sq = DensityOperator.quantum(np.diag(p).astype(complex))
         lam = np.array([0.35, -0.15])
-        mc = gibbs_state(sc, make_level([np.asarray(v) for v in vals], sc), lam)
-        mq = gibbs_state(sq, make_level([np.diag(v).astype(complex) for v in vals], sq), lam)
+        mc = gibbs_state(make_level([np.asarray(v) for v in vals], sc), lam)
+        mq = gibbs_state(make_level([np.diag(v).astype(complex) for v in vals], sq), lam)
         assert abs(mc.ln_z - mq.ln_z) <= 1e-12
         assert np.max(np.abs(mc.g - mq.g)) <= 1e-12
         assert np.max(np.abs(mc.corr - mq.corr)) <= 1e-12
@@ -249,7 +250,7 @@ class TestBloch:
         sigma = uniform_state(2)
         lvl = pauli_level(sigma)
         rho = bloch_state(r, theta, phi)
-        generic = project_state(sigma, lvl, rho)
+        generic = project_state(lvl, rho)
         closed = bloch_to_model(vec)
         assert np.allclose(generic.lam, closed.lam, atol=1e-8)
         assert closed.ln_z == pytest.approx(generic.ln_z, abs=1e-8)
@@ -287,7 +288,7 @@ class TestBloch:
         vec = BlochVector(0.6, 0.7, 0.3)
         sigma = uniform_state(2)
         lvl = pauli_level(sigma)
-        model = project_state(sigma, lvl, bloch_state(vec.r, vec.theta, vec.phi))
+        model = project_state(lvl, bloch_state(vec.r, vec.theta, vec.phi))
         # generic weight is in lambda coordinates; convert by the Jacobian
         # of (r,theta,phi) -> lambda, evaluated as det(metric)^(1/2) ratio
         want = bloch_volume_weight(vec)

@@ -156,6 +156,17 @@ class TestExperimentData:
         with pytest.raises(ValidationError):
             ExperimentData(level=full, means=np.zeros(5), n=-1)
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    def test_non_finite_n_rejected(self, rng, n):
+        sigma, full, _ = _classical_setup(rng)
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentData(level=full, means=np.zeros(5), n=n)
+
+    def test_non_finite_means_rejected(self, rng):
+        sigma, full, _ = _classical_setup(rng)
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentData(level=full, means=[0.1, float("nan"), 0.0, 0.0, 0.0], n=10)
+
     def test_counts_mismatch_rejected(self, rng):
         sigma, full, _ = _classical_setup(rng)
         with pytest.raises(ValidationError):
@@ -167,7 +178,7 @@ class TestEvidence:
     def test_noise_split_identity(self, rng):
         # synthetic data at a known quadratic distance: t = dof/chi2 exactly
         sigma, full, _ = _classical_setup(rng)
-        base = gibbs_state(sigma, full, np.zeros(full.n_params))
+        base = gibbs_state(full, np.zeros(full.n_params))
         direction = rng.normal(size=full.n_params)
         direction /= np.sqrt(direction @ np.linalg.solve(base.corr, direction))
         n, chi2_target = 12000.0, 96.0
@@ -176,7 +187,7 @@ class TestEvidence:
         # convert basis means back to generator means for the constructor
         gen_means = full.gen_offsets + full.gen_coeffs @ means_basis
         data = ExperimentData(level=full, means=gen_means, n=n)
-        est = estimate_alpha(data, sigma)
+        est = estimate_alpha(data)
         assert est.chi2 == pytest.approx(chi2_target, rel=1e-10)
         assert est.t == pytest.approx(est.dof / chi2_target, rel=1e-12)
         assert est.alpha == pytest.approx(n * est.t / (1 - est.t), rel=1e-12)
@@ -184,10 +195,10 @@ class TestEvidence:
 
     def test_below_noise_floor_returns_none(self, rng):
         sigma, full, _ = _classical_setup(rng)
-        base = gibbs_state(sigma, full, np.zeros(full.n_params))
+        base = gibbs_state(full, np.zeros(full.n_params))
         gen_means = full.gen_offsets + full.gen_coeffs @ base.g
         data = ExperimentData(level=full, means=gen_means, n=5000.0)
-        est = estimate_alpha(data, sigma)
+        est = estimate_alpha(data)
         assert est.alpha is None
         assert not est.deviation_ok
 
@@ -195,46 +206,52 @@ class TestEvidence:
         sigma, full, _ = _classical_setup(rng)
         counts = rng.integers(50, 500, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        assert not estimate_alpha(data, sigma).detail_ok
+        assert not estimate_alpha(data).detail_ok
         # a level with DETAIL_MIN_DOF directions is detailed enough
         d = DETAIL_MIN_DOF + 1
         wide_sigma = DensityOperator.classical(np.full(d, 1.0 / d))
         wide = full_classical_level(wide_sigma)
         assert wide.n_params == DETAIL_MIN_DOF
         counts = rng.integers(50, 500, size=d).astype(float)
-        est = estimate_alpha(ExperimentData.from_counts(counts, wide), wide_sigma)
+        est = estimate_alpha(ExperimentData.from_counts(counts, wide))
         assert est.deviation_ok and est.detail_ok
 
     def test_no_data_raises(self, rng):
         sigma, full, _ = _classical_setup(rng)
         data = ExperimentData(level=full, means=full.gen_offsets.copy(), n=0.0)
         with pytest.raises(EvidenceNotApplicableError):
-            estimate_alpha(data, sigma)
+            estimate_alpha(data)
 
 
 class TestEntropicPrior:
     def test_alpha_must_be_positive(self, rng):
         sigma, _, sub = _classical_setup(rng)
         with pytest.raises(ValidationError):
-            EntropicPrior(sigma=sigma, level=sub, alpha=-1.0)
+            EntropicPrior(level=sub, alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, rng, alpha):
+        sigma, _, sub = _classical_setup(rng)
+        with pytest.raises(ValidationError, match="finite"):
+            EntropicPrior(level=sub, alpha=alpha)
 
     def test_log_density_on_manifold(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        prior = EntropicPrior(sigma=sigma, level=sub, alpha=40.0)
-        omega = gibbs_state(sigma, sub, 0.3 * np.ones(sub.n_params))
+        prior = EntropicPrior(level=sub, alpha=40.0)
+        omega = gibbs_state(sub, 0.3 * np.ones(sub.n_params))
         want = -40.0 * relative_entropy(omega.state, sigma)
         assert entropic_log_density(omega, prior) == pytest.approx(want, rel=1e-10)
 
     def test_log_density_off_manifold_is_minus_inf(self, rng):
         sigma, full, sub = _classical_setup(rng)
-        prior = EntropicPrior(sigma=sigma, level=sub, alpha=40.0)
-        omega = gibbs_state(sigma, full, 0.1 * np.ones(full.n_params))
+        prior = EntropicPrior(level=sub, alpha=40.0)
+        omega = gibbs_state(full, 0.1 * np.ones(full.n_params))
         assert entropic_log_density(omega, prior) == float("-inf")
 
     def test_log_density_needs_alpha(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        prior = EntropicPrior(sigma=sigma, level=sub)
-        omega = gibbs_state(sigma, sub, np.zeros(sub.n_params))
+        prior = EntropicPrior(level=sub)
+        omega = gibbs_state(sub, np.zeros(sub.n_params))
         with pytest.raises(EvidenceNotApplicableError):
             entropic_log_density(omega, prior)
 
@@ -245,40 +262,40 @@ class TestEntropicPrior:
 class TestInterpolation:
     def test_multiplier_linearity(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        mu = gibbs_state(sigma, sub, rng.normal(size=sub.n_params))
+        mu = gibbs_state(sub, rng.normal(size=sub.n_params))
         for t in (0.0, 0.25, 0.5, 0.9, 1.0):
-            mixed = interpolate_states(mu, sigma, t)
+            mixed = interpolate_states(mu, t)
             assert np.allclose(mixed.lam, (1 - t) * mu.lam, atol=1e-9)
 
     def test_matches_log_linear_mix(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        mu = gibbs_state(sigma, sub, rng.normal(size=sub.n_params))
+        mu = gibbs_state(sub, rng.normal(size=sub.n_params))
         t = 0.3
-        a = interpolate_states(mu, sigma, t).state
+        a = interpolate_states(mu, t).state
         b = log_linear_mix(mu.state, sigma, t)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
     def test_matches_log_linear_mix_quantum(self, rng):
         sigma = random_density(rng, 3)
         lvl = make_level([random_hermitian(rng, 3) for _ in range(2)], sigma)
-        mu = gibbs_state(sigma, lvl, rng.normal(size=lvl.n_params))
+        mu = gibbs_state(lvl, rng.normal(size=lvl.n_params))
         t = 0.3
-        a = interpolate_states(mu, sigma, t).state
+        a = interpolate_states(mu, t).state
         b = log_linear_mix(mu.state, sigma, t)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
     def test_weight_range_validated(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        mu = gibbs_state(sigma, sub, np.zeros(sub.n_params))
+        mu = gibbs_state(sub, np.zeros(sub.n_params))
         with pytest.raises(ValidationError):
-            interpolate_states(mu, sigma, 1.5)
+            interpolate_states(mu, 1.5)
 
     def test_posterior_approaches_projection_monotonically(self, rng):
         sigma, _, sub = _classical_setup(rng)
-        mu = gibbs_state(sigma, sub, rng.normal(size=sub.n_params))
+        mu = gibbs_state(sub, rng.normal(size=sub.n_params))
         gaps = []
         for t in (0.5, 0.1, 0.01, 0.001):
-            mixed = interpolate_states(mu, sigma, t)
+            mixed = interpolate_states(mu, t)
             gaps.append(float(np.linalg.norm(mixed.state.matrix - mu.state.matrix)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-2
@@ -289,7 +306,7 @@ class TestPosterior:
         sigma, full, sub = _classical_setup(rng)
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        prior = EntropicPrior(sigma=sigma, level=sub, alpha=data.n)
+        prior = EntropicPrior(level=sub, alpha=data.n)
         post = posterior_estimate(data, prior)
         assert post.t == pytest.approx(0.5)
         assert post.alpha_source == "user"
@@ -300,21 +317,20 @@ class TestPosterior:
         sigma, full, sub = _classical_setup(rng)
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        prior = EntropicPrior(sigma=sigma, level=sub, alpha=100.0)
+        prior = EntropicPrior(level=sub, alpha=100.0)
         post = posterior_estimate(data, prior)
         wider = make_level(list(sub.basis) + [random_diagonal(rng, 6)], sigma)
-        back = project_state(sigma, wider, post.state)
+        back = project_state(wider, post.state)
         assert relative_entropy(post.state, back.state) < 1e-9
 
     def test_evidence_inapplicable_unless_alpha_pinned(self, rng):
         sigma, full, _ = _classical_setup(rng)
-        base = gibbs_state(sigma, full, np.zeros(full.n_params))
+        base = gibbs_state(full, np.zeros(full.n_params))
         gen_means = full.gen_offsets + full.gen_coeffs @ base.g
         data = ExperimentData(level=full, means=gen_means, n=500.0)
         with pytest.raises(EvidenceNotApplicableError):
-            posterior_estimate(data, EntropicPrior(sigma=sigma, level=full))
-        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=full,
-                                                      alpha=50.0))
+            posterior_estimate(data, EntropicPrior(level=full))
+        post = posterior_estimate(data, EntropicPrior(level=full, alpha=50.0))
         assert post.alpha_source == "user" and post.evidence is None
         assert post.alpha_used == 50.0 and post.warnings == ()
 
@@ -322,8 +338,8 @@ class TestPosterior:
         sigma, full, sub = _classical_setup(rng)
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=sub))
-        est = estimate_alpha(data, sigma)
+        post = posterior_estimate(data, EntropicPrior(level=sub))
+        est = estimate_alpha(data)
         assert post.alpha_source == "evidence"
         assert post.evidence == est and post.alpha_used == est.alpha
         assert post.warnings == (f"evidence ran with only {est.dof} fitted directions",)
@@ -332,9 +348,8 @@ class TestPosterior:
         sigma, full, _ = _classical_setup(rng)
         data = ExperimentData(level=full, means=full.gen_offsets.copy(), n=0.0)
         with pytest.raises(EvidenceNotApplicableError):
-            posterior_estimate(data, EntropicPrior(sigma=sigma, level=full))
-        post = posterior_estimate(data, EntropicPrior(sigma=sigma, level=full,
-                                                      alpha=10.0))
+            posterior_estimate(data, EntropicPrior(level=full))
+        post = posterior_estimate(data, EntropicPrior(level=full, alpha=10.0))
         assert post.t == 1.0
 
     def test_unmeasured_block_present_when_prior_wider(self, rng):
@@ -345,7 +360,7 @@ class TestPosterior:
             means=np.array([expectation(DensityOperator_cl(counts), sub.generators[i])
                             for i in sub.retained]),
             n=float(counts.sum()))
-        prior = EntropicPrior(sigma=sigma, level=full, alpha=200.0)
+        prior = EntropicPrior(level=full, alpha=200.0)
         post = posterior_estimate(data_sub, prior)
         assert post.unmeasured is not None
         assert post.unmeasured.n_params == full.n_params - sub.n_params
@@ -357,7 +372,7 @@ class TestPosterior:
         sigma, full, sub = _classical_setup(rng)
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
-        prior = EntropicPrior(sigma=sigma, level=sub, alpha=300.0)
+        prior = EntropicPrior(level=sub, alpha=300.0)
         post = posterior_estimate(data, prior)
         want = post.rho_hat.corr / (300.0 + data.n)
         assert np.allclose(post.cov_measured, want, atol=1e-14)
@@ -371,18 +386,18 @@ def DensityOperator_cl(counts):
 class TestLevelSignificance:
     def test_entropy_and_quadratic_agree_for_small_deviation(self, rng):
         sigma, full, sub = _classical_setup(rng)
-        base = gibbs_state(sigma, full, np.zeros(full.n_params))
+        base = gibbs_state(full, np.zeros(full.n_params))
         direction = rng.normal(size=full.n_params)
         direction /= np.linalg.norm(direction)
         means_basis = base.g + 0.002 * direction
         # build counts that realize these basis means exactly
-        fit = project(sigma, full, means_basis, coords="basis")
+        fit = project(full, means_basis)
         counts = 40000.0 * fit.state.probs
         data = ExperimentData.from_counts(counts, full)
         # the same means without the histogram select the quadratic form
         bare = ExperimentData(level=full, means=data.means, n=data.n)
-        ent = level_significance(data, sigma, trivial_level(sigma))
-        quad = level_significance(bare, sigma, trivial_level(sigma))
+        ent = level_significance(data, trivial_level(sigma))
+        quad = level_significance(bare, trivial_level(sigma))
         assert (ent.kind, quad.kind) == ("entropy", "quadratic")
         assert ent.statistic == pytest.approx(quad.statistic, rel=2e-2)
 
@@ -391,7 +406,15 @@ class TestLevelSignificance:
         counts = rng.integers(100, 900, size=6).astype(float)
         data = ExperimentData.from_counts(counts, full)
         with pytest.raises(ValidationError):
-            level_significance(data, sigma, full)
+            level_significance(data, full)
+
+    def test_rejects_level_at_another_reference(self, rng):
+        sigma, full, _ = _classical_setup(rng)
+        data = ExperimentData.from_counts(rng.integers(100, 900, size=6).astype(float), full)
+        other = random_density(rng, 6, kind="classical")
+        foreign = make_level([random_diagonal(rng, 6)], other)
+        with pytest.raises(ValidationError, match="reference"):
+            level_significance(data, foreign)
 
 
 class TestVerdicts:
@@ -421,10 +444,10 @@ class TestCompareLevels:
 
     def test_log_ratio_recomputed_from_scratch(self, rng):
         sigma, data, coarse, mid, full = self._wolf_like(rng)
-        rep = compare_levels(coarse, mid, data, sigma, alpha=250.0, prior_odds=2.0)
+        rep = compare_levels(coarse, mid, data, alpha=250.0, prior_odds=2.0)
         # independent path: refit both levels, evaluate entropies directly
-        fine_fit = project(sigma, mid, data.means_for(mid), coords="basis")
-        coarse_fit = project_state(sigma, coarse, fine_fit.state)
+        fine_fit = project(mid, data.means_for(mid))
+        coarse_fit = project_state(coarse, fine_fit.state)
         s_gain = relative_entropy(fine_fit.state, coarse_fit.state)
         want = (0.5 * rep.s * np.log(data.n / 250.0)
                 - (data.n - 250.0) * s_gain + np.log(2.0))
@@ -432,7 +455,7 @@ class TestCompareLevels:
 
     def test_alpha_none_skips_odds(self, rng):
         sigma, data, coarse, mid, full = self._wolf_like(rng)
-        rep = compare_levels(coarse, mid, data, sigma, alpha=None)
+        rep = compare_levels(coarse, mid, data, alpha=None)
         assert rep.log_ratio is None
         assert rep.verdict in ("Refine", "KeepCoarse", "Inconclusive")
 
@@ -440,11 +463,21 @@ class TestCompareLevels:
         sigma, data, coarse, mid, full = self._wolf_like(rng)
         other = make_level([random_diagonal(rng, 6)], sigma)
         with pytest.raises(ValidationError):
-            compare_levels(mid, other, data, sigma)
+            compare_levels(mid, other, data)
+
+    @pytest.mark.parametrize("option", [dict(alpha=float("nan")), dict(alpha=float("inf")),
+                                        dict(prior_odds=float("nan")),
+                                        dict(prior_odds=float("inf"))],
+                             ids=["alpha-nan", "alpha-inf", "prior-odds-nan",
+                                  "prior-odds-inf"])
+    def test_non_finite_weights_rejected(self, rng, option):
+        sigma, data, coarse, mid, full = self._wolf_like(rng)
+        with pytest.raises(ValidationError, match="finite"):
+            compare_levels(coarse, mid, data, **option)
 
     def test_chi2_routes_close(self, rng):
         sigma, data, coarse, mid, full = self._wolf_like(rng)
-        rep = compare_levels(coarse, mid, data, sigma, alpha=None)
+        rep = compare_levels(coarse, mid, data, alpha=None)
         assert rep.chi2_gain == pytest.approx(rep.chi2_exact, rel=0.1)
         assert rep.rel_entropy * 2 * data.n == pytest.approx(rep.chi2_exact, rel=1e-12)
 
@@ -455,4 +488,4 @@ class TestPythagorasResidual:
             sigma = random_density(rng, 3)
             lvl = make_level([random_hermitian(rng, 3) for _ in range(2)], sigma)
             rho = random_density(rng, 3)
-            assert pythagoras_residual(rho, sigma, lvl) < 1e-9
+            assert pythagoras_residual(rho, lvl) < 1e-9

@@ -159,7 +159,7 @@ class TestSetOperations:
         sigma = random_density(rng, 4)
         amb = make_level([random_hermitian(rng, 4) for _ in range(4)], sigma)
         sub = make_level([amb.generators[0]], sigma)
-        comp = complement(sub, amb, sigma)
+        comp = complement(sub, amb)
         assert comp.n_params == amb.n_params - sub.n_params
         for cb in comp.basis:
             for sb in sub.basis:
@@ -170,7 +170,23 @@ class TestSetOperations:
         la = make_level([random_diagonal(rng, 3)], sigma)
         lb = make_level([random_diagonal(rng, 3)], sigma)
         with pytest.raises(ValidationError):
-            complement(la, lb, sigma)
+            complement(la, lb)
+
+    def test_complement_builds_one_level(self, rng, monkeypatch):
+        # the inputs are used as built; only the result is a new level
+        sigma = random_density(rng, 4)
+        amb = make_level([random_hermitian(rng, 4) for _ in range(3)], sigma)
+        sub = make_level([amb.generators[0]], sigma)
+        calls = []
+        original = gibbsfit.levels.make_level
+
+        def counting(generators, sigma, *, label=""):
+            calls.append(label)
+            return original(generators, sigma, label=label)
+
+        monkeypatch.setattr(gibbsfit.levels, "make_level", counting)
+        assert complement(sub, amb).n_params == 2
+        assert len(calls) == 1
 
 
 @pytest.fixture
@@ -277,7 +293,7 @@ class TestSlotUpdates:
         sub = make_level(amb.generators[:1], sigma)
         assert is_sublevel(sub, amb)
         assert intersection(sub, amb).n_params == 1
-        assert complement(sub, amb, sigma).n_params == 2
+        assert complement(sub, amb).n_params == 2
         assert len(calls) == 1
 
 
@@ -323,7 +339,7 @@ class TestDenseOracle:
         for x, y in ((a, b), (b, a)):
             _assert_same_level(intersection(x, y), oracle.intersection(x, y))
         sub = make_level(gens[:1], sigma)
-        _assert_same_level(complement(sub, a, sigma), oracle.complement(sub, a, sigma))
+        _assert_same_level(complement(sub, a), oracle.complement(sub, a))
 
     def test_full_classical_level_d64(self, rng):
         sigma = random_density(rng, 64, kind="classical")

@@ -104,7 +104,7 @@ class TestBasisStack:
     def test_classical_path_never_builds_the_stack(self, rng):
         sigma = random_density(rng, 5, kind="classical")
         lvl = make_level([random_diagonal(rng, 5) for _ in range(2)], sigma)
-        project_state(sigma, lvl, random_density(rng, 5, kind="classical"))
+        project_state(lvl, random_density(rng, 5, kind="classical"))
         assert "basis_stack" not in vars(lvl)
 
 
@@ -114,7 +114,7 @@ def _qubit_z_posterior(alpha):
     sigma = uniform_state(2)
     data = ExperimentData(level=make_level([pauli_z()], sigma),
                           means=np.array([0.3]), n=400.0)
-    prior = EntropicPrior(sigma=sigma, level=pauli_level(), alpha=alpha)
+    prior = EntropicPrior(level=pauli_level(), alpha=alpha)
     return posterior_estimate(data, prior)
 
 
@@ -141,7 +141,7 @@ class TestUnmeasuredCovariance:
         sigma = random_density(rng, 3)
         lvl = full_quantum_level(sigma)
         rho = random_density(rng, 3)
-        project(sigma, lvl, [expectation(rho, op) for op in lvl.basis], coords="basis")
+        project(lvl, [expectation(rho, op) for op in lvl.basis])
         post = _qubit_z_posterior(alpha=50.0)
         assert post.cov_unmeasured is not None
         assert calls == []

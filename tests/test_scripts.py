@@ -75,3 +75,15 @@ def test_result_digest_against(data_digest, tmp_path):
     assert proc.returncode == 1
     assert [ln for ln in proc.stdout.splitlines() if ln.startswith("differs:")] == [
         f"differs: {label}"]
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("evidence ")
+    assert lines[2].split()[0] in {"Refine", "KeepCoarse", "Inconclusive"}
