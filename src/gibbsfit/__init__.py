@@ -13,22 +13,14 @@ from .errors import (
     EvidenceNotApplicableError,
     GibbsFitError,
     InfeasibleTargetError,
-    ManifoldMismatchError,
     NotConvergedError,
     ValidationError,
 )
 from .gibbs import (
     BlochVector,
     GibbsModel,
-    bloch_from_lambdas,
-    bloch_log_norm,
     bloch_metric,
-    bloch_relative_entropy,
-    bloch_to_model,
-    bloch_volume_weight,
     gibbs_state,
-    lambdas_from_bloch,
-    manifold_relative_entropy,
     model_to_bloch,
     pauli_level,
     project,
@@ -46,16 +38,11 @@ from .inference import (
     SignificanceReport,
     chi2_log_tail,
     chi2_logpdf,
-    chi2_pdf,
-    chi2_tail,
     compare_levels,
-    entropic_log_density,
     estimate_alpha,
-    gaussian_log_norm,
     interpolate_states,
     level_significance,
     posterior_estimate,
-    pythagoras_residual,
     significance,
     verdict_from_rate,
 )
@@ -71,10 +58,7 @@ from .levels import (
 from .state_space import (
     DensityOperator,
     HermitianOperator,
-    bloch_state,
-    classical_state,
     expectation,
-    kmb_inner,
     pauli_x,
     pauli_y,
     pauli_z,

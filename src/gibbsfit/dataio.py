@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataFormatError, ValidationError
 from .inference import ExperimentData
 from .levels import LevelOfDescription, full_classical_level, make_level, trivial_level
-from .state_space import DensityOperator, HermitianOperator
+from .state_space import DensityOperator, HermitianOperator, uniform_state
 
 FORMAT_VERSION = 1
 
@@ -222,7 +222,7 @@ def load_quantum(path) -> Dataset:
 
     ref_spec = doc.get("reference", "uniform")
     if ref_spec == "uniform":
-        reference = DensityOperator.quantum(np.eye(dim, dtype=complex) / dim)
+        reference = uniform_state(dim)
     else:
         try:
             reference = DensityOperator.quantum(_parse_matrix(ref_spec, dim, path, "reference"))

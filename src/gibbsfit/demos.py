@@ -39,12 +39,7 @@ from .report import (
     model_summary,
     significance_summary,
 )
-from .state_space import (
-    DensityOperator,
-    classical_state,
-    pauli_z,
-    uniform_state,
-)
+from .state_space import DensityOperator, pauli_z, uniform_state
 
 # Raw counts of 20000 rolls of one worn die (historical dataset).
 WOLF_COUNTS = (3246, 3449, 2897, 2841, 3635, 3932)
@@ -69,7 +64,7 @@ def wolf_levels():
     suggestive directions for a die with worn corners.
     """
     d = 6
-    sigma = classical_state(np.full(d, 1.0 / d))
+    sigma = DensityOperator.classical(np.full(d, 1.0 / d))
     face = np.arange(1, 7) - 3.5
     flat = np.array([1.0, 1.0, -2.0, -2.0, 1.0, 1.0])
     level_o = trivial_level(sigma)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: validation and data-format problems
-exit with 2, solver failures with 3.
+The CLI maps these onto exit codes: validation and data-format problems,
+including a statistic that overflows at a huge sample size, and an
+evidence request the data cannot serve exit with 2; solver failures
+(infeasible targets, stagnation) with 3.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ class ValidationError(GibbsFitError, ValueError):
 
 class DataFormatError(ValidationError):
     """Unparseable or contract-violating data files."""
-
-
-class ManifoldMismatchError(ValidationError):
-    """Two Gibbs models do not live on the same manifold."""
 
 
 class InfeasibleTargetError(GibbsFitError):

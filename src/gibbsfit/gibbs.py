@@ -16,9 +16,10 @@ Off the classical vector path an evaluation works on the level's stacked
 (k, d, d) basis: lam.B is one contraction, and g and the covariance come
 from one pass of the eigenframe kernel state_space._kmb_moments.
 
-The qubit family at the maximally mixed reference has closed forms in
-Bloch coordinates; those live at the bottom of this module and double as
-an independent check on the generic machinery.
+At the bottom: the spin level of a qubit and Bloch coordinates read off
+its manifold points, which the qubit demo reports.  The closed forms of
+that manifold (multipliers, ln Z, relative entropy and volume weight in
+Bloch coordinates) check the generic machinery and live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    InfeasibleTargetError,
-    ManifoldMismatchError,
-    NotConvergedError,
-    ValidationError,
-)
+from .errors import InfeasibleTargetError, NotConvergedError, ValidationError
 from .levels import LevelOfDescription, make_level
 from .state_space import (
     EIG_FLOOR,
@@ -62,20 +58,13 @@ __all__ = [
     "gibbs_state",
     "project",
     "project_state",
-    "manifold_relative_entropy",
     "quadratic_form",
     "volume_weight",
     "thermodynamic_entropy",
     "BlochVector",
     "pauli_level",
-    "lambdas_from_bloch",
-    "bloch_from_lambdas",
-    "bloch_to_model",
     "model_to_bloch",
-    "bloch_log_norm",
     "bloch_metric",
-    "bloch_volume_weight",
-    "bloch_relative_entropy",
 ]
 
 
@@ -122,18 +111,6 @@ class GibbsModel:
         if self.n_params == 0:
             return np.zeros(0)
         return np.linalg.solve(self.level.gen_coeffs.T, self.lam)
-
-    def same_manifold(self, other: "GibbsModel") -> bool:
-        if self.level is other.level:
-            return True
-        if not self.level.same_context(other.level):
-            return False
-        if len(self.level.basis) != len(other.level.basis):
-            return False
-        return all(np.array_equal(a.diagonal, b.diagonal)
-                   if a.diagonal is not None and b.diagonal is not None
-                   else np.array_equal(a.matrix, b.matrix)
-                   for a, b in zip(self.level.basis, other.level.basis))
 
     def __repr__(self) -> str:
         return (f"GibbsModel(dim={self.dim}, ln_z={self.ln_z:.6g}, "
@@ -302,19 +279,6 @@ def project_state(level: LevelOfDescription, rho: DensityOperator) -> GibbsModel
     return project(level, t)
 
 
-def _require_same_manifold(a: GibbsModel, b: GibbsModel) -> None:
-    if not a.same_manifold(b):
-        raise ManifoldMismatchError(
-            "models live on different manifolds (reference or level differ)")
-
-
-def manifold_relative_entropy(a: GibbsModel, b: GibbsModel) -> float:
-    """S(pi_a || pi_b) for two points of one manifold, in closed form:
-    (lam_b - lam_a) . g_a + ln Z_b - ln Z_a."""
-    _require_same_manifold(a, b)
-    return float((b.lam - a.lam) @ a.g) + b.ln_z - a.ln_z
-
-
 def quadratic_form(model: GibbsModel, delta) -> float:
     """delta^t C^{-1} delta in the model's local metric (Cholesky solve)."""
     d = np.asarray(delta, dtype=float).reshape(-1)
@@ -345,7 +309,7 @@ def thermodynamic_entropy(model: GibbsModel) -> float:
     return model.ln_z + float(model.lam @ model.g)
 
 
-# -- closed forms for the qubit spin manifold -------------------------
+# -- the qubit spin manifold in Bloch coordinates ---------------------
 #
 # Reference: maximally mixed qubit; level: the three Pauli observables,
 # which are already orthonormal in the canonical-correlation product at
@@ -359,47 +323,12 @@ class BlochVector:
     theta: float
     phi: float
 
-    @property
-    def unit(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.array([st * np.cos(self.phi),
-                         st * np.sin(self.phi),
-                         np.cos(self.theta)])
-
-    @property
-    def cartesian(self) -> np.ndarray:
-        return self.r * self.unit
-
 
 def pauli_level(sigma: DensityOperator | None = None) -> LevelOfDescription:
     """Spin level of a single qubit: span{1, X, Y, Z}."""
     if sigma is None:
         sigma = uniform_state(2)
     return make_level([pauli_x(), pauli_y(), pauli_z()], sigma, label="spin")
-
-
-def lambdas_from_bloch(b: BlochVector) -> np.ndarray:
-    """Multipliers of the spin manifold point with Bloch vector b."""
-    return -np.arctanh(b.r) * b.unit
-
-
-def bloch_from_lambdas(lam) -> BlochVector:
-    lam = np.asarray(lam, dtype=float)
-    size = float(np.linalg.norm(lam))
-    r = float(np.tanh(size))
-    if size == 0.0:
-        return BlochVector(0.0, 0.0, 0.0)
-    n = -lam / size
-    theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    phi = float(np.arctan2(n[1], n[0]))
-    return BlochVector(r, theta, phi)
-
-
-def bloch_to_model(b: BlochVector, level: LevelOfDescription | None = None) -> GibbsModel:
-    """Evaluate the generic machinery at the closed-form multipliers."""
-    if level is None:
-        level = pauli_level()
-    return gibbs_state(level, lambdas_from_bloch(b))
 
 
 def model_to_bloch(model: GibbsModel) -> BlochVector:
@@ -415,11 +344,6 @@ def model_to_bloch(model: GibbsModel) -> BlochVector:
     return BlochVector(r, theta, phi)
 
 
-def bloch_log_norm(b: BlochVector) -> float:
-    """ln Z on the spin manifold: ln(2 cosh |lam|) with |lam| = atanh r."""
-    return float(np.log(2.0 * np.cosh(np.arctanh(b.r))))
-
-
 def bloch_metric(b: BlochVector) -> np.ndarray:
     """Canonical-correlation metric in (r, theta, phi) coordinates.
 
@@ -429,17 +353,3 @@ def bloch_metric(b: BlochVector) -> np.ndarray:
     r = b.r
     f = r * np.arctanh(r)
     return np.diag([1.0 / (1.0 - r * r), f, f * np.sin(b.theta) ** 2])
-
-
-def bloch_volume_weight(b: BlochVector) -> float:
-    """sqrt(det) of the metric above: r atanh r sin(theta) / sqrt(1 - r^2)."""
-    r = b.r
-    return float(r * np.arctanh(r) * np.sin(b.theta) / np.sqrt(1.0 - r * r))
-
-
-def bloch_relative_entropy(a: BlochVector, b: BlochVector) -> float:
-    """S(rho_a || rho_b) between qubit states in Bloch form."""
-    ra, rb = a.r, b.r
-    cross = float(a.unit @ b.unit)
-    return (ra * np.arctanh(ra) - ra * np.arctanh(rb) * cross
-            + 0.5 * np.log((1.0 - ra * ra) / (1.0 - rb * rb)))

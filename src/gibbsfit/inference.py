@@ -64,16 +64,12 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 __all__ = [
     "chi2_logpdf",
-    "chi2_pdf",
-    "chi2_tail",
     "chi2_log_tail",
     "SignificanceReport",
     "significance",
     "level_significance",
     "ExperimentData",
     "EntropicPrior",
-    "entropic_log_density",
-    "gaussian_log_norm",
     "AlphaEstimate",
     "estimate_alpha",
     "interpolate_states",
@@ -82,7 +78,6 @@ __all__ = [
     "ComparisonReport",
     "compare_levels",
     "verdict_from_rate",
-    "pythagoras_residual",
 ]
 
 
@@ -99,19 +94,6 @@ def chi2_logpdf(x: float, k: int) -> float:
         return {1: float("inf"), 2: -float(np.log(2.0))}.get(k, float("-inf"))
     h = 0.5 * k
     return float((h - 1.0) * np.log(x) - 0.5 * x - h * np.log(2.0) - gammaln(h))
-
-
-def chi2_pdf(x: float, k: int) -> float:
-    return float(np.exp(chi2_logpdf(x, k)))
-
-
-def chi2_tail(x: float, k: int) -> float:
-    """Survival probability P[X >= x] = Q(k/2, x/2)."""
-    if k <= 0:
-        raise ValidationError("chi-square tail needs k > 0")
-    if x <= 0:
-        return 1.0
-    return float(gammaincc(0.5 * k, 0.5 * x))
 
 
 def _log_gammaincc_cf(a: float, x: float) -> float:
@@ -180,18 +162,28 @@ class SignificanceReport:
     entropy_scale: float
 
 
+def _require_finite_statistic(value: float, what: str, n: float) -> None:
+    # a finite but huge sample size can carry a statistic past the float range
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"{what} is {value!r} at sample size n = {n!r}; the sample size is "
+            "too large for the statistic to be represented")
+
+
 def significance(chi2: float, k: int, n: float, *,
                  sig_level: float = DEFAULT_SIG_LEVEL,
                  kind: str = "entropy") -> SignificanceReport:
     """Refer a chi-square statistic to its distribution.
 
     ``significant`` flags tail probabilities below sig_level: deviations
-    that sampling noise alone would essentially never produce.
+    that sampling noise alone would essentially never produce.  A
+    non-finite chi2 raises ValidationError.
     """
     if n <= 0:
         raise ValidationError("significance needs a positive sample size")
     if not 0.0 < sig_level < 1.0:
         raise ValidationError("significance level must lie in (0, 1)")
+    _require_finite_statistic(chi2, "the deviation statistic", n)
     ln10 = np.log(10.0)
     log_tail = chi2_log_tail(chi2, k)
     log_pdf = chi2_logpdf(max(chi2, 0.0), k)
@@ -313,32 +305,6 @@ class EntropicPrior:
         return self.level.sigma
 
 
-def gaussian_log_norm(alpha: float, n_params: int) -> float:
-    """Log normalization of the entropic density in the Gaussian regime
-    around the reference: (k/2) ln(2 pi / alpha).  The local volume factor
-    cancels against the covariance of the quadratic entropy expansion."""
-    _require_positive(alpha, "prior weight alpha")
-    return 0.5 * n_params * float(np.log(2.0 * np.pi / alpha))
-
-
-def entropic_log_density(omega: GibbsModel, prior: EntropicPrior) -> float:
-    """Unnormalized log prior density -alpha S(omega || sigma).
-
-    Points outside the prior's manifold have no support: -inf, with a log
-    note.  Pair with gaussian_log_norm for the normalized Gaussian-regime
-    density.
-    """
-    if prior.alpha is None:
-        raise EvidenceNotApplicableError(
-            "prior weight alpha is unset; run the evidence estimate first")
-    if (not omega.level.same_context(prior.level)
-            or len(omega.level.basis) != len(prior.level.basis)
-            or not is_sublevel(omega.level, prior.level)):
-        logger.info("state lies outside the prior's manifold; density is zero")
-        return float("-inf")
-    return -prior.alpha * relative_entropy(omega.state, prior.sigma)
-
-
 @dataclass(frozen=True)
 class AlphaEstimate:
     """Evidence-set weight for the entropic prior.
@@ -370,7 +336,7 @@ def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
     depends only on the measured level, not on any model level.  Raises
     EvidenceNotApplicableError without data (n = 0); below the noise floor
     it returns alpha None, and below DETAIL_MIN_DOF directions it logs a
-    coarseness warning.
+    coarseness warning.  ValidationError when chi2 overflows.
     """
     if data.n <= 0:
         raise EvidenceNotApplicableError("evidence weighting needs data (n > 0)")
@@ -378,6 +344,7 @@ def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
     base = gibbs_state(level, np.zeros(level.n_params))
     delta = data.basis_means() - base.g
     chi2 = float(data.n) * quadratic_form(base, delta)
+    _require_finite_statistic(chi2, "the evidence chi2", data.n)
     dof = level.n_params
     deviation_ok = chi2 > dof
     detail_ok = dof >= DETAIL_MIN_DOF
@@ -584,6 +551,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     the first term being the parameter-cost penalty the finer model pays.
     alpha="evidence" estimates the weight from the data on its own level,
     a number pins it, None skips the odds (the verdict is alpha-free).
+    ValidationError when chi2_exact, chi2_gain or the odds overflow.
     """
     if data.n <= 1:
         raise ValidationError("model comparison needs n > 1")
@@ -600,10 +568,12 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     coarse_model = project_state(coarse, fine_model.state)
     s_gain = relative_entropy(fine_model.state, coarse_model.state)
     chi2_exact = 2.0 * data.n * s_gain
+    _require_finite_statistic(chi2_exact, "chi2_exact", data.n)
     # metric at the coarse fit, deviation measured inside the fine level
     coarse_on_fine = project_state(fine, coarse_model.state)
     chi2_gain = data.n * quadratic_form(coarse_on_fine,
                                         fine_model.g - coarse_on_fine.g)
+    _require_finite_statistic(chi2_gain, "chi2_gain", data.n)
     per_param = chi2_gain / s
     ln_n = float(np.log(data.n))
     band = (ln_n / BAND_FACTOR, BAND_FACTOR * ln_n)
@@ -624,6 +594,7 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     if alpha_used is not None:
         log_ratio = float(0.5 * s * np.log(data.n / alpha_used)
                           - (data.n - alpha_used) * s_gain + np.log(prior_odds))
+        _require_finite_statistic(log_ratio, "the log posterior odds", data.n)
     return ComparisonReport(
         coarse=coarse.label or "coarse", fine=fine.label or "fine",
         n=float(data.n), s=s, rel_entropy=s_gain, chi2_gain=chi2_gain,
@@ -631,14 +602,3 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
         verdict=verdict_from_rate(per_param, data.n),
         alpha_used=alpha_used, log_ratio=log_ratio, prior_odds=float(prior_odds),
         coarse_model=coarse_model, fine_model=fine_model)
-
-
-def pythagoras_residual(rho: DensityOperator, level: LevelOfDescription) -> float:
-    """|S(rho||sigma) - S(rho||pi) - S(pi||sigma)| with pi the projection of
-    rho at the level and sigma its reference; identically zero in exact
-    arithmetic.  Exposed as a cheap end-to-end consistency diagnostic."""
-    sigma = level.sigma
-    pi = project_state(level, rho)
-    lhs = relative_entropy(rho, sigma)
-    rhs = relative_entropy(rho, pi.state) + relative_entropy(pi.state, sigma)
-    return abs(lhs - rhs)

@@ -24,7 +24,7 @@ state computes its embedding frame once (`DensityOperator.kmb_frame`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -191,7 +191,6 @@ class LevelOfDescription:
     internal basis coordinates.
     """
 
-    dim_hilbert: int
     sigma: DensityOperator
     generators: tuple[HermitianOperator, ...]
     basis: tuple[HermitianOperator, ...]
@@ -199,6 +198,11 @@ class LevelOfDescription:
     gen_offsets: np.ndarray
     gen_coeffs: np.ndarray
     label: str = ""
+
+    @property
+    def dim_hilbert(self) -> int:
+        """Dimension of the Hilbert space, the reference state's."""
+        return self.sigma.dim
 
     @property
     def dim(self) -> int:
@@ -231,9 +235,7 @@ class LevelOfDescription:
         return self.sigma.same_state(other.sigma)
 
     def with_label(self, label: str) -> "LevelOfDescription":
-        return LevelOfDescription(self.dim_hilbert, self.sigma,
-                                  self.generators, self.basis, self.retained,
-                                  self.gen_offsets, self.gen_coeffs, label)
+        return replace(self, label=label)
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
@@ -267,7 +269,7 @@ def make_level(generators, sigma: DensityOperator, *,
     offsets.setflags(write=False)
     coeffs.setflags(write=False)
     return LevelOfDescription(
-        dim_hilbert=d, sigma=sigma, generators=tuple(ops),
+        sigma=sigma, generators=tuple(ops),
         basis=tuple(basis_ops), retained=tuple(kept),
         gen_offsets=offsets, gen_coeffs=coeffs, label=label)
 

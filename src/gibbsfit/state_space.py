@@ -35,13 +35,10 @@ __all__ = [
     "expectation",
     "von_neumann_entropy",
     "relative_entropy",
-    "kmb_inner",
     "pauli_x",
     "pauli_y",
     "pauli_z",
     "uniform_state",
-    "classical_state",
-    "bloch_state",
 ]
 
 
@@ -315,33 +312,16 @@ def _kmb_weights(p: np.ndarray) -> np.ndarray:
     return np.where(near, 0.5 * (p[:, None] + p[None, :]), ratio)
 
 
-def kmb_inner(sigma: DensityOperator, x: HermitianOperator, y: HermitianOperator) -> float:
-    """Kubo-Mori (canonical correlation) inner product at the state sigma.
-
-    Evaluates int_0^1 tr(sigma^nu X sigma^(1-nu) Y) dnu in sigma's
-    eigenbasis, where the nu integral reduces to the logarithmic mean of
-    eigenvalue pairs.  Symmetric, bilinear and positive definite as long
-    as sigma has full rank, which clamping guarantees.
-    """
-    _check_dims(sigma, x)
-    _check_dims(sigma, y)
-    if sigma.is_classical and x.diagonal is not None and y.diagonal is not None:
-        return float(np.sum(sigma.probs * x.diagonal * y.diagonal))
-    v = sigma.eigenvectors
-    xp = v.conj().T @ x.matrix @ v
-    yp = v.conj().T @ y.matrix @ v
-    w = _kmb_weights(sigma.eigenvalues)
-    return float(np.real(np.sum(w * xp * np.conj(yp))))
-
-
 def _kmb_moments(p: np.ndarray, v: np.ndarray,
                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means g and canonical-correlation covariance C of a stacked (k, d, d)
     basis at the state with spectrum p and eigenvectors v (columns).
 
-    kmb_inner for every pair at once (Daleckii-Krein form): with B' = V^dag B V
+    The Kubo-Mori inner product int_0^1 tr(sigma^nu X sigma^(1-nu) Y) dnu of
+    every centered pair at once (Daleckii-Krein form): with B' = V^dag B V
     and g taken off each diagonal, C_ab = Re sum_ij W_ij B'_a,ij conj(B'_b,ij)
-    for W = _kmb_weights(p), one real GEMM over the (re, im) pairs.
+    for W = _kmb_weights(p), one real GEMM over the (re, im) pairs.  The
+    scalar one-pair form in tests/oracles.py is its reference.
     """
     k, d = basis.shape[0], p.size
     rot = v.conj().T @ basis @ v
@@ -370,17 +350,3 @@ def pauli_z() -> HermitianOperator:
 def uniform_state(dim: int) -> DensityOperator:
     """Maximally mixed quantum state 1/d."""
     return DensityOperator.quantum(np.eye(dim, dtype=complex) / dim)
-
-
-def classical_state(probs) -> DensityOperator:
-    return DensityOperator.classical(probs)
-
-
-def bloch_state(r: float, theta: float, phi: float) -> DensityOperator:
-    """Qubit state with Bloch vector (r, theta, phi); pure states refused."""
-    if not 0.0 <= r < 1.0 - 1e-9:
-        raise ValidationError(f"Bloch radius {r} outside [0, 1 - 1e-9)")
-    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    sx, sy, sz = pauli_x().matrix, pauli_y().matrix, pauli_z().matrix
-    m = 0.5 * (np.eye(2, dtype=complex) + r * (n[0] * sx + n[1] * sy + n[2] * sz))
-    return DensityOperator.quantum(m)

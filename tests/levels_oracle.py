@@ -54,7 +54,6 @@ def dense_gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
 
 
 def make_level(generators, sigma, *, label=""):
-    d = sigma.dim
     ops = [_coerce_operator(g) for g in generators]
     centered = [_center(op, sigma) for op in ops]
     embed = dense_embedding(sigma)
@@ -67,7 +66,7 @@ def make_level(generators, sigma, *, label=""):
         for b, bz in enumerate(basis_z):
             coeffs[a, b] = float(np.real(np.vdot(bz, embeds[i])))
     return LevelOfDescription(
-        dim_hilbert=d, sigma=sigma, generators=tuple(ops),
+        sigma=sigma, generators=tuple(ops),
         basis=tuple(basis_ops), retained=tuple(kept),
         gen_offsets=offsets, gen_coeffs=coeffs, label=label)
 

@@ -244,6 +244,45 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _huge_counts(tmp_path):
+    """A 6-outcome counts file whose first count is finite but near the top
+    of the float range."""
+    path = tmp_path / "huge.csv"
+    path.write_text("outcome,count\n1,1.5e308\n" + "".join(f"{k},1\n" for k in range(2, 7)))
+    return ["--data", str(path)]
+
+
+def _leaves(tree):
+    if isinstance(tree, dict):
+        return [leaf for value in tree.values() for leaf in _leaves(value)]
+    if isinstance(tree, list):
+        return [leaf for value in tree for leaf in _leaves(value)]
+    return [tree]
+
+
+class TestOverflowingStatistic:
+    # a finite sample size so large that a statistic overflows is a data
+    # error naming the sample size, not a report with nulls in it
+    @pytest.mark.parametrize("argv, n", [
+        (lambda tmp: ["demo", "qubit", "--n", "1e308"], "1e+308"),
+        (lambda tmp: ["compare", "--coarse", "ising", "--fine", "heisenberg",
+                      *_quantum_file(tmp, lambda doc: doc.update(N=1.7e308))], "1.7e+308"),
+        (lambda tmp: ["significance", *_huge_counts(tmp)], "1.5e+308"),
+        (lambda tmp: ["estimate", "--level", "full", *_huge_counts(tmp)], "1.5e+308"),
+    ], ids=["demo-qubit", "compare-quantum", "significance", "estimate-evidence"])
+    def test_rejected_with_data_error(self, tmp_path, capsys, argv, n):
+        assert run([*argv(tmp_path), "--format", "json"]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gibbsfit: error:" in err and f"sample size n = {n}" in err
+
+    def test_large_sample_still_reports(self, capsys):
+        assert run(["demo", "qubit", "--n", "1e200", "--format", "json"]) == EXIT_OK
+        result = _strict_json(capsys.readouterr().out)["result"]
+        assert result["compare_ising_vs_heisenberg"]["chi2_exact"] > 1e190
+        assert None not in _leaves(result)
+
+
 class TestSignificanceAtZero:
     # equal counts sit exactly on the uniform reference: the statistic is 0
     # and the density there is the chi-square limit for dof = outcomes - 1

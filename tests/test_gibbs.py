@@ -5,15 +5,8 @@ from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
     _basis_targets,
-    bloch_from_lambdas,
-    bloch_log_norm,
     bloch_metric,
-    bloch_relative_entropy,
-    bloch_to_model,
-    bloch_volume_weight,
     gibbs_state,
-    lambdas_from_bloch,
-    manifold_relative_entropy,
     model_to_bloch,
     pauli_level,
     project,
@@ -25,14 +18,22 @@ from gibbsfit.gibbs import (
 from gibbsfit.levels import make_level
 from gibbsfit.state_space import (
     DensityOperator,
-    bloch_state,
-    classical_state,
     expectation,
     relative_entropy,
     uniform_state,
     von_neumann_entropy,
 )
 from conftest import random_density, random_diagonal, random_hermitian
+from oracles import (
+    bloch_from_lambdas,
+    bloch_log_norm,
+    bloch_relative_entropy,
+    bloch_state,
+    bloch_to_model,
+    bloch_volume_weight,
+    lambdas_from_bloch,
+    manifold_relative_entropy,
+)
 
 
 def _random_level(rng, sigma, k):
@@ -231,7 +232,7 @@ class TestClassicalQuantumAgreement:
     def test_diagonal_problem_same_answers(self, rng):
         p = rng.dirichlet(np.ones(4)) * 0.9 + 0.025
         vals = [rng.normal(size=4) for _ in range(2)]
-        sc = classical_state(p)
+        sc = DensityOperator.classical(p)
         sq = DensityOperator.quantum(np.diag(p).astype(complex))
         lam = np.array([0.35, -0.15])
         mc = gibbs_state(make_level([np.asarray(v) for v in vals], sc), lam)

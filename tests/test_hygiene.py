@@ -1,20 +1,28 @@
-"""Lint for the package, test and script sources: every imported name is
-used.
+"""Lint for the package, test and script sources, two AST scans.
 
-An AST scan: a name an import statement binds must appear as a name
-somewhere in the same file.  `import a.b` binds `a`, so attribute access
-through `a` counts as a use.  The package's `__init__.py` is left out: it
-imports names only to re-export them.
+Every imported name is used: a name an import statement binds must appear
+as a name somewhere in the same file.  `import a.b` binds `a`, so attribute
+access through `a` counts as a use.  The package's `__init__.py` is left
+out: it imports names only to re-export them.
+
+Every public name has a production caller: each name in a package
+module's `__all__` must be read, as a name or an attribute, somewhere in
+the package (bar `__init__.py`) or in `scripts/`, or be named in README.
+Its definition and its `__all__` entry do not count, and neither do the
+tests: code that only tests call belongs in `tests/`, reference
+implementations in `tests/oracles.py`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gibbsfit"
 SOURCES = sorted([
-    *(p for p in (ROOT / "src" / "gibbsfit").glob("*.py") if p.name != "__init__.py"),
+    *(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
     *(ROOT / "tests").glob("*.py"),
     *(ROOT / "scripts").glob("*.py"),
 ])
@@ -76,3 +84,53 @@ def test_scan_flags_an_import_every_use_shadows():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _exports(tree) -> list[str]:
+    """The strings of the module's top-level `__all__` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _reads(tree) -> set[str]:
+    """Every name and attribute the code loads (not what it defines or
+    assigns)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def uncalled_exports(modules: dict[str, str], scripts: list[str], readme: str) -> list[str]:
+    """`module.name` for each `__all__` name of modules (module name ->
+    source) that no module or script reads and README does not name."""
+    trees = {mod: ast.parse(src) for mod, src in modules.items()}
+    reads = set().union(*map(_reads, trees.values()),
+                        *(_reads(ast.parse(src)) for src in scripts))
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for name in _exports(tree)
+                  if name not in reads and not re.search(rf"\b{re.escape(name)}\b", readme))
+
+
+class TestProductionCallers:
+    MODULE = "__all__ = ['used', 'documented', 'orphan']\n\ndef used(): pass\n" \
+             "def documented(): pass\ndef orphan(): pass\n"
+
+    def test_scan_flags_an_uncalled_name(self):
+        assert uncalled_exports({"a": self.MODULE}, [], "") == \
+            ["a.documented", "a.orphan", "a.used"]
+
+    def test_a_name_another_module_reads_passes(self):
+        other = "from .a import used\nimport x\n\nused(x.documented)\n"
+        assert uncalled_exports({"a": self.MODULE, "b": other}, [], "") == ["a.orphan"]
+
+    def test_a_name_readme_mentions_passes(self):
+        readme = "Call `documented` or `used()`; `orphans` is another word.\n"
+        assert uncalled_exports({"a": self.MODULE}, [], readme) == ["a.orphan"]
+
+    def test_every_export_has_a_production_caller(self):
+        modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")
+                   if p.name != "__init__.py"}
+        scripts = [p.read_text() for p in (ROOT / "scripts").glob("*.py")]
+        assert uncalled_exports(modules, scripts, (ROOT / "README.md").read_text()) == []

@@ -18,7 +18,6 @@ from gibbsfit.levels import (
 from gibbsfit.state_space import (
     HermitianOperator,
     expectation,
-    kmb_inner,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -26,6 +25,7 @@ from gibbsfit.state_space import (
 )
 import levels_oracle as oracle
 from conftest import full_quantum_level, random_density, random_diagonal, random_hermitian
+from oracles import kmb_inner
 
 
 class TestMakeLevel:

@@ -1,7 +1,9 @@
 """The eigenframe moment kernel against the scalar Kubo-Mori loop, and the
 posterior covariance of unmeasured directions that it serves."""
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,17 @@ from gibbsfit.state_space import (
     HermitianOperator,
     _kmb_moments,
     expectation,
-    kmb_inner,
     pauli_z,
     uniform_state,
 )
 from conftest import full_quantum_level, random_density, random_diagonal, random_hermitian
+from oracles import kmb_inner
 
 DIMS = [2, 3, 4, 6]
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gibbsfit"
+# every module a file in tests/ can be imported as: tests/ is on sys.path
+TEST_MODULES = {"tests", *(p.stem for p in TESTS.glob("*.py"))}
 
 
 def loop_moments(state, ops):
@@ -128,20 +134,36 @@ class TestUnmeasuredCovariance:
         # the tilted state narrows X and Y below their width at the reference
         assert np.all(np.linalg.eigvalsh(post.cov_unmeasured) < 1.0 / 50.0)
 
-    def test_quantum_paths_make_no_scalar_kmb_calls(self, rng, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return kmb_inner(*args)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "gibbsfit" and hasattr(mod, "kmb_inner"):
-                monkeypatch.setattr(mod, "kmb_inner", counting)
+    def test_quantum_paths_make_no_scalar_kmb_calls(self, rng):
+        # the scalar product exists only as the oracle in tests/oracles.py,
+        # so no quantum path can call it: no package module binds it or
+        # imports anything from tests/
         sigma = random_density(rng, 3)
         lvl = full_quantum_level(sigma)
         rho = random_density(rng, 3)
         project(lvl, [expectation(rho, op) for op in lvl.basis])
         post = _qubit_z_posterior(alpha=50.0)
         assert post.cov_unmeasured is not None
-        assert calls == []
+        loaded = [n for n in sys.modules if n.split(".")[0] == "gibbsfit"]
+        assert {"gibbsfit.gibbs", "gibbsfit.inference"} <= set(loaded)
+        assert [n for n in loaded if hasattr(sys.modules[n], "kmb_inner")] == []
+        imports = {p.name: _test_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+        assert {name: mods for name, mods in imports.items() if mods} == {}
+
+
+def _test_imports(source: str) -> set[str]:
+    """The modules of tests/ that the absolute imports of source name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names & TEST_MODULES
+
+
+def test_import_scan_names_test_modules_only():
+    src = "import numpy\nfrom .levels import make_level\nfrom oracles import kmb_inner\n"
+    assert _test_imports(src) == {"oracles"}
+    src = "import tests.oracles\nfrom conftest import rng\n"
+    assert _test_imports(src) == {"tests", "conftest"}

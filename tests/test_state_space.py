@@ -6,10 +6,7 @@ from gibbsfit.errors import ValidationError
 from gibbsfit.state_space import (
     DensityOperator,
     HermitianOperator,
-    bloch_state,
-    classical_state,
     expectation,
-    kmb_inner,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -18,6 +15,7 @@ from gibbsfit.state_space import (
     von_neumann_entropy,
 )
 from conftest import random_density, random_hermitian
+from oracles import bloch_state, kmb_inner
 
 
 class TestConstruction:
@@ -100,8 +98,8 @@ class TestExpectationEntropy:
             assert relative_entropy(rho, sig) > 0
 
     def test_classical_relative_entropy_hand_value(self):
-        p = classical_state([0.7, 0.3])
-        q = classical_state([0.5, 0.5])
+        p = DensityOperator.classical([0.7, 0.3])
+        q = DensityOperator.classical([0.5, 0.5])
         want = 0.7 * np.log(0.7 / 0.5) + 0.3 * np.log(0.3 / 0.5)
         assert relative_entropy(p, q) == pytest.approx(want, abs=1e-14)
 
@@ -142,8 +140,8 @@ class TestKmbInner:
 
     def test_degenerate_weight_is_continuous(self):
         # nearly equal eigenvalues: log-mean -> arithmetic mean limit
-        base = classical_state([0.5, 0.5])
-        near = classical_state([0.5 + 5e-11, 0.5 - 5e-11])
+        base = DensityOperator.classical([0.5, 0.5])
+        near = DensityOperator.classical([0.5 + 5e-11, 0.5 - 5e-11])
         x = pauli_x()
         a = kmb_inner(base, x, x)
         b = kmb_inner(near, x, x)
