@@ -14,6 +14,15 @@ With ``--against`` the script prints only the labels whose line differs
 from the saved file (or that only one side has) and exits 1 if there is
 any.
 
+A digest shows that a result moved, not by how much.  ``--values FILE``
+also writes every result tree, with its exit code, to FILE as JSON; given
+such a file, ``--against`` prints for each label that differs the largest
+relative difference between the two trees and the field where it occurs,
+and still exits 1 on any difference:
+
+    PYTHONPATH=src python3 scripts/result_digest.py --values before.json
+    PYTHONPATH=src python3 scripts/result_digest.py --against before.json
+
 The command set covers every command on the files in ``data/``, the three
 demos, and the first two analyses of each perfbench workload at seeds 1 and
 29 (their datasets come from ``perfbench.workloads``, which is only read).
@@ -22,6 +31,7 @@ demos, and the first two analyses of each perfbench workload at seeds 1 and
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,17 +80,64 @@ DEMO_COMMANDS = [["demo", "wolf"], ["demo", "qubit"], ["demo", "thermal"],
                  ["demo", "qubit", "--tilt-deg", "2", "--r", "0.995"]]
 
 
-def result_digest(argv, out: Path) -> tuple[str, int]:
+def result_digest(argv, out: Path) -> tuple[str, int, object]:
     """Run one CLI command with a JSON report at ``out``; return the
-    SHA-256 of its canonical result tree (or '-') and the exit code.
-    argparse keeps the last --format/--out, so argv may already set them."""
+    SHA-256 of its canonical result tree (or '-'), the exit code and the
+    tree (or None).  argparse keeps the last --format/--out, so argv may
+    already set them."""
     rc = run([*argv, "--format", "json", "--out", str(out)])
     if rc != 0 or not out.exists():
-        return "-", rc
+        return "-", rc, None
     result = json.loads(out.read_text())["result"]
     out.unlink()
+    return _digest(result), rc, result
+
+
+def _digest(result) -> str:
     text = json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(text.encode()).hexdigest(), rc
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def largest_difference(got, want, path: str = "result") -> tuple[float, str]:
+    """(relative difference, field) of the leaf where two result trees
+    differ most: |a - b| / max(|a|, |b|) for numbers, inf where a string, a
+    flag, a null or the structure differs, (0.0, "") when they are equal."""
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        pairs = [(got[k], want[k], f"{path}.{k}") for k in want]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = [(g, w, f"{path}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    elif got == want and type(got) is type(want):
+        return 0.0, ""
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (got, want)):
+        return abs(got - want) / max(abs(got), abs(want)), path
+    else:
+        return math.inf, path
+    return max((largest_difference(*pair) for pair in pairs), default=(0.0, ""))
+
+
+def _difference(label: str, run: tuple | None, saved: dict) -> str:
+    """Why a label differs from a --values file: a missing side, its exit
+    code, or the largest relative difference and its field."""
+    if run is None:
+        return "only in the saved file"
+    if label not in saved:
+        return "only in this run"
+    rc, result = run
+    if rc != saved[label]["exit"]:
+        return f"exit code {rc}, saved {saved[label]['exit']}"
+    rel, where = largest_difference(result, saved[label]["result"])
+    return f"largest relative difference {rel:.3g} at {where}"
+
+
+def _read_saved(path: Path) -> tuple[dict, dict | None]:
+    """The saved lines by label and, from a --values file, the trees."""
+    text = path.read_text()
+    if not text.lstrip().startswith("{"):
+        return {ln.split(" ", 2)[2]: ln for ln in text.splitlines() if ln}, None
+    values = json.loads(text)
+    lines = {label: f"{'-' if v['result'] is None else _digest(v['result'])} "
+                    f"{v['exit']} {label}" for label, v in values.items()}
+    return lines, values
 
 
 def perfbench_commands(workdir: Path):
@@ -104,16 +161,19 @@ def main() -> int:
     ap.add_argument("--only", choices=("data", "demos", "perfbench"),
                     help="run one group of commands (default: all)")
     ap.add_argument("--against", type=Path, metavar="FILE",
-                    help="compare with a saved output: print the labels that "
-                         "differ and exit 1 if any line does")
+                    help="compare with a saved output or --values file: print "
+                         "the labels that differ and exit 1 if any does")
+    ap.add_argument("--values", type=Path, metavar="FILE",
+                    help="also write every result tree and exit code to FILE as JSON")
     args = ap.parse_args()
-    saved = None
+    saved = values = None
     if args.against is not None:
-        saved = {line.split(" ", 2)[2]: line
-                 for line in args.against.read_text().splitlines() if line}
+        saved, values = _read_saved(args.against)
+    out_values = None if args.values is None else args.values.resolve()
     os.chdir(ROOT)
     os.environ.setdefault("GIBBSFIT_LOG", "error")
 
+    runs: dict[str, tuple[int, object]] = {}
     differ: list[str] = []
     with tempfile.TemporaryDirectory(prefix="result-digest-") as tmp:
         tmp = Path(tmp)
@@ -126,17 +186,23 @@ def main() -> int:
             if args.only not in (None, name):
                 continue
             for label, argv in items:
-                digest, rc = result_digest(argv, tmp / "report.json")
+                digest, rc, result = result_digest(argv, tmp / "report.json")
+                runs[label] = (rc, result)
                 line = f"{digest} {rc} {label}"
                 if saved is None:
                     print(line, flush=True)
                 elif saved.pop(label, None) != line:
                     differ.append(label)
+    if out_values is not None:
+        out_values.write_text(json.dumps(
+            {label: {"exit": rc, "result": result} for label, (rc, result) in runs.items()},
+            indent=1, allow_nan=False) + "\n")
     if saved is None:
         return 0
     differ += saved  # saved lines this run did not produce
     for label in differ:
-        print(f"differs: {label}")
+        why = "" if values is None else f": {_difference(label, runs.get(label), values)}"
+        print(f"differs: {label}{why}")
     print(f"{len(differ)} line(s) differ from {args.against}")
     return 1 if differ else 0
 

@@ -100,7 +100,7 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
     become diagonal Hermitians available for building coarser levels.
     """
     header, body = _read_csv(counts_path)
-    if header[0] != "outcome" or header[1] != "count":
+    if header[:2] != ["outcome", "count"]:
         raise DataFormatError(
             f"{counts_path}: header must start with 'outcome,count', got {header!r}")
     has_ref = len(header) > 2 and header[2] == "reference_weight"
@@ -146,7 +146,11 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
         if len(set(names)) != len(names) or not names:
             raise DataFormatError(f"{observables_path}: observable names must be "
                                   "nonempty and unique")
-        table = {row[0]: row[1:] for row in ob}
+        table: dict[str, list[str]] = {}
+        for row in ob:
+            if row[0] in table:
+                raise DataFormatError(f"{observables_path}: duplicate outcome {row[0]!r}")
+            table[row[0]] = row[1:]
         if set(table) != set(outcomes):
             raise DataFormatError(
                 f"{observables_path}: outcomes do not match {counts_path}")

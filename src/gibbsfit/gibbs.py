@@ -285,9 +285,14 @@ def quadratic_form(model: GibbsModel, delta) -> float:
     if d.size != model.n_params:
         raise ValidationError(
             f"expected a deviation of length {model.n_params}, got {d.size}")
+    return _metric_form(model.corr, d)
+
+
+def _metric_form(corr: np.ndarray, d: np.ndarray) -> float:
+    """d^t corr^{-1} d by a Cholesky solve; 0 for an empty d."""
     if d.size == 0:
         return 0.0
-    return float(d @ cho_solve(cho_factor(model.corr), d))
+    return float(d @ cho_solve(cho_factor(corr), d))
 
 
 def volume_weight(model: GibbsModel) -> float:

@@ -26,6 +26,7 @@ from .errors import EvidenceNotApplicableError, ValidationError
 from .gibbs import (
     GibbsModel,
     _basis_targets,
+    _metric_form,
     _moments,
     gibbs_state,
     project,
@@ -489,8 +490,10 @@ def level_significance(data: ExperimentData, level: LevelOfDescription, *,
         stat = 2.0 * data.n * relative_entropy(emp, fit.state)
     else:
         kind = "quadratic"
-        frame_fit = project_state(data.level, fit.state)
-        stat = data.n * quadratic_form(frame_fit, data.basis_means() - frame_fit.g)
+        # the fit lies on the measured level's manifold too, so its
+        # moments there give the metric without another projection
+        g_fit, corr = _moments(fit.state, data.level)
+        stat = data.n * _metric_form(corr, data.basis_means() - g_fit)
     return significance(stat, dof, data.n, sig_level=sig_level, kind=kind)
 
 
@@ -569,10 +572,10 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     s_gain = relative_entropy(fine_model.state, coarse_model.state)
     chi2_exact = 2.0 * data.n * s_gain
     _require_finite_statistic(chi2_exact, "chi2_exact", data.n)
-    # metric at the coarse fit, deviation measured inside the fine level
-    coarse_on_fine = project_state(fine, coarse_model.state)
-    chi2_gain = data.n * quadratic_form(coarse_on_fine,
-                                        fine_model.g - coarse_on_fine.g)
+    # metric at the coarse fit, deviation measured inside the fine level;
+    # the coarse fit lies on the fine manifold, so no projection is needed
+    g_coarse, corr = _moments(coarse_model.state, fine)
+    chi2_gain = data.n * _metric_form(corr, fine_model.g - g_coarse)
     _require_finite_statistic(chi2_gain, "chi2_gain", data.n)
     per_param = chi2_gain / s
     ln_n = float(np.log(data.n))

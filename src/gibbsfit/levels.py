@@ -16,10 +16,15 @@ every input is diagonal Gram-Schmidt projects the real diagonal vectors,
 so a classical level never builds a d x d matrix.  The projections of such
 embeddings then update only the d slots, through one reused length-d
 buffer: the other entries are +0.0 and would stay +0.0.  The inner products
-still run over the full length-d^2 embeddings, because BLAS sums a shorter
-vector in another order.  Together this keeps every result bit-identical
-to the dense matrix algebra in tests/levels_oracle.py.  Each reference
-state computes its embedding frame once (`DensityOperator.kmb_frame`).
+that choose a basis still run one at a time over the full length-d^2
+embeddings, because BLAS sums a shorter vector, or a stacked product, in
+another order.  Together this keeps every basis bit-identical to the dense
+matrix algebra in tests/levels_oracle.py.  Each reference state computes
+its embedding frame once (`DensityOperator.kmb_frame`).
+
+Coordinates that choose no basis come stacked: a level's generator
+coordinates are its own Gram-Schmidt R factor, and a sublevel's are one
+product over the nonzero slots; both agree with inner products to rounding.
 """
 
 from __future__ import annotations
@@ -115,30 +120,38 @@ def _center(op: HermitianOperator, sigma: DensityOperator):
 def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
     """Orthonormalize embeddings (with one reorthogonalization pass).
 
-    Returns the kept input indices, the orthonormal frame of embeddings
-    and, when the operators behind the embeddings are given, the basis
-    operators: each is its input minus the same projections, scaled to
-    unit norm.  When every input is diagonal the operators stay diagonal
-    vectors.  Their scale is ``m * (1.0 / norm)`` because that is how numpy
-    divides a complex matrix by a real scalar, so the diagonal path has the
-    same bits as the dense one.
+    Returns the kept input indices, the orthonormal frame of embeddings,
+    the basis operators when the operators behind the embeddings are given,
+    and the upper-triangular R with embeds[kept[p]] = sum_b R[b, p] frame[b]:
+    both passes' projections above the diagonal, the norms on it.
 
-    The updates write only the embedding entries ``slots`` picks (see
-    `_slots`), through one reused buffer.  That is bit-identical to the
-    full-length update: every other entry is +0.0 in every input and would
-    stay +0.0 anyway, since 0 - c*0 is +0.0 for finite c, and an elementwise
-    ufunc gives each entry the same bits whatever the stride.  The inner
-    products still run over the full length-d^2 vectors, because BLAS sums
-    a compact vector in another order, and that would rotate the basis
-    `intersection` chooses.
+    Each basis operator is its input minus the same projections, scaled to
+    unit norm.  Each pass replays them as one stacked product and
+    ``np.subtract.reduce``, which subtracts left to right with the bits of
+    the loop ``m -= c * b``.  Diagonal inputs stay diagonal vectors, scaled
+    as ``m * (1.0 / norm)``: that is how numpy divides a complex matrix by
+    a real scalar, so both paths have the same bits.
+
+    The embedding updates write only the ``slots`` entries (see `_slots`)
+    through one reused buffer: every other entry is +0.0 in every input and
+    stays +0.0 (0 - c*0 is +0.0 for finite c), and an elementwise ufunc gives
+    each entry the same bits whatever the stride.  The inner products run
+    one at a time over the full length-d^2 vectors, because BLAS sums a
+    compact vector or a stacked product in another order, and that would
+    rotate the basis `intersection` chooses.
     """
     diagonal = ops is not None and all(op.diagonal is not None for op in ops)
     basis_ops: list[HermitianOperator] = []
     basis_z: list[np.ndarray] = []
     basis_s: list[np.ndarray] = []
     kept: list[int] = []
+    r = np.zeros((len(embeds), len(embeds)))
     buf = np.empty_like(embeds[0][slots]) if embeds else None
-    rbuf = np.empty(ops[0].dim) if diagonal and ops else None
+    if ops:
+        # rows: the basis so far; work: an operator, then its projections
+        shape, dtype = ((ops[0].dim,), float) if diagonal else ((ops[0].dim,) * 2, complex)
+        rows = np.empty((len(ops), *shape), dtype)
+        work = np.empty((2 * len(ops) + 1, *shape), dtype)
     for idx, z in enumerate(embeds):
         orig = np.sqrt(max(np.vdot(z, z).real, 0.0))
         if orig == 0.0:
@@ -155,25 +168,25 @@ def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
         norm = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
         if norm < drop_tol * orig:
             continue
+        n = len(basis_z)
+        coeffs = np.array(coeffs).reshape(2, n)
         if ops is not None:
-            # replay the projections on the operator, in the same order
-            projections = zip(coeffs, basis_ops * 2)
-            if diagonal:
-                m = ops[idx].diagonal.copy()
-                for c, bop in projections:
-                    np.multiply(bop.diagonal, c, out=rbuf)
-                    m -= rbuf
-                basis_ops.append(HermitianOperator.from_diagonal(m * (1.0 / norm)))
-            else:
-                m = ops[idx].matrix.copy()
-                for c, bop in projections:
-                    m -= c * bop.matrix
-                basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
+            m = ops[idx].diagonal if diagonal else ops[idx].matrix
+            if n:
+                work[0] = m
+                np.multiply(coeffs.reshape(2, n, *(1,) * len(shape)), rows[:n],
+                            out=work[1:2 * n + 1].reshape(2, n, *shape))
+                m = np.subtract.reduce(work[:2 * n + 1], axis=0)
+            op = (HermitianOperator.from_diagonal(m * (1.0 / norm)) if diagonal
+                  else HermitianOperator.from_matrix(m / norm, atol=1e-9))
+            basis_ops.append(op)
+            rows[n] = op.diagonal if diagonal else op.matrix
         zs /= norm
         basis_z.append(zz)
         basis_s.append(zs)
         kept.append(idx)
-    return kept, basis_z, basis_ops
+        r[:n, n], r[n, n] = coeffs[0] + coeffs[1], norm
+    return kept, basis_z, basis_ops, r[:len(kept), :len(kept)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,11 +274,11 @@ def make_level(generators, sigma: DensityOperator, *,
     embed = _embedding(sigma)
     centered_ops = [c for _, c in centered]
     embeds = [embed(c) for c in centered_ops]
-    kept, basis_z, basis_ops = _gram_schmidt(embeds, centered_ops,
-                                             _slots(sigma, centered_ops))
+    kept, _, basis_ops, r = _gram_schmidt(embeds, centered_ops,
+                                          _slots(sigma, centered_ops))
 
     offsets = np.array([centered[i][0] for i in kept], dtype=float)
-    coeffs = _frame_dots(basis_z, [embeds[i] for i in kept])
+    coeffs = np.ascontiguousarray(r.T)
     offsets.setflags(write=False)
     coeffs.setflags(write=False)
     return LevelOfDescription(
@@ -293,25 +306,24 @@ def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
 
 def _frame_dots(frame, zs) -> np.ndarray:
     """Re <f, z> for every embedding z (rows) and frame vector f (columns),
-    each a full-length vdot."""
+    each a full-length vdot: `intersection` picks its shared basis from
+    these, and a stacked product would round them differently."""
     dots = np.array([[np.vdot(fz, z).real for fz in frame] for z in zs])
     return dots.reshape(len(zs), len(frame))
 
 
-def _frame_coords(frame, z: np.ndarray,
-                  slots=slice(None)) -> tuple[np.ndarray, float]:
-    """Coefficients of z along an orthonormal frame of embeddings, one
-    projection at a time, and the norm of the residual left over.  The
-    updates write only the ``slots`` entries, as in `_gram_schmidt`."""
-    coeffs = np.zeros(len(frame))
-    z = z.copy()
-    zs = z[slots]
-    buf = np.empty_like(zs)
-    for b, fz in enumerate(frame):
-        coeffs[b] = np.vdot(fz, z).real
-        np.multiply(fz[slots], coeffs[b], out=buf)
-        zs -= buf
-    return coeffs, float(np.sqrt(max(np.vdot(z, z).real, 0.0)))
+def _frame_coords(level: LevelOfDescription, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients Re <B, X> of each operator X along the level's basis
+    B, as one stacked product, and the norm of what each X leaves over.
+    The stacks hold only the embedding entries that can be nonzero
+    (`_slots`)."""
+    slots = _slots(level.sigma, [*level.basis, *ops])
+    embed = _embedding(level.sigma)
+    row = np.dtype((complex, len(range(level.dim_hilbert ** 2)[slots])))
+    frame, zs = (np.fromiter((embed(op)[slots] for op in group), row, len(group))
+                 for group in (level.basis, ops))
+    coeffs = (zs @ frame.conj().T).real
+    return coeffs, np.linalg.norm(zs - coeffs @ frame, axis=1)
 
 
 def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
@@ -319,11 +331,7 @@ def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
     _require_same_context(sub, sup)
     if sub is sup or sub.is_trivial:
         return True
-    embed = _embedding(sup.sigma)
-    sup_z = [embed(b) for b in sup.basis]
-    slots = _slots(sup.sigma, [*sup.basis, *sub.basis])
-    return all(_frame_coords(sup_z, embed(b), slots)[1] <= SUBLEVEL_TOL
-               for b in sub.basis)
+    return bool(np.all(_frame_coords(sup, sub.basis)[1] <= SUBLEVEL_TOL))
 
 
 def _op_label(a: LevelOfDescription, b: LevelOfDescription, sep: str) -> str:
@@ -371,8 +379,8 @@ def complement(sub: LevelOfDescription,
     sigma = ambient.sigma
     embed = _embedding(sigma)
     ordered = list(sub.basis) + list(ambient.basis)
-    kept, _, basis_ops = _gram_schmidt([embed(op) for op in ordered], ordered,
-                                       _slots(sigma, ordered))
+    kept, _, basis_ops, _ = _gram_schmidt([embed(op) for op in ordered], ordered,
+                                          _slots(sigma, ordered))
     comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub.basis)]
     return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))
 
@@ -381,15 +389,10 @@ def _sublevel_decomposition(level: LevelOfDescription,
                             sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
     frame of ``level``.  Requires sub to be contained in ``level``."""
-    embed = _embedding(level.sigma)
-    frame = [embed(b) for b in level.basis]
-    slots = _slots(level.sigma, [*level.basis, *sub.basis])
-    offsets = np.zeros(len(sub.basis))
-    coeffs = np.zeros((len(sub.basis), len(frame)))
-    for j, op in enumerate(sub.basis):
-        offsets[j], centered = _center(op, level.sigma)
-        coeffs[j], resid = _frame_coords(frame, embed(centered), slots)
-        if resid > SUBLEVEL_TOL:
-            raise ValidationError(
-                "level is not contained in the measured level of the data")
+    centered = [_center(op, level.sigma) for op in sub.basis]
+    offsets = np.array([c for c, _ in centered], dtype=float)
+    coeffs, resid = _frame_coords(level, [op for _, op in centered])
+    if np.any(resid > SUBLEVEL_TOL):
+        raise ValidationError(
+            "level is not contained in the measured level of the data")
     return offsets, coeffs

@@ -16,7 +16,6 @@ from gibbsfit.levels import (
     LevelOfDescription,
     _center,
     _coerce_operator,
-    _frame_coords,
     _op_label,
 )
 from gibbsfit.state_space import HermitianOperator, _kmb_weights
@@ -53,6 +52,17 @@ def dense_gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
     return basis_ops, basis_z, kept
 
 
+def frame_coords(frame, z):
+    """Coefficients of z along an orthonormal frame, one projection at a
+    time, and the norm of the residual."""
+    coeffs = np.zeros(len(frame))
+    z = z.copy()
+    for b, fz in enumerate(frame):
+        coeffs[b] = float(np.real(np.vdot(fz, z)))
+        z -= coeffs[b] * fz
+    return coeffs, float(np.sqrt(max(np.real(np.vdot(z, z)), 0.0)))
+
+
 def make_level(generators, sigma, *, label=""):
     ops = [_coerce_operator(g) for g in generators]
     centered = [_center(op, sigma) for op in ops]
@@ -76,7 +86,7 @@ def is_sublevel(sub, sup):
         return True
     embed = dense_embedding(sup.sigma)
     sup_z = [embed(b) for b in sup.basis]
-    return all(_frame_coords(sup_z, embed(b))[1] <= SUBLEVEL_TOL for b in sub.basis)
+    return all(frame_coords(sup_z, embed(b))[1] <= SUBLEVEL_TOL for b in sub.basis)
 
 
 def intersection(a, b):

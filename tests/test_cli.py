@@ -158,6 +158,28 @@ class TestNonFiniteOption:
         assert "gibbsfit: error:" in err and name in err
 
 
+class TestMalformedClassicalTable:
+    # a table the loader cannot read unambiguously is a data error naming
+    # its file, not a traceback or a silently chosen row
+    def test_counts_header_without_count_column(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("outcome\n1\n2\n3\n")
+        assert run(["significance", "--data", str(counts)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and str(counts) in err
+
+    def test_observables_duplicate_outcome(self, tmp_path, capsys):
+        obs = tmp_path / "observables.csv"
+        rows = Path(WOLF_OBS).read_text().splitlines()
+        obs.write_text("\n".join([*rows, "6,2.5,9.0"]) + "\n")
+        assert "6,2.5,1" in rows
+        argv = ["project", "--data", WOLF_COUNTS, "--observables", str(obs),
+                "--level", "G1,G2"]
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and str(obs) in err and "'6'" in err
+
+
 class TestMalformedQuantumFile:
     # a value of the wrong JSON type is refused at load, naming its field
     @pytest.mark.parametrize("edit, field", [

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+
+import gibbsfit.gibbs
+import gibbsfit.inference
 from hypothesis import given, strategies as st
 from scipy import stats
 
 from gibbsfit.errors import EvidenceNotApplicableError, ValidationError
-from gibbsfit.gibbs import gibbs_state, project, project_state
+from gibbsfit.gibbs import gibbs_state, project, project_state, quadratic_form
 from gibbsfit.inference import (
     DETAIL_MIN_DOF,
     EntropicPrior,
@@ -387,6 +390,46 @@ class TestLevelSignificance:
         foreign = make_level([random_diagonal(rng, 6)], other)
         with pytest.raises(ValidationError, match="reference"):
             level_significance(data, foreign)
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Every gibbs.project call, whether made directly or by project_state."""
+    calls = []
+
+    def counting(level, targets):
+        calls.append(level)
+        return project(level, targets)
+
+    monkeypatch.setattr(gibbsfit.gibbs, "project", counting)
+    monkeypatch.setattr(gibbsfit.inference, "project", counting)
+    return calls
+
+
+class TestNoSelfProjection:
+    # a state already on a manifold is its own projection there: its
+    # moments give the metric, with no Newton solve
+    def test_quadratic_significance_projects_once(self, rng, project_calls):
+        sigma, full, sub = _classical_setup(rng)
+        counts = rng.integers(1000, 5000, size=6).astype(float)
+        data = ExperimentData.from_counts(counts, full)
+        bare = ExperimentData(level=full, means=data.means, n=data.n)
+        rep = level_significance(bare, sub)
+        assert rep.kind == "quadratic" and len(project_calls) == 1
+        fit = project(sub, bare.means_for(sub))
+        frame_fit = project_state(full, fit.state)
+        want = bare.n * quadratic_form(frame_fit, bare.basis_means() - frame_fit.g)
+        assert rep.statistic == pytest.approx(want, rel=1e-8)
+
+    def test_compare_levels_projects_twice(self, rng, project_calls):
+        sigma, full, sub = _classical_setup(rng)
+        counts = rng.integers(1000, 5000, size=6).astype(float)
+        data = ExperimentData.from_counts(counts, full)
+        rep = compare_levels(sub, full, data, alpha=None)
+        assert len(project_calls) == 2
+        on_fine = project_state(full, rep.coarse_model.state)
+        want = data.n * quadratic_form(on_fine, rep.fine_model.g - on_fine.g)
+        assert rep.chi2_gain == pytest.approx(want, rel=1e-8)
 
 
 class TestVerdicts:

@@ -49,6 +49,26 @@ class TestMakeLevel:
                 rebuilt = rebuilt + lvl.gen_coeffs[a, b] * basis_op.matrix
             assert np.allclose(rebuilt, lvl.generators[a].matrix, atol=1e-9)
 
+    @given(dim=st.sampled_from([2, 3, 5]),
+           reference=st.sampled_from(["classical", "quantum"]),
+           dense=st.booleans(), data=st.data())
+    def test_gen_coeffs_rebuild_generators(self, dim, reference, dense, data):
+        # G_a - offset_a = sum_b T[a, b] B_b in the embedding, T lower
+        # triangular with a positive diagonal
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = random_density(rng, dim, kind=reference)
+        k = data.draw(st.integers(1, dim * dim - 1 if dense else dim - 1), label="k")
+        draw = random_hermitian if dense else random_diagonal
+        lvl = make_level([draw(rng, dim) for _ in range(k)], sigma)
+        embed = gibbsfit.levels._embedding(sigma)
+        basis = np.array([embed(op) for op in lvl.basis])
+        t = lvl.gen_coeffs
+        assert np.all(np.diag(t) > 0) and np.all(np.triu(t, 1) == 0.0)
+        for a, i in enumerate(lvl.retained):
+            want = embed(gibbsfit.levels._center(lvl.generators[i], sigma)[1])
+            assert lvl.gen_offsets[a] == expectation(sigma, lvl.generators[i])
+            assert np.linalg.norm(t[a] @ basis - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_dependent_generators_dropped(self, rng):
         sigma = random_density(rng, 4, kind="classical")
         a = random_diagonal(rng, 4)
@@ -246,7 +266,7 @@ class TestSlotUpdates:
         slots = gibbsfit.levels._slots(sigma, ops)
         assert slots != slice(None)
         embed = gibbsfit.levels._embedding(sigma)
-        return [embed(op) for op in ops], ops, slots
+        return [embed(op) for op in ops], ops, slots, sigma
 
     @staticmethod
     def _traced(call):
@@ -262,19 +282,21 @@ class TestSlotUpdates:
         return result, peak - base, current - base
 
     def test_gram_schmidt_allocates_only_its_frame(self, diagonal_inputs):
-        embeds, ops, slots = diagonal_inputs
-        (_, frame, _), peak, retained = self._traced(
+        embeds, ops, slots, _ = diagonal_inputs
+        (_, frame, basis, r), peak, retained = self._traced(
             lambda: gibbsfit.levels._gram_schmidt(embeds, ops, slots))
-        assert len(frame) == len(ops)
+        assert len(frame) == len(basis) == len(ops)
+        assert r.shape == (len(ops), len(ops))
         # no length-d^2 temporary on top of the frame it returns
         assert peak - retained < self.D * self.D * self.ENTRY / 2
 
     def test_frame_coords_allocates_one_working_copy(self, diagonal_inputs):
-        embeds, _, slots = diagonal_inputs
-        frame = gibbsfit.levels._gram_schmidt(embeds[1:], slots=slots)[1]
+        _, ops, _, sigma = diagonal_inputs
+        level = make_level(ops[1:], sigma)
         (_, resid), peak, _ = self._traced(
-            lambda: gibbsfit.levels._frame_coords(frame, embeds[0], slots))
-        assert resid > 0
+            lambda: gibbsfit.levels._frame_coords(level, ops[:1]))
+        assert resid.shape == (1,) and resid[0] > 0
+        # one length-d^2 embedding at a time; the stacks keep d entries a row
         assert peak < 1.5 * self.D * self.D * self.ENTRY
 
     @pytest.mark.parametrize("kind", ["classical", "quantum"])
@@ -298,10 +320,17 @@ class TestSlotUpdates:
 
 
 def _assert_same_level(new, old):
-    """Bit-for-bit equality of everything a level computes."""
+    """Bit-for-bit equality of the retained generators, their offsets and
+    every basis operator.  gen_coeffs is the R factor of Gram-Schmidt in
+    the package and a vdot against the finished basis in the oracle, so
+    it agrees to rounding, with exact zeros above the diagonal."""
     assert new.retained == old.retained
     assert np.array_equal(new.gen_offsets, old.gen_offsets)
-    assert np.array_equal(new.gen_coeffs, old.gen_coeffs)
+    assert new.gen_coeffs.shape == old.gen_coeffs.shape
+    if old.gen_coeffs.size:
+        scale = np.max(np.abs(old.gen_coeffs))
+        assert np.max(np.abs(new.gen_coeffs - old.gen_coeffs)) <= 1e-12 * scale
+    assert np.all(np.triu(new.gen_coeffs, 1) == 0.0)
     assert len(new.basis) == len(old.basis)
     for x, y in zip(new.basis, old.basis):
         assert (x.diagonal is None) == (y.diagonal is None)

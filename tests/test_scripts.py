@@ -41,10 +41,17 @@ def test_run_demos_wolf_json():
 
 
 @pytest.fixture(scope="module")
-def data_digest():
-    proc = _run_script("result_digest.py", "--only", "data")
+def data_run(tmp_path_factory):
+    """The digest lines and the --values file of the data commands."""
+    values = tmp_path_factory.mktemp("digest") / "values.json"
+    proc = _run_script("result_digest.py", "--only", "data", "--values", str(values))
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.stdout, json.loads(values.read_text())
+
+
+@pytest.fixture(scope="module")
+def data_digest(data_run):
+    return data_run[0]
 
 
 def test_result_digest_on_data(data_digest):
@@ -75,6 +82,36 @@ def test_result_digest_against(data_digest, tmp_path):
     assert proc.returncode == 1
     assert [ln for ln in proc.stdout.splitlines() if ln.startswith("differs:")] == [
         f"differs: {label}"]
+
+
+def test_result_digest_values(data_run, tmp_path):
+    digest, values = data_run
+    labels = [line.split(" ", 2)[2] for line in digest.splitlines()]
+    assert list(values) == labels
+    assert all(v["exit"] == 0 and isinstance(v["result"], dict) for v in values.values())
+    saved = tmp_path / "values.json"
+    saved.write_text(json.dumps(values))
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "differs:" not in proc.stdout
+
+    # one number moved by 1e-9 relative, one verdict changed
+    moved, flipped = labels[3], labels[9]
+    values[moved]["result"]["comparison"]["chi2_gain"] *= 1.0 + 1e-9
+    comparison = values[flipped]["result"]["comparison"]
+    comparison["verdict"] = "Refine" if comparison["verdict"] == "Inconclusive" else "Inconclusive"
+    saved.write_text(json.dumps(values))
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.returncode == 1
+    differ = [ln for ln in proc.stdout.splitlines() if ln.startswith("differs:")]
+    assert len(differ) == 2
+    head, rel = differ[0].rsplit(": largest relative difference ", 1)
+    assert head == f"differs: {moved}"
+    size, field = rel.split(" at ")
+    assert float(size) == pytest.approx(1e-9, rel=1e-3)
+    assert field == "result.comparison.chi2_gain"
+    assert differ[1] == (f"differs: {flipped}: largest relative difference inf "
+                         "at result.comparison.verdict")
 
 
 def test_readme_library_block_runs(monkeypatch, capsys):
