@@ -49,6 +49,12 @@ QUBIT = ["--data", "data/qubit_tilt3.json"]
 # qubit_tilt3 without Y's sample mean: the heisenberg prior keeps an
 # unmeasured direction, so the report carries a complement block
 QUBIT_PARTIAL = ["--data", "data/qubit_partial.json"]
+# edges of the classical domain: a reference with four weights below the
+# eigenvalue floor, and a zero count
+EDGES = [["--data", "data/floored_reference.csv"], ["--data", "data/zero_count.csv"]]
+EDGE_RUNS = [["significance"], ["project", "--level", "full"],
+             ["estimate", "--level", "full", "--alpha", "50"],
+             ["compare", "--coarse", "O", "--fine", "full", "--alpha", "50"]]
 
 DATA_COMMANDS = [
     ["significance", *WOLF],
@@ -74,6 +80,7 @@ DATA_COMMANDS = [
     ["compare", *QUBIT, "--coarse", "O", "--fine", "ising"],
     ["compare", *QUBIT, "--coarse", "ising", "--fine", "full"],
     ["estimate", *QUBIT_PARTIAL, "--level", "heisenberg", "--alpha", "50"],
+    *([cmd, *edge, *rest] for edge in EDGES for cmd, *rest in EDGE_RUNS),
 ]
 
 DEMO_COMMANDS = [["demo", "wolf"], ["demo", "qubit"], ["demo", "thermal"],

@@ -96,8 +96,9 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
 
     The reference state is uniform unless a reference_weight column gives
     relative weights (normalized here).  The measured level is the full
-    outcome-indicator span at that reference; named observable columns
-    become diagonal Hermitians available for building coarser levels.
+    outcome-indicator span at that reference, whose frame is computed only
+    when a command reads it; named observable columns become diagonal
+    Hermitians available for building coarser levels.
     """
     header, body = _read_csv(counts_path)
     if header[:2] != ["outcome", "count"]:

@@ -205,16 +205,29 @@ class ExperimentData:
 
     ``means`` follow the generator order of ``level``; ``counts`` optionally
     keeps the raw classical histogram behind them (then n must equal its
-    total and the means must match it).  n = 0 encodes "no data yet", which
-    the posterior maps to the bare prior.
+    total, and the means must match it or be None to take them from it).
+    ``empirical`` is the frequency state of the counts, built once here.
+    n = 0 encodes "no data yet", which the posterior maps to the bare prior.
     """
 
     level: LevelOfDescription
-    means: np.ndarray
+    means: np.ndarray | None
     n: float
     counts: np.ndarray | None = None
+    empirical: DensityOperator | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        if self.counts is not None:
+            c = np.asarray(self.counts, dtype=float)
+            if c.ndim != 1 or np.any(c < 0):
+                raise ValidationError("counts must be a nonnegative 1-d array")
+            object.__setattr__(self, "counts", c)
+            freq = DensityOperator.classical(c / c.sum())
+            object.__setattr__(self, "empirical", freq)
+            gens = [self.level.generators[i] for i in self.level.retained]
+            recomputed = np.array([expectation(freq, g) for g in gens])
+            if self.means is None:
+                object.__setattr__(self, "means", recomputed)
         m = np.asarray(self.means, dtype=float).reshape(-1)
         object.__setattr__(self, "means", m)
         if m.size != len(self.level.retained):
@@ -226,15 +239,8 @@ class ExperimentData:
             raise ValidationError(
                 f"sample size n must be finite and nonnegative, got {self.n!r}")
         if self.counts is not None:
-            c = np.asarray(self.counts, dtype=float)
-            if c.ndim != 1 or np.any(c < 0):
-                raise ValidationError("counts must be a nonnegative 1-d array")
             if abs(c.sum() - self.n) > 1e-6 * max(1.0, self.n):
                 raise ValidationError(f"counts sum to {c.sum()!r} but n = {self.n!r}")
-            object.__setattr__(self, "counts", c)
-            freq = DensityOperator.classical(c / c.sum())
-            gens = [self.level.generators[i] for i in self.level.retained]
-            recomputed = np.array([expectation(freq, g) for g in gens])
             if np.max(np.abs(recomputed - m)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
                 raise ValidationError("stored means do not match the raw counts")
 
@@ -244,17 +250,7 @@ class ExperimentData:
         n = float(c.sum())
         if n <= 0:
             raise ValidationError("counts must have a positive total")
-        freq = DensityOperator.classical(c / n)
-        gens = [level.generators[i] for i in level.retained]
-        m = np.array([expectation(freq, g) for g in gens])
-        return cls(level=level, means=m, n=n, counts=c)
-
-    @property
-    def empirical(self) -> DensityOperator | None:
-        """The raw frequency distribution, when counts are available."""
-        if self.counts is None:
-            return None
-        return DensityOperator.classical(self.counts / self.counts.sum())
+        return cls(level=level, means=None, n=n, counts=c)
 
     def basis_means(self) -> np.ndarray:
         """Sample means in the level's orthonormal basis coordinates."""

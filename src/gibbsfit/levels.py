@@ -9,6 +9,8 @@ cannot silently be reused at another.
 All span arithmetic runs in a Euclidean embedding of operator space (which
 `make_level` and `intersection` compute once per operator); it keeps
 Gram-Schmidt, sublevel tests and principal-angle detection numerically solid.
+The classical outcome level orthonormalizes only on the first read of its
+basis, so a command that needs only its dimension never does.
 
 Diagonal operators stay diagonal.  At a classical reference a diagonal
 operator's embedding is written straight onto its diagonal slots, and when
@@ -189,6 +191,24 @@ def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
     return kept, basis_z, basis_ops, r[:len(kept), :len(kept)]
 
 
+def _orthonormalize(ops, sigma: DensityOperator) -> tuple[tuple[int, ...], dict]:
+    """Center the operators at sigma, embed them and run Gram-Schmidt: the
+    kept input indices and the frame of `LevelOfDescription`."""
+    centered = [_center(op, sigma) for op in ops]
+    embed = _embedding(sigma)
+    centered_ops = [c for _, c in centered]
+    embeds = [embed(c) for c in centered_ops]
+    kept, _, basis_ops, r = _gram_schmidt(embeds, centered_ops,
+                                          _slots(sigma, centered_ops))
+
+    offsets = np.array([centered[i][0] for i in kept], dtype=float)
+    coeffs = np.ascontiguousarray(r.T)
+    offsets.setflags(write=False)
+    coeffs.setflags(write=False)
+    return tuple(kept), {"basis": tuple(basis_ops), "gen_offsets": offsets,
+                         "gen_coeffs": coeffs}
+
+
 @dataclass(frozen=True, eq=False)
 class LevelOfDescription:
     """Span of {1, G_1, ..., G_m} with a basis orthonormal and centered in
@@ -202,15 +222,30 @@ class LevelOfDescription:
 
     which is how expectation targets in generator coordinates map onto the
     internal basis coordinates.
+
+    ``basis``, ``gen_offsets`` and ``gen_coeffs`` (the frame) come from one
+    Gram-Schmidt pass.  `make_level` runs it at once; `full_classical_level`
+    knows ``retained`` in advance and leaves the pass to the first read of
+    the frame, which raises if the pass keeps other generators.
     """
 
     sigma: DensityOperator
     generators: tuple[HermitianOperator, ...]
-    basis: tuple[HermitianOperator, ...]
     retained: tuple[int, ...]
-    gen_offsets: np.ndarray
-    gen_coeffs: np.ndarray
     label: str = ""
+
+    def _frame(self) -> dict:
+        """Orthonormalize and keep all three frame attributes."""
+        kept, frame = _orthonormalize(self.generators, self.sigma)
+        if kept != self.retained:
+            raise ValidationError(
+                f"Gram-Schmidt keeps generators {kept}, not the level's {self.retained}")
+        vars(self).update(frame)
+        return frame
+
+    basis = cached_property(lambda self: self._frame()["basis"])
+    gen_offsets = cached_property(lambda self: self._frame()["gen_offsets"])
+    gen_coeffs = cached_property(lambda self: self._frame()["gen_coeffs"])
 
     @property
     def dim_hilbert(self) -> int:
@@ -220,15 +255,15 @@ class LevelOfDescription:
     @property
     def dim(self) -> int:
         """Dimension of the span, identity included."""
-        return 1 + len(self.basis)
+        return 1 + len(self.retained)
 
     @property
     def n_params(self) -> int:
-        return len(self.basis)
+        return len(self.retained)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.basis
+        return not self.retained
 
     @property
     def all_diagonal(self) -> bool:
@@ -248,7 +283,10 @@ class LevelOfDescription:
         return self.sigma.same_state(other.sigma)
 
     def with_label(self, label: str) -> "LevelOfDescription":
-        return replace(self, label=label)
+        """The same level relabelled, with whatever it has computed."""
+        new = replace(self, label=label)
+        vars(new).update({k: v for k, v in vars(self).items() if k not in vars(new)})
+        return new
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
@@ -269,22 +307,11 @@ def make_level(generators, sigma: DensityOperator, *,
     ops = [_coerce_operator(g) for g in generators]
     if any(op.dim != d for op in ops):
         raise ValidationError("generator dimension does not match the reference state")
-
-    centered = [_center(op, sigma) for op in ops]
-    embed = _embedding(sigma)
-    centered_ops = [c for _, c in centered]
-    embeds = [embed(c) for c in centered_ops]
-    kept, _, basis_ops, r = _gram_schmidt(embeds, centered_ops,
-                                          _slots(sigma, centered_ops))
-
-    offsets = np.array([centered[i][0] for i in kept], dtype=float)
-    coeffs = np.ascontiguousarray(r.T)
-    offsets.setflags(write=False)
-    coeffs.setflags(write=False)
-    return LevelOfDescription(
-        sigma=sigma, generators=tuple(ops),
-        basis=tuple(basis_ops), retained=tuple(kept),
-        gen_offsets=offsets, gen_coeffs=coeffs, label=label)
+    kept, frame = _orthonormalize(ops, sigma)
+    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
+                               retained=kept, label=label)
+    vars(level).update(frame)
+    return level
 
 
 def trivial_level(sigma: DensityOperator) -> LevelOfDescription:
@@ -293,10 +320,17 @@ def trivial_level(sigma: DensityOperator) -> LevelOfDescription:
 
 
 def full_classical_level(sigma: DensityOperator) -> LevelOfDescription:
-    """Outcome-indicator span of a classical sample space (dim(level) = d)."""
+    """Outcome-indicator span of a classical sample space (dim(level) = d).
+
+    The d indicators sum to the identity, so the first d - 1 span the
+    level and are all retained; the frame is computed on first read.
+    """
+    if not isinstance(sigma, DensityOperator):
+        raise ValidationError("a level needs a reference state")
     eye = np.eye(sigma.dim)
-    gens = [HermitianOperator.from_diagonal(eye[k]) for k in range(sigma.dim)]
-    return make_level(gens, sigma, label="full")
+    gens = tuple(HermitianOperator.from_diagonal(eye[k]) for k in range(sigma.dim - 1))
+    return LevelOfDescription(sigma=sigma, generators=gens,
+                              retained=tuple(range(sigma.dim - 1)), label="full")
 
 
 def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:

@@ -75,10 +75,10 @@ def make_level(generators, sigma, *, label=""):
     for a, i in enumerate(kept):
         for b, bz in enumerate(basis_z):
             coeffs[a, b] = float(np.real(np.vdot(bz, embeds[i])))
-    return LevelOfDescription(
-        sigma=sigma, generators=tuple(ops),
-        basis=tuple(basis_ops), retained=tuple(kept),
-        gen_offsets=offsets, gen_coeffs=coeffs, label=label)
+    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
+                               retained=tuple(kept), label=label)
+    vars(level).update(basis=tuple(basis_ops), gen_offsets=offsets, gen_coeffs=coeffs)
+    return level
 
 
 def is_sublevel(sub, sup):

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gibbsfit.cli
@@ -322,6 +323,62 @@ class TestSignificanceAtZero:
         assert sig["pvalue"] == 1.0
 
 
+def _counts_file(tmp_path, counts, weights=None):
+    """A counts CSV, with a reference_weight column when weights are given."""
+    path = tmp_path / "counts.csv"
+    if weights is None:
+        path.write_text("outcome,count\n" + "".join(
+            f"{k},{c}\n" for k, c in enumerate(counts)))
+    else:
+        path.write_text("outcome,count,reference_weight\n" + "".join(
+            f"{k},{c},{w}\n" for k, (c, w) in enumerate(zip(counts, weights))))
+    return ["--data", str(path)]
+
+
+class TestFlooredReference:
+    # four of five reference weights below the eigenvalue floor: the outcome
+    # level still has d - 1 = 4 parameters, not a fifth spurious direction
+    COUNTS = (10, 20, 15, 30, 5)
+    WEIGHTS = (1, 1e-13, 1e-13, 1e-13, 1e-13)
+
+    def _run(self, tmp_path, capsys, *argv):
+        rc = run([*argv, *_counts_file(tmp_path, self.COUNTS, self.WEIGHTS),
+                  "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_OK, err
+        return _strict_json(out)["result"]
+
+    def test_significance_dof(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, "significance")["significance"]["dof"] == 4
+
+    def test_project_full(self, tmp_path, capsys):
+        fit = self._run(tmp_path, capsys, "project", "--level", "full")["fit"]
+        freq = np.array(self.COUNTS[:4]) / sum(self.COUNTS)
+        assert np.allclose(fit["generator_means"], freq, rtol=1e-12, atol=0.0)
+
+    def test_compare_full(self, tmp_path, capsys):
+        rep = self._run(tmp_path, capsys, "compare", "--coarse", "O", "--fine", "full",
+                        "--alpha", "50")["comparison"]
+        assert rep["extra_params"] == 4
+
+
+class TestClampWarning:
+    # a zero count floors the frequency state once per command, so the
+    # warning prints once
+    @pytest.mark.parametrize("argv", [
+        ["significance"], ["project", "--level", "full"],
+        ["estimate", "--level", "full", "--alpha", "50"],
+        ["compare", "--coarse", "O", "--fine", "full", "--alpha", "50"],
+    ], ids=["significance", "project", "estimate", "compare"])
+    def test_printed_once(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.delenv("GIBBSFIT_LOG", raising=False)
+        assert run([*argv, *_counts_file(tmp_path, (10, 20, 0, 30))]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "clamped" in line] == [
+            "WARNING gibbsfit.state_space: eigenvalues below 1e-12 clamped "
+            "and state renormalized"]
+
+
 class TestLazyLevels:
     def test_only_the_resolved_named_level_is_built(self, monkeypatch, capsys):
         built = []
@@ -336,6 +393,30 @@ class TestLazyLevels:
         assert run(["project", "--data", QUBIT_JSON, "--level", "ising"]) == EXIT_OK
         assert "ising" in built
         assert "heisenberg" not in built
+
+    @pytest.mark.parametrize("argv, frames", [
+        (["significance"], 0),
+        (["significance", "--level", "G1,G2"], 0),
+        (["project", "--level", "G1,G2"], 0),
+        (["estimate"], 1),
+        (["compare", "--coarse", "O", "--fine", "full"], 1),
+    ], ids=["significance", "significance-G1G2", "project", "estimate", "compare"])
+    def test_outcome_level_orthonormalized_on_demand(self, monkeypatch, capsys,
+                                                     argv, frames):
+        # significance and project need only the outcome level's dimension
+        seen = []
+        original = gibbsfit.levels._orthonormalize
+
+        def counting(ops, sigma):
+            seen.append(ops)
+            return original(ops, sigma)
+
+        monkeypatch.setattr(gibbsfit.levels, "_orthonormalize", counting)
+        assert run([*argv, "--data", WOLF_COUNTS, "--observables", WOLF_OBS]) == EXIT_OK
+        eye = np.eye(6)
+        outcome = [ops for ops in seen if len(ops) == 5 and all(
+            np.array_equal(op.diagonal, eye[k]) for k, op in enumerate(ops))]
+        assert len(outcome) == frames
 
 
 class TestEstimate:

@@ -16,6 +16,7 @@ from gibbsfit.levels import (
     trivial_level,
 )
 from gibbsfit.state_space import (
+    DensityOperator,
     HermitianOperator,
     expectation,
     pauli_x,
@@ -143,6 +144,57 @@ class TestLevelQueries:
             is_sublevel(l1, l2)
 
 
+def _assert_identical(a, b):
+    """Bit-for-bit equality of two levels' retained sets and frames."""
+    assert a.retained == b.retained
+    assert np.array_equal(a.gen_offsets, b.gen_offsets)
+    assert np.array_equal(a.gen_coeffs, b.gen_coeffs)
+    assert len(a.basis) == len(b.basis)
+    for x, y in zip(a.basis, b.basis):
+        assert np.array_equal(x.diagonal, y.diagonal)
+
+
+class TestOutcomeLevel:
+    # the outcome level keeps the first d - 1 indicators and orthonormalizes
+    # them on first read, with the bits make_level gives them
+    @given(dim=st.integers(2, 70), one_hot=st.booleans(), data=st.data())
+    def test_lazy_frame(self, dim, one_hot, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if one_hot:
+            w = np.full(dim, 1e-13)
+            w[rng.integers(dim)] = 1.0
+        else:
+            w = 10.0 ** rng.uniform(-30.0, 0.0, dim)
+        sigma = DensityOperator.classical(w / w.sum())
+        full = full_classical_level(sigma)
+        assert full.n_params == dim - 1 and "basis" not in vars(full)
+        eye = np.eye(dim)
+        _assert_identical(full, make_level(eye[:-1], sigma))
+        assert full.retained == tuple(range(dim - 1))
+        # the d-th indicator is the identity minus the others
+        assert is_sublevel(make_level(eye[-1:], sigma), full)
+        # all d indicators, as the level was once built: where Gram-Schmidt
+        # drops the dependent last one, the frame is the same
+        every = make_level(eye, sigma)
+        if every.retained == full.retained:
+            _assert_identical(full, every)
+
+    def test_relabelled_level_keeps_its_frame(self, rng):
+        full = full_classical_level(random_density(rng, 5, kind="classical"))
+        assert "basis" not in vars(full.with_label("F"))
+        basis = full.basis
+        assert full.with_label("F").basis is basis
+
+    def test_frame_must_keep_retained(self, rng):
+        sigma = random_density(rng, 4, kind="classical")
+        lvl = make_level([random_diagonal(rng, 4)], sigma)
+        lazy = gibbsfit.levels.LevelOfDescription(
+            sigma=sigma, generators=(lvl.generators[0],) * 2, retained=(0, 1))
+        assert lazy.n_params == 2
+        with pytest.raises(ValidationError, match="keeps generators"):
+            lazy.gen_coeffs
+
+
 class TestSetOperations:
     def test_union_intersection_dimension_identity(self, rng):
         # dim(A+B) + dim(A&B) = dim A + dim B for generic spans
@@ -234,6 +286,7 @@ class TestEmbeddingCount:
         sigma = random_density(rng, 64, kind="classical")
         full = full_classical_level(sigma)
         small = make_level([random_diagonal(rng, 64) for _ in range(3)], sigma)
+        full.basis  # the outcome level's frame is built on first read
         embedded.clear()
         shared = intersection(full, small)
         assert shared.n_params == 3
@@ -373,7 +426,10 @@ class TestDenseOracle:
     def test_full_classical_level_d64(self, rng):
         sigma = random_density(rng, 64, kind="classical")
         full = full_classical_level(sigma)
+        assert len(full.generators) == 63
         _assert_same_level(full, oracle.make_level(full.generators, sigma))
+        # all 64 indicators: the dependent last one is dropped, nothing moves
+        _assert_same_level(full, oracle.make_level(np.eye(64), sigma))
         small = make_level([random_diagonal(rng, 64) for _ in range(3)], sigma)
         _assert_same_level(intersection(full, small), oracle.intersection(full, small))
 
@@ -393,6 +449,7 @@ class TestLazyDiagonal:
             built.append(self)
             init(self, *args, **kwargs)
 
+        levels[0].basis  # the outcome level's frame is built on first read
         monkeypatch.setattr(HermitianOperator, "__init__", counting)
         shared = intersection(*levels)
         assert shared.n_params == 3
