@@ -18,7 +18,9 @@ A digest shows that a result moved, not by how much.  ``--values FILE``
 also writes every result tree, with its exit code, to FILE as JSON; given
 such a file, ``--against`` prints for each label that differs the largest
 relative difference between the two trees and the field where it occurs,
-and still exits 1 on any difference:
+and still exits 1 on any difference.  Its last line gives the largest of
+those differences over all labels, and the label, so "every result within
+X" reads off one number:
 
     PYTHONPATH=src python3 scripts/result_digest.py --values before.json
     PYTHONPATH=src python3 scripts/result_digest.py --against before.json
@@ -122,18 +124,19 @@ def largest_difference(got, want, path: str = "result") -> tuple[float, str]:
     return max((largest_difference(*pair) for pair in pairs), default=(0.0, ""))
 
 
-def _difference(label: str, run: tuple | None, saved: dict) -> str:
-    """Why a label differs from a --values file: a missing side, its exit
-    code, or the largest relative difference and its field."""
+def _difference(label: str, run: tuple | None, saved: dict) -> tuple[float, str]:
+    """How a label differs from a --values file: the relative size (inf for
+    a missing side or another exit code) and the reason, which names the
+    field of the largest relative difference."""
     if run is None:
-        return "only in the saved file"
+        return math.inf, "only in the saved file"
     if label not in saved:
-        return "only in this run"
+        return math.inf, "only in this run"
     rc, result = run
     if rc != saved[label]["exit"]:
-        return f"exit code {rc}, saved {saved[label]['exit']}"
+        return math.inf, f"exit code {rc}, saved {saved[label]['exit']}"
     rel, where = largest_difference(result, saved[label]["result"])
-    return f"largest relative difference {rel:.3g} at {where}"
+    return rel, f"largest relative difference {rel:.3g} at {where}"
 
 
 def _read_saved(path: Path) -> tuple[dict, dict | None]:
@@ -207,10 +210,18 @@ def main() -> int:
     if saved is None:
         return 0
     differ += saved  # saved lines this run did not produce
+    worst = (0.0, "")
     for label in differ:
-        why = "" if values is None else f": {_difference(label, runs.get(label), values)}"
+        why = ""
+        if values is not None:
+            rel, why = _difference(label, runs.get(label), values)
+            worst = max(worst, (rel, label), key=lambda pair: pair[0])
+            why = f": {why}"
         print(f"differs: {label}{why}")
     print(f"{len(differ)} line(s) differ from {args.against}")
+    if values is not None:
+        where = f" at {worst[1]}" if worst[1] else ""
+        print(f"largest relative difference over all labels: {worst[0]:.3g}{where}")
     return 1 if differ else 0
 
 

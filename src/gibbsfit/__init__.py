@@ -25,7 +25,6 @@ from .gibbs import (
     pauli_level,
     project,
     project_state,
-    quadratic_form,
     thermodynamic_entropy,
     volume_weight,
 )

@@ -12,9 +12,11 @@ matching expectation values is an unconstrained convex solve.  Targets
 and multipliers are in basis coordinates; `_basis_targets` converts means
 of the retained generators.
 
-Off the classical vector path an evaluation works on the level's stacked
-(k, d, d) basis: lam.B is one contraction, and g and the covariance come
-from one pass of the eigenframe kernel state_space._kmb_moments.
+An evaluation reads the level's stacked basis `LevelOfDescription.stack`.
+At a classical reference a (k, d) diagonal stack stays on vectors;
+otherwise lam.B is one contraction, and g and the covariance come from one
+pass of the eigenframe kernel state_space._kmb_moments, which takes the
+(k, d) diagonals as they are.
 
 At the bottom: the spin level of a qubit and Bloch coordinates read off
 its manifold points, which the qubit demo reports.  The closed forms of
@@ -58,7 +60,6 @@ __all__ = [
     "gibbs_state",
     "project",
     "project_state",
-    "quadratic_form",
     "volume_weight",
     "thermodynamic_entropy",
     "BlochVector",
@@ -83,11 +84,6 @@ class GibbsModel:
     state: DensityOperator
     g: np.ndarray
     corr: np.ndarray
-
-    @property
-    def sigma(self) -> DensityOperator:
-        """The reference state, which the level carries."""
-        return self.level.sigma
 
     @property
     def n_params(self) -> int:
@@ -124,15 +120,15 @@ def _log_state(sigma: DensityOperator) -> np.ndarray:
 def _moments(state: DensityOperator,
              level: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """(g, corr) of the level's basis at a state; corr exactly symmetric.
-    Classical states with all-diagonal levels stay on vectors."""
-    if state.is_classical and level.all_diagonal:
+    A classical state and a diagonal stack stay on vectors."""
+    stack = level.stack
+    if state.is_classical and stack.ndim == 2:
         p = state.probs
-        diags = np.array([op.diagonal for op in level.basis]).reshape(level.n_params, p.size)
-        g = diags @ p
-        centered = diags - g[:, None]
+        g = stack @ p
+        centered = stack - g[:, None]
         corr = (centered * p) @ centered.T
     else:
-        g, corr = _kmb_moments(state.eigenvalues, state.eigenvectors, level.basis_stack)
+        g, corr = _kmb_moments(state.eigenvalues, state.eigenvectors, stack)
     return g, 0.5 * (corr + corr.T)
 
 
@@ -148,14 +144,17 @@ def _eval(level: LevelOfDescription,
     the eigenframe kernel on the stacked basis unless all is classical.
     """
     sigma = level.sigma
+    stack = level.stack
     ent_sigma = von_neumann_entropy(sigma)
-    vector = sigma.is_classical and level.all_diagonal
+    vector = sigma.is_classical and stack.ndim == 2
     if vector:
+        # one row at a time: lam @ stack sums in another order
         w = np.log(sigma.probs)
-        for lb, op in zip(lam, level.basis):
-            w = w - lb * op.diagonal
+        for lb, row in zip(lam, stack):
+            w = w - lb * row
     else:
-        a = _log_state(sigma) - np.tensordot(lam, level.basis_stack, axes=1)
+        shift = np.tensordot(lam, stack, axes=1)
+        a = _log_state(sigma) - (np.diag(shift) if stack.ndim == 2 else shift)
         w, v = np.linalg.eigh(a)
     m = float(w.max())
     raw = np.exp(w - m)
@@ -277,15 +276,6 @@ def project_state(level: LevelOfDescription, rho: DensityOperator) -> GibbsModel
             f"state dimension {rho.dim} != level dimension {level.dim_hilbert}")
     t, _ = _moments(rho, level)
     return project(level, t)
-
-
-def quadratic_form(model: GibbsModel, delta) -> float:
-    """delta^t C^{-1} delta in the model's local metric (Cholesky solve)."""
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    if d.size != model.n_params:
-        raise ValidationError(
-            f"expected a deviation of length {model.n_params}, got {d.size}")
-    return _metric_form(model.corr, d)
 
 
 def _metric_form(corr: np.ndarray, d: np.ndarray) -> float:

@@ -31,7 +31,6 @@ from .gibbs import (
     gibbs_state,
     project,
     project_state,
-    quadratic_form,
 )
 from .levels import (
     LevelOfDescription,
@@ -296,11 +295,6 @@ class EntropicPrior:
         if self.alpha is not None:
             _require_positive(self.alpha, "prior weight alpha")
 
-    @property
-    def sigma(self) -> DensityOperator:
-        """The reference state, which the level carries."""
-        return self.level.sigma
-
 
 @dataclass(frozen=True)
 class AlphaEstimate:
@@ -338,9 +332,8 @@ def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
     if data.n <= 0:
         raise EvidenceNotApplicableError("evidence weighting needs data (n > 0)")
     level = data.level
-    base = gibbs_state(level, np.zeros(level.n_params))
-    delta = data.basis_means() - base.g
-    chi2 = float(data.n) * quadratic_form(base, delta)
+    g, corr = _moments(level.sigma, level)
+    chi2 = float(data.n) * _metric_form(corr, data.basis_means() - g)
     _require_finite_statistic(chi2, "the evidence chi2", data.n)
     dof = level.n_params
     deviation_ok = chi2 > dof

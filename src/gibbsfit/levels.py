@@ -1,32 +1,27 @@
 """Levels of description: observable spans and their lattice operations.
 
 A level is the real span of the identity together with a set of Hermitian
-generators.  Internally we keep a basis centered and orthonormalized in the
-canonical-correlation (Kubo-Mori) product at a reference state.  The
-reference travels with the level so results computed at one reference
-cannot silently be reused at another.
+generators.  It holds one basis of that span, centered and orthonormal in
+the canonical-correlation (Kubo-Mori) product at the reference state the
+level carries, as one read-only array `LevelOfDescription.stack`: (k, d)
+real diagonals when every generator is diagonal, else (k, d, d) complex
+matrices.  `LevelOfDescription.basis` reads its rows as operators.
 
-All span arithmetic runs in a Euclidean embedding of operator space (which
-`make_level` and `intersection` compute once per operator); it keeps
-Gram-Schmidt, sublevel tests and principal-angle detection numerically solid.
-The classical outcome level orthonormalizes only on the first read of its
-basis, so a command that needs only its dimension never does.
-
-Diagonal operators stay diagonal.  At a classical reference a diagonal
-operator's embedding is written straight onto its diagonal slots, and when
-every input is diagonal Gram-Schmidt projects the real diagonal vectors,
-so a classical level never builds a d x d matrix.  The projections of such
-embeddings then update only the d slots, through one reused length-d
-buffer: the other entries are +0.0 and would stay +0.0.  The inner products
-that choose a basis still run one at a time over the full length-d^2
+Span arithmetic runs in a Euclidean embedding of operator space, one row
+per stacked operator, computed from each reference's frame
+(`DensityOperator.kmb_frame`).  At a classical reference a diagonal stack
+is written straight onto the diagonal slots, Gram-Schmidt projects its
+real rows, and the embedding updates touch only those d slots, so a
+classical level never builds a d x d matrix.  The inner products that
+choose a basis still run one at a time over the full length-d^2
 embeddings, because BLAS sums a shorter vector, or a stacked product, in
-another order.  Together this keeps every basis bit-identical to the dense
-matrix algebra in tests/levels_oracle.py.  Each reference state computes
-its embedding frame once (`DensityOperator.kmb_frame`).
-
-Coordinates that choose no basis come stacked: a level's generator
-coordinates are its own Gram-Schmidt R factor, and a sublevel's are one
-product over the nonzero slots; both agree with inner products to rounding.
+another order; every basis is bit-identical to the dense matrix algebra in
+tests/levels_oracle.py.  Coordinates that choose no basis come stacked:
+a level's generator coordinates are its Gram-Schmidt R factor, and a
+sublevel's are one product over the nonzero slots.  `complement`
+orthonormalizes in those coordinates, where the metric is Euclidean.
+The classical outcome level orthonormalizes on the first read of its
+frame, so a command that needs only its dimension never does.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ from .errors import ValidationError
 from .state_space import (
     DensityOperator,
     HermitianOperator,
+    _freeze,
     expectation,
 )
 
@@ -74,11 +70,41 @@ def _coerce_operator(obj) -> HermitianOperator:
     return HermitianOperator.from_matrix(arr)
 
 
-def _embedding(sigma: DensityOperator):
-    """Map operators to complex vectors of length d^2 so the
-    canonical-correlation product at sigma becomes Re <u, v> in the
-    Euclidean sense.  `make_level` and `intersection` embed each operator
-    once and reuse the vector.
+def _stack(ops, d: int) -> np.ndarray:
+    """The operators' diagonals as a (k, d) array when every one is
+    diagonal, else their matrices as a (k, d, d) array."""
+    diagonals = [op.diagonal for op in ops]
+    if any(v is None for v in diagonals):
+        return np.array([op.matrix for op in ops], dtype=complex).reshape(-1, d, d)
+    return np.array(diagonals, dtype=float).reshape(-1, d)
+
+
+def _compact(stack: np.ndarray) -> np.ndarray:
+    """A (k, d, d) stack with no off-diagonal entry as its (k, d) real
+    diagonals, the form `HermitianOperator.from_matrix` gives such a
+    matrix; any other stack as it is."""
+    if stack.ndim == 3 and not np.any(stack[:, ~np.eye(stack.shape[1], dtype=bool)]):
+        return np.diagonal(stack, axis1=1, axis2=2).real
+    return stack
+
+
+def _views(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """Operators reading the rows of a read-only stack, unvalidated: the
+    package computed them from validated inputs.  A matrix row with no
+    off-diagonal entry also carries its diagonal, as from_matrix tags it."""
+    if stack.ndim == 2:
+        return tuple(HermitianOperator(diagonal=row) for row in stack)
+    off = ~np.eye(stack.shape[1], dtype=bool)
+    return tuple(HermitianOperator(
+        dense=row, diagonal=None if np.any(row[off]) else _freeze(np.real(np.diag(row))))
+        for row in stack)
+
+
+def _embedding(sigma: DensityOperator, stack: np.ndarray,
+               slots: slice = slice(None)) -> np.ndarray:
+    """The ``slots`` entries (see `_slots`) of the complex length-d^2
+    vectors, one row per stacked operator, in which the canonical-correlation
+    product at sigma becomes Re <u, v> in the Euclidean sense.
 
     When sigma's eigenvectors form an exact permutation (every classical
     reference), V^dag X V only moves a diagonal operator's entries onto the
@@ -87,52 +113,52 @@ def _embedding(sigma: DensityOperator):
     """
     v = sigma.eigenvectors
     vh, sw, perm = sigma.kmb_frame
-    sw_diag = np.diagonal(sw)
     d = sigma.dim
+    if perm is None or stack.ndim == 3:
+        mats = stack if stack.ndim == 3 else stack[:, :, None] * np.eye(d)
+        return (sw * (vh @ mats @ v)).reshape(len(stack), d * d)[:, slots]
+    diag = np.diagonal(sw) * stack[:, perm]
+    if slots.step == d + 1:
+        return diag.astype(complex)
+    z = np.zeros((len(stack), d * d), dtype=complex)
+    z[:, ::d + 1] = diag
+    return z[:, slots]
 
-    def embed(op: HermitianOperator) -> np.ndarray:
-        if perm is None or op.diagonal is None:
-            return (sw * (vh @ op.matrix @ v)).ravel()
-        z = np.zeros(d * d, dtype=complex)
-        z[::d + 1] = sw_diag * op.diagonal[perm]
-        return z
-    return embed
 
-
-def _slots(sigma: DensityOperator, ops) -> slice:
-    """The entries of the embeddings of ops that can be nonzero: the
-    diagonal slots when every op takes `_embedding`'s diagonal fast path,
-    else all of them."""
-    if sigma.kmb_frame.perm is not None and all(op.diagonal is not None for op in ops):
+def _slots(sigma: DensityOperator, *stacks: np.ndarray) -> slice:
+    """The entries of the stacks' embeddings that can be nonzero: the
+    diagonal slots when every stack takes `_embedding`'s diagonal fast
+    path, else all of them."""
+    if sigma.kmb_frame.perm is not None and all(s.ndim == 2 for s in stacks):
         return slice(None, None, sigma.dim + 1)
     return slice(None)
 
 
-def _center(op: HermitianOperator, sigma: DensityOperator):
-    """Split X = c*1 + dX with dX orthogonal to the identity at sigma."""
-    c = expectation(sigma, op)
-    if op.diagonal is not None:
-        centered = HermitianOperator.from_diagonal(op.diagonal - c)
-    else:
-        centered = HermitianOperator.from_matrix(
-            op.matrix - c * np.eye(op.dim), atol=1e-10)
-    return c, centered
+def _split_identity(ops, stack: np.ndarray,
+                    sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Split each stacked X = c*1 + dX with dX orthogonal to the identity
+    at sigma: the offsets c (from the operators) and the stacked dX."""
+    offsets = np.array([expectation(sigma, op) for op in ops], dtype=float)
+    if stack.ndim == 2:
+        return offsets, stack - offsets[:, None]
+    return offsets, stack - offsets[:, None, None] * np.eye(sigma.dim)
 
 
-def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
+def _gram_schmidt(embeds, stack=None, slots=slice(None)):
     """Orthonormalize embeddings (with one reorthogonalization pass).
 
     Returns the kept input indices, the orthonormal frame of embeddings,
-    the basis operators when the operators behind the embeddings are given,
-    and the upper-triangular R with embeds[kept[p]] = sum_b R[b, p] frame[b]:
-    both passes' projections above the diagonal, the norms on it.
+    the basis stack when the stack of operators behind the embeddings is
+    given (else None), and the upper-triangular R with
+    embeds[kept[p]] = sum_b R[b, p] frame[b]: both passes' projections
+    above the diagonal, the norms on it.
 
-    Each basis operator is its input minus the same projections, scaled to
+    Each basis row is its input row minus the same projections, scaled to
     unit norm.  Each pass replays them as one stacked product and
     ``np.subtract.reduce``, which subtracts left to right with the bits of
-    the loop ``m -= c * b``.  Diagonal inputs stay diagonal vectors, scaled
-    as ``m * (1.0 / norm)``: that is how numpy divides a complex matrix by
-    a real scalar, so both paths have the same bits.
+    the loop ``m -= c * b``.  Diagonal rows are scaled as
+    ``m * (1.0 / norm)``: that is how numpy divides a complex matrix by a
+    real scalar, so both forms have the same bits.
 
     The embedding updates write only the ``slots`` entries (see `_slots`)
     through one reused buffer: every other entry is +0.0 in every input and
@@ -142,18 +168,16 @@ def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
     compact vector or a stacked product in another order, and that would
     rotate the basis `intersection` chooses.
     """
-    diagonal = ops is not None and all(op.diagonal is not None for op in ops)
-    basis_ops: list[HermitianOperator] = []
     basis_z: list[np.ndarray] = []
     basis_s: list[np.ndarray] = []
     kept: list[int] = []
     r = np.zeros((len(embeds), len(embeds)))
-    buf = np.empty_like(embeds[0][slots]) if embeds else None
-    if ops:
-        # rows: the basis so far; work: an operator, then its projections
-        shape, dtype = ((ops[0].dim,), float) if diagonal else ((ops[0].dim,) * 2, complex)
-        rows = np.empty((len(ops), *shape), dtype)
-        work = np.empty((2 * len(ops) + 1, *shape), dtype)
+    buf = np.empty_like(embeds[0][slots]) if len(embeds) else None
+    if stack is not None:
+        # rows: the basis so far; work: a row, then its projections
+        shape = stack.shape[1:]
+        rows = np.empty_like(stack)
+        work = np.empty((2 * len(stack) + 1, *shape), stack.dtype)
     for idx, z in enumerate(embeds):
         orig = np.sqrt(max(np.vdot(z, z).real, 0.0))
         if orig == 0.0:
@@ -168,45 +192,37 @@ def _gram_schmidt(embeds, ops=None, slots=slice(None), drop_tol=DROP_TOL):
                 zs -= buf
                 coeffs.append(c)
         norm = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
-        if norm < drop_tol * orig:
+        if norm < DROP_TOL * orig:
             continue
         n = len(basis_z)
         coeffs = np.array(coeffs).reshape(2, n)
-        if ops is not None:
-            m = ops[idx].diagonal if diagonal else ops[idx].matrix
+        if stack is not None:
+            m = stack[idx]
             if n:
                 work[0] = m
                 np.multiply(coeffs.reshape(2, n, *(1,) * len(shape)), rows[:n],
                             out=work[1:2 * n + 1].reshape(2, n, *shape))
                 m = np.subtract.reduce(work[:2 * n + 1], axis=0)
-            op = (HermitianOperator.from_diagonal(m * (1.0 / norm)) if diagonal
-                  else HermitianOperator.from_matrix(m / norm, atol=1e-9))
-            basis_ops.append(op)
-            rows[n] = op.diagonal if diagonal else op.matrix
+            rows[n] = m / norm if len(shape) == 2 else m * (1.0 / norm)
         zs /= norm
         basis_z.append(zz)
         basis_s.append(zs)
         kept.append(idx)
         r[:n, n], r[n, n] = coeffs[0] + coeffs[1], norm
-    return kept, basis_z, basis_ops, r[:len(kept), :len(kept)]
+    basis = None if stack is None else rows[:len(kept)]
+    return kept, basis_z, basis, r[:len(kept), :len(kept)]
 
 
-def _orthonormalize(ops, sigma: DensityOperator) -> tuple[tuple[int, ...], dict]:
-    """Center the operators at sigma, embed them and run Gram-Schmidt: the
-    kept input indices and the frame of `LevelOfDescription`."""
-    centered = [_center(op, sigma) for op in ops]
-    embed = _embedding(sigma)
-    centered_ops = [c for _, c in centered]
-    embeds = [embed(c) for c in centered_ops]
-    kept, _, basis_ops, r = _gram_schmidt(embeds, centered_ops,
-                                          _slots(sigma, centered_ops))
-
-    offsets = np.array([centered[i][0] for i in kept], dtype=float)
-    coeffs = np.ascontiguousarray(r.T)
-    offsets.setflags(write=False)
-    coeffs.setflags(write=False)
-    return tuple(kept), {"basis": tuple(basis_ops), "gen_offsets": offsets,
-                         "gen_coeffs": coeffs}
+def _orthonormalize(ops, stack: np.ndarray,
+                    sigma: DensityOperator) -> tuple[tuple[int, ...], dict]:
+    """Center the stacked operators at sigma, embed them and run
+    Gram-Schmidt: the kept input indices and the frame of
+    `LevelOfDescription`."""
+    offsets, centered = _split_identity(ops, stack, sigma)
+    kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered), centered,
+                                      _slots(sigma, centered))
+    return tuple(kept), {"stack": _freeze(basis), "gen_offsets": _freeze(offsets[kept]),
+                         "gen_coeffs": _freeze(r.T.copy())}
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +239,13 @@ class LevelOfDescription:
     which is how expectation targets in generator coordinates map onto the
     internal basis coordinates.
 
-    ``basis``, ``gen_offsets`` and ``gen_coeffs`` (the frame) come from one
-    Gram-Schmidt pass.  `make_level` runs it at once; `full_classical_level`
-    knows ``retained`` in advance and leaves the pass to the first read of
-    the frame, which raises if the pass keeps other generators.
+    ``stack`` holds the basis, read-only: (k, d) real diagonals when every
+    generator is diagonal, else (k, d, d) complex matrices; ``basis`` holds
+    read-only operator views of its rows.  ``stack``, ``gen_offsets`` and
+    ``gen_coeffs`` (the frame) come from one Gram-Schmidt pass.
+    `make_level` runs it at once; `full_classical_level` knows ``retained``
+    in advance and leaves the pass to the first read of the frame, which
+    raises if the pass keeps other generators.
     """
 
     sigma: DensityOperator
@@ -236,16 +255,18 @@ class LevelOfDescription:
 
     def _frame(self) -> dict:
         """Orthonormalize and keep all three frame attributes."""
-        kept, frame = _orthonormalize(self.generators, self.sigma)
+        stack = _stack(self.generators, self.dim_hilbert)
+        kept, frame = _orthonormalize(self.generators, stack, self.sigma)
         if kept != self.retained:
             raise ValidationError(
                 f"Gram-Schmidt keeps generators {kept}, not the level's {self.retained}")
         vars(self).update(frame)
         return frame
 
-    basis = cached_property(lambda self: self._frame()["basis"])
+    stack = cached_property(lambda self: self._frame()["stack"])
     gen_offsets = cached_property(lambda self: self._frame()["gen_offsets"])
     gen_coeffs = cached_property(lambda self: self._frame()["gen_coeffs"])
+    basis = cached_property(lambda self: _views(self.stack))
 
     @property
     def dim_hilbert(self) -> int:
@@ -265,20 +286,6 @@ class LevelOfDescription:
     def is_trivial(self) -> bool:
         return not self.retained
 
-    @property
-    def all_diagonal(self) -> bool:
-        return all(b.diagonal is not None for b in self.basis)
-
-    @cached_property
-    def basis_stack(self) -> np.ndarray:
-        """Read-only (k, d, d) stack of the basis matrices, built on first
-        use; the classical vector path never builds it."""
-        d = self.dim_hilbert
-        stack = np.array([b.matrix for b in self.basis], dtype=complex)
-        stack = stack.reshape(self.n_params, d, d)
-        stack.setflags(write=False)
-        return stack
-
     def same_context(self, other: "LevelOfDescription") -> bool:
         return self.sigma.same_state(other.sigma)
 
@@ -291,6 +298,20 @@ class LevelOfDescription:
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
         return f"LevelOfDescription(dim={self.dim}, d={self.dim_hilbert}{name})"
+
+
+def _level(stack: np.ndarray, sigma: DensityOperator, label: str,
+           ops=None) -> LevelOfDescription:
+    """The level of the stacked operators ops, orthonormalized at once; a
+    computed stack without ops spans it with views of its rows."""
+    if ops is None:
+        stack = _freeze(_compact(stack))
+        ops = _views(stack)
+    kept, frame = _orthonormalize(ops, stack, sigma)
+    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
+                               retained=kept, label=label)
+    vars(level).update(frame)
+    return level
 
 
 def make_level(generators, sigma: DensityOperator, *,
@@ -307,11 +328,7 @@ def make_level(generators, sigma: DensityOperator, *,
     ops = [_coerce_operator(g) for g in generators]
     if any(op.dim != d for op in ops):
         raise ValidationError("generator dimension does not match the reference state")
-    kept, frame = _orthonormalize(ops, sigma)
-    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
-                               retained=kept, label=label)
-    vars(level).update(frame)
-    return level
+    return _level(_stack(ops, d), sigma, label, ops)
 
 
 def trivial_level(sigma: DensityOperator) -> LevelOfDescription:
@@ -327,8 +344,7 @@ def full_classical_level(sigma: DensityOperator) -> LevelOfDescription:
     """
     if not isinstance(sigma, DensityOperator):
         raise ValidationError("a level needs a reference state")
-    eye = np.eye(sigma.dim)
-    gens = tuple(HermitianOperator.from_diagonal(eye[k]) for k in range(sigma.dim - 1))
+    gens = _views(_freeze(np.eye(sigma.dim)[:-1]))
     return LevelOfDescription(sigma=sigma, generators=gens,
                               retained=tuple(range(sigma.dim - 1)), label="full")
 
@@ -346,16 +362,14 @@ def _frame_dots(frame, zs) -> np.ndarray:
     return dots.reshape(len(zs), len(frame))
 
 
-def _frame_coords(level: LevelOfDescription, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients Re <B, X> of each operator X along the level's basis
-    B, as one stacked product, and the norm of what each X leaves over.
-    The stacks hold only the embedding entries that can be nonzero
+def _frame_coords(level: LevelOfDescription,
+                  stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients Re <B, X> of each stacked operator X along the level's
+    basis B, as one stacked product, and the norm of what each X leaves
+    over.  The embeddings hold only the entries that can be nonzero
     (`_slots`)."""
-    slots = _slots(level.sigma, [*level.basis, *ops])
-    embed = _embedding(level.sigma)
-    row = np.dtype((complex, len(range(level.dim_hilbert ** 2)[slots])))
-    frame, zs = (np.fromiter((embed(op)[slots] for op in group), row, len(group))
-                 for group in (level.basis, ops))
+    slots = _slots(level.sigma, level.stack, stack)
+    frame, zs = (_embedding(level.sigma, s, slots) for s in (level.stack, stack))
     coeffs = (zs @ frame.conj().T).real
     return coeffs, np.linalg.norm(zs - coeffs @ frame, axis=1)
 
@@ -365,11 +379,18 @@ def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
     _require_same_context(sub, sup)
     if sub is sup or sub.is_trivial:
         return True
-    return bool(np.all(_frame_coords(sup, sub.basis)[1] <= SUBLEVEL_TOL))
+    return bool(np.all(_frame_coords(sup, sub.stack)[1] <= SUBLEVEL_TOL))
 
 
 def _op_label(a: LevelOfDescription, b: LevelOfDescription, sep: str) -> str:
     return f"{a.label}{sep}{b.label}" if a.label and b.label else ""
+
+
+def _combine(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The stack of sum_j weights[i, j] * stack[j] for every row i, each a
+    Python sum over the rows: a stacked product would round differently."""
+    rows = [sum(w * row for w, row in zip(ws, stack)) for ws in weights]
+    return np.array(rows).reshape(len(rows), *stack.shape[1:])
 
 
 def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescription:
@@ -382,50 +403,43 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     _require_same_context(a, b)
     if a.is_trivial or b.is_trivial:
         return trivial_level(a.sigma)
-    embed = _embedding(a.sigma)
-    za, zb = [embed(op) for op in a.basis], [embed(op) for op in b.basis]
-    frame = _gram_schmidt(za + zb, slots=_slots(a.sigma, [*a.basis, *b.basis]))[1]
+    sigma = a.sigma
+    za, zb = _embedding(sigma, a.stack), _embedding(sigma, b.stack)
+    frame = _gram_schmidt([*za, *zb], slots=_slots(sigma, a.stack, b.stack))[1]
     ca = _frame_dots(frame, za)
     cb = _frame_dots(frame, zb)
     resid = cb - (cb @ ca.T) @ ca
     u, s, _ = np.linalg.svd(resid, full_matrices=True)
-    diagonal = b.all_diagonal
-    shared = []
-    for l in range(u.shape[1]):
-        sine = s[l] if l < s.size else 0.0
-        if sine < ANGLE_TOL:
-            if diagonal:
-                m = sum(u[j, l] * op.diagonal for j, op in enumerate(b.basis))
-                shared.append(HermitianOperator.from_diagonal(m))
-            else:
-                m = sum(u[j, l] * op.matrix for j, op in enumerate(b.basis))
-                shared.append(HermitianOperator.from_matrix(m, atol=1e-9))
-    return make_level(shared, a.sigma, label=_op_label(a, b, "&"))
+    # s descends; the columns of u past it have sine 0
+    shared = u[:, np.count_nonzero(s >= ANGLE_TOL):].T
+    return _level(_combine(shared, b.stack), sigma, _op_label(a, b, "&"))
 
 
 def complement(sub: LevelOfDescription,
                ambient: LevelOfDescription) -> LevelOfDescription:
     """Orthogonal complement of sub inside ambient, in the canonical
-    correlation geometry at their shared reference: the ambient basis
-    orthonormalized against sub's basis."""
+    correlation geometry at their shared reference.
+
+    Runs in the coordinates of ambient's orthonormal basis, where the
+    metric is Euclidean at any reference: sub's basis vectors, then the
+    unit vectors, are orthonormalized, and the unit vectors' kept residuals
+    are mapped back through ambient's basis.  A dependent direction thus
+    drops at DROP_TOL even where the reference's weights are floored."""
     if not is_sublevel(sub, ambient):
         raise ValidationError("complement requires sub to be contained in ambient")
-    sigma = ambient.sigma
-    embed = _embedding(sigma)
-    ordered = list(sub.basis) + list(ambient.basis)
-    kept, _, basis_ops, _ = _gram_schmidt([embed(op) for op in ordered], ordered,
-                                          _slots(sigma, ordered))
-    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub.basis)]
-    return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))
+    coords = _frame_coords(ambient, sub.stack)[0]
+    kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
+    residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
+    return _level(_combine(residuals, ambient.stack), ambient.sigma,
+                  _op_label(ambient, sub, "-"))
 
 
 def _sublevel_decomposition(level: LevelOfDescription,
                             sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
     frame of ``level``.  Requires sub to be contained in ``level``."""
-    centered = [_center(op, level.sigma) for op in sub.basis]
-    offsets = np.array([c for c, _ in centered], dtype=float)
-    coeffs, resid = _frame_coords(level, [op for _, op in centered])
+    offsets, centered = _split_identity(sub.basis, sub.stack, level.sigma)
+    coeffs, resid = _frame_coords(level, centered)
     if np.any(resid > SUBLEVEL_TOL):
         raise ValidationError(
             "level is not contained in the measured level of the data")

@@ -314,8 +314,10 @@ def _kmb_weights(p: np.ndarray) -> np.ndarray:
 
 def _kmb_moments(p: np.ndarray, v: np.ndarray,
                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means g and canonical-correlation covariance C of a stacked (k, d, d)
-    basis at the state with spectrum p and eigenvectors v (columns).
+    """Means g and canonical-correlation covariance C of a stacked basis at
+    the state with spectrum p and eigenvectors v (columns).  The basis is
+    (k, d, d) matrices or (k, d) diagonals; V^dag diag(b) V is then
+    (V^dag * b) V, so a diagonal basis never builds its matrices.
 
     The Kubo-Mori inner product int_0^1 tr(sigma^nu X sigma^(1-nu) Y) dnu of
     every centered pair at once (Daleckii-Krein form): with B' = V^dag B V
@@ -324,7 +326,8 @@ def _kmb_moments(p: np.ndarray, v: np.ndarray,
     scalar one-pair form in tests/oracles.py is its reference.
     """
     k, d = basis.shape[0], p.size
-    rot = v.conj().T @ basis @ v
+    vh = v.conj().T
+    rot = vh @ basis @ v if basis.ndim == 3 else (vh * basis[:, None, :]) @ v
     diag = np.arange(d)
     g = np.real(rot[:, diag, diag]) @ p
     rot[:, diag, diag] -= g[:, None]

@@ -14,11 +14,17 @@ from gibbsfit.levels import (
     DROP_TOL,
     SUBLEVEL_TOL,
     LevelOfDescription,
-    _center,
     _coerce_operator,
+    _frame_coords,
     _op_label,
 )
-from gibbsfit.state_space import HermitianOperator, _kmb_weights
+from gibbsfit.state_space import HermitianOperator, _kmb_weights, expectation
+
+
+def center(op, sigma):
+    """Split X = c*1 + dX with dX orthogonal to the identity at sigma."""
+    c = expectation(sigma, op)
+    return c, HermitianOperator.from_matrix(op.matrix - c * np.eye(op.dim), atol=1e-10)
 
 
 def dense_embedding(sigma):
@@ -30,23 +36,25 @@ def dense_embedding(sigma):
 
 def dense_gram_schmidt(ops, embeds, drop_tol=DROP_TOL):
     """Orthonormalize with one reorthogonalization pass, projecting each
-    dense matrix alongside its embedding."""
+    dense matrix alongside its embedding when ops is given."""
     basis_ops, basis_z, kept = [], [], []
-    for idx, (op, z) in enumerate(zip(ops, embeds)):
+    for idx, z in enumerate(embeds):
         orig = np.sqrt(max(np.real(np.vdot(z, z)), 0.0))
         if orig == 0.0:
             continue
-        m = op.matrix.copy()
+        m = None if ops is None else ops[idx].matrix.copy()
         zz = z.copy()
         for _ in range(2):
-            for bop, bz in zip(basis_ops, basis_z):
+            for b, bz in enumerate(basis_z):
                 c = float(np.real(np.vdot(bz, zz)))
                 zz -= c * bz
-                m -= c * bop.matrix
+                if m is not None:
+                    m -= c * basis_ops[b].matrix
         norm = np.sqrt(max(np.real(np.vdot(zz, zz)), 0.0))
         if norm < drop_tol * orig:
             continue
-        basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
+        if m is not None:
+            basis_ops.append(HermitianOperator.from_matrix(m / norm, atol=1e-9))
         basis_z.append(zz / norm)
         kept.append(idx)
     return basis_ops, basis_z, kept
@@ -65,7 +73,7 @@ def frame_coords(frame, z):
 
 def make_level(generators, sigma, *, label=""):
     ops = [_coerce_operator(g) for g in generators]
-    centered = [_center(op, sigma) for op in ops]
+    centered = [center(op, sigma) for op in ops]
     embed = dense_embedding(sigma)
     embeds = [embed(c) for _, c in centered]
     basis_ops, basis_z, kept = dense_gram_schmidt([c for _, c in centered], embeds)
@@ -77,7 +85,10 @@ def make_level(generators, sigma, *, label=""):
             coeffs[a, b] = float(np.real(np.vdot(bz, embeds[i])))
     level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
                                retained=tuple(kept), label=label)
-    vars(level).update(basis=tuple(basis_ops), gen_offsets=offsets, gen_coeffs=coeffs)
+    diagonal = all(op.diagonal is not None for op in basis_ops)
+    stack = np.array([op.diagonal if diagonal else op.matrix for op in basis_ops])
+    vars(level).update(stack=stack.reshape(k, *(sigma.dim,) * (1 if diagonal else 2)),
+                       basis=tuple(basis_ops), gen_offsets=offsets, gen_coeffs=coeffs)
     return level
 
 
@@ -114,10 +125,17 @@ def intersection(a, b):
 
 
 def complement(sub, ambient):
+    """Gram-Schmidt in the coordinates of ambient's orthonormal basis: sub's
+    basis vectors, then the unit vectors, whose kept residuals combine
+    ambient's basis matrices.  The coordinates are the package's stacked
+    product, checked here against one-at-a-time dense projections."""
     assert is_sublevel(sub, ambient)
-    sigma = ambient.sigma
-    embed = dense_embedding(sigma)
-    ordered = list(sub.basis) + list(ambient.basis)
-    basis_ops, _, kept = dense_gram_schmidt(ordered, [embed(op) for op in ordered])
-    comp = [op for op, idx in zip(basis_ops, kept) if idx >= len(sub.basis)]
-    return make_level(comp, sigma, label=_op_label(ambient, sub, "-"))
+    coords = _frame_coords(ambient, sub.stack)[0]
+    embed = dense_embedding(ambient.sigma)
+    amb_z = [embed(b) for b in ambient.basis]
+    for row, b in zip(coords, sub.basis):
+        assert np.allclose(row, frame_coords(amb_z, embed(b))[0], rtol=0.0, atol=1e-12)
+    _, frame, kept = dense_gram_schmidt(None, [*coords, *np.eye(ambient.n_params)])
+    comp = [sum(q[j] * b.matrix for j, b in enumerate(ambient.basis))
+            for q, idx in zip(frame, kept) if idx >= len(coords)]
+    return make_level(comp, ambient.sigma, label=_op_label(ambient, sub, "-"))

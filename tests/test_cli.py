@@ -361,6 +361,13 @@ class TestFlooredReference:
                         "--alpha", "50")["comparison"]
         assert rep["extra_params"] == 4
 
+    def test_estimate_full_has_no_unmeasured_block(self, tmp_path, capsys):
+        # the data measure the whole prior level, so nothing is unmeasured
+        post = self._run(tmp_path, capsys, "estimate", "--level", "full",
+                         "--alpha", "50")["posterior"]
+        assert post["measured_dim"] == 5
+        assert "unmeasured_dim" not in post and "cov_unmeasured" not in post
+
 
 class TestClampWarning:
     # a zero count floors the frequency state once per command, so the
@@ -407,9 +414,9 @@ class TestLazyLevels:
         seen = []
         original = gibbsfit.levels._orthonormalize
 
-        def counting(ops, sigma):
+        def counting(ops, stack, sigma):
             seen.append(ops)
-            return original(ops, sigma)
+            return original(ops, stack, sigma)
 
         monkeypatch.setattr(gibbsfit.levels, "_orthonormalize", counting)
         assert run([*argv, "--data", WOLF_COUNTS, "--observables", WOLF_OBS]) == EXIT_OK

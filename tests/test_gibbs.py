@@ -5,13 +5,13 @@ from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
     _basis_targets,
+    _metric_form,
     bloch_metric,
     gibbs_state,
     model_to_bloch,
     pauli_level,
     project,
     project_state,
-    quadratic_form,
     thermodynamic_entropy,
     volume_weight,
 )
@@ -169,13 +169,13 @@ class TestGeometry:
         want = relative_entropy(a.state, b.state)
         assert manifold_relative_entropy(a, b) == pytest.approx(want, abs=1e-10)
 
-    def test_quadratic_form_is_metric_square(self, rng):
+    def test_metric_form_is_metric_square(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         lvl = _random_level(rng, sigma, 2)
         model = gibbs_state(lvl, [0.1, 0.2])
         delta = np.array([0.03, -0.04])
         want = float(delta @ np.linalg.solve(model.corr, delta))
-        assert quadratic_form(model, delta) == pytest.approx(want, rel=1e-12)
+        assert _metric_form(model.corr, delta) == pytest.approx(want, rel=1e-12)
 
     def test_thermodynamic_entropy_equals_von_neumann_at_uniform(self, rng):
         sigma = uniform_state(3)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from gibbsfit.errors import EvidenceNotApplicableError, ValidationError
-from gibbsfit.gibbs import gibbs_state, project, project_state, quadratic_form
+from gibbsfit.gibbs import _metric_form, gibbs_state, project, project_state
 from gibbsfit.inference import (
     DETAIL_MIN_DOF,
     EntropicPrior,
@@ -418,7 +418,7 @@ class TestNoSelfProjection:
         assert rep.kind == "quadratic" and len(project_calls) == 1
         fit = project(sub, bare.means_for(sub))
         frame_fit = project_state(full, fit.state)
-        want = bare.n * quadratic_form(frame_fit, bare.basis_means() - frame_fit.g)
+        want = bare.n * _metric_form(frame_fit.corr, bare.basis_means() - frame_fit.g)
         assert rep.statistic == pytest.approx(want, rel=1e-8)
 
     def test_compare_levels_projects_twice(self, rng, project_calls):
@@ -428,7 +428,7 @@ class TestNoSelfProjection:
         rep = compare_levels(sub, full, data, alpha=None)
         assert len(project_calls) == 2
         on_fine = project_state(full, rep.coarse_model.state)
-        want = data.n * quadratic_form(on_fine, rep.fine_model.g - on_fine.g)
+        want = data.n * _metric_form(on_fine.corr, rep.fine_model.g - on_fine.g)
         assert rep.chi2_gain == pytest.approx(want, rel=1e-8)
 
 

@@ -61,12 +61,12 @@ class TestMakeLevel:
         k = data.draw(st.integers(1, dim * dim - 1 if dense else dim - 1), label="k")
         draw = random_hermitian if dense else random_diagonal
         lvl = make_level([draw(rng, dim) for _ in range(k)], sigma)
-        embed = gibbsfit.levels._embedding(sigma)
+        embed = oracle.dense_embedding(sigma)
         basis = np.array([embed(op) for op in lvl.basis])
         t = lvl.gen_coeffs
         assert np.all(np.diag(t) > 0) and np.all(np.triu(t, 1) == 0.0)
         for a, i in enumerate(lvl.retained):
-            want = embed(gibbsfit.levels._center(lvl.generators[i], sigma)[1])
+            want = embed(oracle.center(lvl.generators[i], sigma)[1])
             assert lvl.gen_offsets[a] == expectation(sigma, lvl.generators[i])
             assert np.linalg.norm(t[a] @ basis - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -237,6 +237,17 @@ class TestSetOperations:
             for sb in sub.basis:
                 assert kmb_inner(sigma, cb, sb) == pytest.approx(0.0, abs=1e-9)
 
+    def test_complement_of_the_whole_level_at_floored_reference(self):
+        # four of five weights below the eigenvalue floor make the metric
+        # ill-conditioned; in the level's own coordinates it is Euclidean,
+        # so the complement of the whole level keeps no direction
+        w = np.array([1.0, 1e-13, 1e-13, 1e-13, 1e-13])
+        full = full_classical_level(DensityOperator.classical(w / w.sum()))
+        shared = intersection(full, full)
+        assert shared.n_params == 4 and is_sublevel(full, shared)
+        assert complement(shared, full).is_trivial
+        assert complement(full, full).is_trivial
+
     def test_complement_requires_containment(self, rng):
         sigma = random_density(rng, 3, kind="classical")
         la = make_level([random_diagonal(rng, 3)], sigma)
@@ -250,30 +261,27 @@ class TestSetOperations:
         amb = make_level([random_hermitian(rng, 4) for _ in range(3)], sigma)
         sub = make_level([amb.generators[0]], sigma)
         calls = []
-        original = gibbsfit.levels.make_level
+        original = gibbsfit.levels._orthonormalize
 
-        def counting(generators, sigma, *, label=""):
-            calls.append(label)
-            return original(generators, sigma, label=label)
+        def counting(ops, stack, sigma):
+            calls.append(stack)
+            return original(ops, stack, sigma)
 
-        monkeypatch.setattr(gibbsfit.levels, "make_level", counting)
+        monkeypatch.setattr(gibbsfit.levels, "_orthonormalize", counting)
         assert complement(sub, amb).n_params == 2
         assert len(calls) == 1
 
 
 @pytest.fixture
 def embedded(monkeypatch):
-    """Operators handed to the canonical-correlation embedding, in order."""
+    """Stacked operators handed to the canonical-correlation embedding, in
+    order, one entry per row."""
     seen = []
     original = gibbsfit.levels._embedding
 
-    def counting(sigma):
-        embed = original(sigma)
-
-        def wrapped(op):
-            seen.append(op)
-            return embed(op)
-        return wrapped
+    def counting(sigma, stack, *args):
+        seen.extend(stack)
+        return original(sigma, stack, *args)
 
     monkeypatch.setattr(gibbsfit.levels, "_embedding", counting)
     return seen
@@ -314,12 +322,11 @@ class TestSlotUpdates:
     @pytest.fixture
     def diagonal_inputs(self, rng):
         sigma = random_density(rng, self.D, kind="classical")
-        ops = [gibbsfit.levels._center(random_diagonal(rng, self.D), sigma)[1]
-               for _ in range(6)]
-        slots = gibbsfit.levels._slots(sigma, ops)
+        raw = rng.normal(size=(6, self.D))
+        stack = raw - (raw @ sigma.probs)[:, None]
+        slots = gibbsfit.levels._slots(sigma, stack)
         assert slots != slice(None)
-        embed = gibbsfit.levels._embedding(sigma)
-        return [embed(op) for op in ops], ops, slots, sigma
+        return gibbsfit.levels._embedding(sigma, stack), stack, slots, sigma
 
     @staticmethod
     def _traced(call):
@@ -335,19 +342,19 @@ class TestSlotUpdates:
         return result, peak - base, current - base
 
     def test_gram_schmidt_allocates_only_its_frame(self, diagonal_inputs):
-        embeds, ops, slots, _ = diagonal_inputs
+        embeds, stack, slots, _ = diagonal_inputs
         (_, frame, basis, r), peak, retained = self._traced(
-            lambda: gibbsfit.levels._gram_schmidt(embeds, ops, slots))
-        assert len(frame) == len(basis) == len(ops)
-        assert r.shape == (len(ops), len(ops))
+            lambda: gibbsfit.levels._gram_schmidt(embeds, stack, slots))
+        assert len(frame) == len(stack) and basis.shape == stack.shape
+        assert r.shape == (len(stack), len(stack))
         # no length-d^2 temporary on top of the frame it returns
         assert peak - retained < self.D * self.D * self.ENTRY / 2
 
     def test_frame_coords_allocates_one_working_copy(self, diagonal_inputs):
-        _, ops, _, sigma = diagonal_inputs
-        level = make_level(ops[1:], sigma)
+        _, stack, _, sigma = diagonal_inputs
+        level = make_level(stack[1:], sigma)
         (_, resid), peak, _ = self._traced(
-            lambda: gibbsfit.levels._frame_coords(level, ops[:1]))
+            lambda: gibbsfit.levels._frame_coords(level, stack[:1]))
         assert resid.shape == (1,) and resid[0] > 0
         # one length-d^2 embedding at a time; the stacks keep d entries a row
         assert peak < 1.5 * self.D * self.D * self.ENTRY

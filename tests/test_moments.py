@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from gibbsfit.gibbs import pauli_level, project, project_state
 from gibbsfit.inference import EntropicPrior, ExperimentData, posterior_estimate
-from gibbsfit.levels import make_level
+from gibbsfit.levels import full_classical_level, intersection, make_level
 from gibbsfit.state_space import (
     KMB_DEGENERATE_TOL,
     DensityOperator,
@@ -89,6 +89,24 @@ class TestKernelOracle:
         state = DensityOperator._from_spectrum(p, q)
         assert_kernel_matches_loop(state, _generators(rng, dim, 4, gen_kind))
 
+    @given(dim=st.sampled_from(DIMS), k=st.integers(0, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_stack_at_quantum_states(self, dim, k, seed):
+        # a (k, d) stack of diagonals gives the moments of its (k, d, d)
+        # matrices without building them
+        rng = np.random.default_rng(seed)
+        state = random_density(rng, dim)
+        ops = _generators(rng, dim, k, "diagonal")
+        diagonals = np.array([op.diagonal for op in ops]).reshape(k, dim)
+        g, c = _kmb_moments(state.eigenvalues, state.eigenvectors, diagonals)
+        matrices = np.array([op.matrix for op in ops]).reshape(k, dim, dim)
+        g_dense, c_dense = _kmb_moments(state.eigenvalues, state.eigenvectors, matrices)
+        g_ref, c_ref = loop_moments(state, ops)
+        tol = 1e-12 * np.linalg.norm(c_ref)
+        for got, want in ((g, g_dense), (c, c_dense), (g, g_ref), (c, c_ref)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= tol
+
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("dim", DIMS)
     def test_empty_and_single_basis(self, rng, dim, k):
@@ -97,21 +115,33 @@ class TestKernelOracle:
 
 
 class TestBasisStack:
+    # a level holds its basis once, as one read-only stack; the basis
+    # operators are views of its rows
     def test_stack_is_the_basis_read_only_and_cached(self, rng):
-        sigma = random_density(rng, 3)
-        lvl = make_level([random_hermitian(rng, 3) for _ in range(3)], sigma)
-        stack = lvl.basis_stack
-        assert stack.shape == (3, 3, 3)
-        assert all(np.array_equal(s, b.matrix) for s, b in zip(stack, lvl.basis))
-        assert not stack.flags.writeable
-        assert lvl.basis_stack is stack
-        assert make_level([], sigma).basis_stack.shape == (0, 3, 3)
+        cases = (("quantum", random_hermitian, (3, 3, 3)),
+                 ("quantum", random_diagonal, (2, 3)),
+                 ("classical", random_diagonal, (2, 3)))
+        for reference, draw, shape in cases:
+            sigma = random_density(rng, 3, kind=reference)
+            lvl = make_level([draw(rng, 3) for _ in range(shape[0])], sigma)
+            stack = lvl.stack
+            assert stack.shape == shape and not stack.flags.writeable
+            assert lvl.stack is stack
+            for row, op in zip(stack, lvl.basis):
+                view = op.diagonal if stack.ndim == 2 else op.matrix
+                assert np.array_equal(row, view) and not view.flags.writeable
+            assert make_level([], sigma).stack.shape == (0, 3)
 
-    def test_classical_path_never_builds_the_stack(self, rng):
+    def test_classical_paths_build_no_matrix(self, rng):
         sigma = random_density(rng, 5, kind="classical")
+        full = full_classical_level(sigma)
         lvl = make_level([random_diagonal(rng, 5) for _ in range(2)], sigma)
         project_state(lvl, random_density(rng, 5, kind="classical"))
-        assert "basis_stack" not in vars(lvl)
+        shared = intersection(full, lvl)
+        assert shared.n_params == 2
+        for level in (full, lvl, shared):
+            assert level.stack.ndim == 2
+            assert not any("matrix" in vars(op) for op in level.basis)
 
 
 def _qubit_z_posterior(alpha):

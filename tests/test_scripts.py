@@ -86,6 +86,7 @@ def test_result_digest_against(data_digest, tmp_path):
 
 def test_result_digest_values(data_run, tmp_path):
     digest, values = data_run
+    values = json.loads(json.dumps(values))  # a copy: the fixture is shared
     labels = [line.split(" ", 2)[2] for line in digest.splitlines()]
     assert list(values) == labels
     assert all(v["exit"] == 0 and isinstance(v["result"], dict) for v in values.values())
@@ -112,6 +113,29 @@ def test_result_digest_values(data_run, tmp_path):
     assert field == "result.comparison.chi2_gain"
     assert differ[1] == (f"differs: {flipped}: largest relative difference inf "
                          "at result.comparison.verdict")
+    assert proc.stdout.splitlines()[-1] == (
+        f"largest relative difference over all labels: inf at {flipped}")
+
+
+def test_result_digest_largest_over_labels(data_run, tmp_path):
+    # the last line reads off the largest difference over all labels
+    digest, values = data_run
+    values = json.loads(json.dumps(values))  # a copy: the fixture is shared
+    labels = [line.split(" ", 2)[2] for line in digest.splitlines()]
+    saved = tmp_path / "values.json"
+    saved.write_text(json.dumps(values))
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.stdout.splitlines()[-1] == "largest relative difference over all labels: 0"
+    small, large = labels[3], labels[9]
+    values[small]["result"]["comparison"]["chi2_gain"] *= 1.0 + 1e-12
+    values[large]["result"]["comparison"]["chi2_gain"] *= 1.0 + 1e-9
+    saved.write_text(json.dumps(values))
+    proc = _run_script("result_digest.py", "--only", "data", "--against", str(saved))
+    assert proc.returncode == 1
+    head, label = proc.stdout.splitlines()[-1].split(" at ", 1)
+    size = head.removeprefix("largest relative difference over all labels: ")
+    assert float(size) == pytest.approx(1e-9, rel=1e-3)
+    assert label == large
 
 
 def test_readme_library_block_runs(monkeypatch, capsys):
