@@ -165,7 +165,9 @@ def thermal_setup():
     sigma = DensityOperator.classical(p0)
     level_f = full_classical_level(sigma)
     level_e = make_level([spacing * ladder], sigma, label="energy")
-    data = ExperimentData.from_counts(n * p1, level_f)
+    # n is THERMAL_N itself, not the float sum of n * p1, which equals it
+    # only as the root's rounding falls
+    data = ExperimentData(level=level_f, means=None, n=n, counts=n * p1)
     return sigma, level_e, level_f, data, spacing, beta0, beta1
 
 

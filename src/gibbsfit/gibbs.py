@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InfeasibleTargetError, NotConvergedError, ValidationError
 from .levels import LevelOfDescription, make_level
@@ -194,6 +193,13 @@ def _basis_targets(level: LevelOfDescription, targets: np.ndarray) -> np.ndarray
     return np.linalg.solve(level.gen_coeffs, targets - level.gen_offsets)
 
 
+def _newton_step(corr: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-corr^{-1} grad by two solves with the triangular Cholesky factor
+    corr = L L^t; np.linalg.LinAlgError if corr is not positive definite."""
+    low = np.linalg.cholesky(corr)
+    return np.linalg.solve(low.T, np.linalg.solve(low, -grad))
+
+
 def project(level: LevelOfDescription, targets) -> GibbsModel:
     """Damped-Newton solve for the manifold point matching expectation targets.
 
@@ -232,7 +238,7 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
                               state=state, g=g, corr=corr)
         grad = t - g
         try:
-            step = cho_solve(cho_factor(corr), -grad)
+            step = _newton_step(corr, grad)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - corr is PD
             raise NotConvergedError(f"covariance factorization failed: {exc}",
                                     last_lambda=lam, residual=resid_inf)
@@ -279,10 +285,13 @@ def project_state(level: LevelOfDescription, rho: DensityOperator) -> GibbsModel
 
 
 def _metric_form(corr: np.ndarray, d: np.ndarray) -> float:
-    """d^t corr^{-1} d by a Cholesky solve; 0 for an empty d."""
+    """d^t corr^{-1} d as |L^{-1} d|^2, with corr = L L^t its Cholesky
+    factor; 0 for an empty d.  A corr that is not positive definite raises
+    np.linalg.LinAlgError."""
     if d.size == 0:
         return 0.0
-    return float(d @ cho_solve(cho_factor(corr), d))
+    y = np.linalg.solve(np.linalg.cholesky(corr), d)
+    return float(y @ y)
 
 
 def volume_weight(model: GibbsModel) -> float:

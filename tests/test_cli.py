@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import gibbsfit.cli
 import gibbsfit.dataio
 import gibbsfit.levels
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
 from gibbsfit.dataio import load_classical, load_quantum
+from gibbsfit.demos import THERMAL_N, thermal_setup
 from gibbsfit.inference import estimate_alpha
 from gibbsfit.report import alpha_summary, load_report
 
@@ -535,6 +537,14 @@ class TestDemos:
         per = doc["result"]["metric_route"]["per_param"]
         assert per == pytest.approx(8.2541, rel=1e-3)
 
+    @pytest.mark.parametrize("nudge", [-3e-15, 0.0, 3e-15, 4e-15])
+    def test_thermal_shot_count_is_exact(self, nudge, monkeypatch):
+        # roots a few ulps apart, where the sum of n * p1 rounds off 12000
+        brentq = scipy.optimize.brentq
+        monkeypatch.setattr(scipy.optimize, "brentq",
+                            lambda *a, **kw: brentq(*a, **kw) * (1.0 + nudge))
+        assert thermal_setup()[3].n == THERMAL_N
+
     def test_thermal_temperature(self, capsys):
         run(["demo", "thermal", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
@@ -543,19 +553,69 @@ class TestDemos:
         assert doc["result"]["evidence"]["t"] == pytest.approx(0.25, abs=1e-12)
 
 
+# Runs in a fresh interpreter: imports the CLI, runs every command on the
+# wolf and qubit data, then the demos, and prints the scipy modules loaded
+# after each stage and the scipy imports that package code itself made.
+STARTUP_SCRIPT = """
+import builtins, contextlib, io, json, sys
+
+direct = set()
+_import = builtins.__import__
+
+
+def tracking_import(name, globals=None, locals=None, fromlist=(), level=0):
+    caller = (globals or {}).get("__name__", "")
+    if level == 0 and name.split(".")[0] == "scipy" and caller.startswith("gibbsfit"):
+        direct.add(caller + ":" + name)
+    return _import(name, globals, locals, fromlist, level)
+
+
+builtins.__import__ = tracking_import
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+from gibbsfit.cli import run
+
+stages = {"import": scipy_modules()}
+for stage, argvs in json.loads(sys.argv[1]):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0, argv
+    stages[stage] = scipy_modules()
+print(json.dumps({"stages": stages, "direct": sorted(direct)}))
+"""
+
+
 class TestStartup:
-    def test_cli_import_skips_scipy_optimize(self):
-        # only demo thermal needs scipy.optimize; the rest should not pay
-        # for its import
+    def test_commands_load_no_scipy(self):
+        # numpy carries every command; only demo thermal's root finder
+        # imports scipy, and only scipy.optimize
+        wolf = ["--data", WOLF_COUNTS, "--observables", WOLF_OBS]
+        qubit = ["--data", QUBIT_JSON]
+        commands = [[*cmd, *data] for data, fine in ((wolf, "G1,G2"), (qubit, "ising"))
+                    for cmd in (["significance"], ["project"],
+                                ["estimate", "--alpha", "auto"],
+                                ["compare", "--coarse", "O", "--fine", fine])]
+        stages = [["commands", commands],
+                  ["demos", [["demo", "qubit"], ["demo", "wolf"]]],
+                  ["thermal", [["demo", "thermal"]]]]
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        code = "import sys, gibbsfit.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(stages)],
+                              capture_output=True, text=True, env=env, cwd=root,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        seen = json.loads(proc.stdout)
+        assert seen["stages"]["import"] == []
+        assert seen["stages"]["commands"] == []
+        assert seen["stages"]["demos"] == []
+        assert "scipy.optimize" in seen["stages"]["thermal"]
+        assert seen["direct"] == ["gibbsfit.demos:scipy.optimize"]
 
     def test_run_builds_one_parser(self, monkeypatch, capsys):
         built = []

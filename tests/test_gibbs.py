@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
     _basis_targets,
     _metric_form,
+    _newton_step,
     bloch_metric,
     gibbs_state,
     model_to_bloch,
@@ -226,6 +228,35 @@ class TestGeometry:
         model = gibbs_state(lvl, [0.2, 0.1])
         assert volume_weight(model) == pytest.approx(
             np.sqrt(np.linalg.det(model.corr)), rel=1e-10)
+
+
+class TestCholeskySolves:
+    @given(k=st.integers(1, 64), log_cond=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_match_dense_solve(self, k, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        corr = (q * np.logspace(0.0, -log_cond, k)) @ q.T
+        corr = 0.5 * (corr + corr.T)
+        grad = rng.normal(size=k)
+        # any two backward-stable solves differ by up to about cond * eps
+        # (2e-6 at cond 1e10), so 1e-10 binds only up to cond ~ 1e5
+        rel = 1e-10 + np.finfo(float).eps * np.linalg.cond(corr)
+        step = _newton_step(corr, grad)
+        want = np.linalg.solve(corr, -grad)
+        assert np.max(np.abs(step - want)) <= rel * np.max(np.abs(want))
+        assert _metric_form(corr, grad) == pytest.approx(
+            float(grad @ np.linalg.solve(corr, grad)), rel=rel, abs=0.0)
+        # the residual is small whatever the conditioning
+        resid = np.linalg.norm(corr @ step + grad)
+        assert resid <= 1e-12 * np.linalg.norm(corr, 2) * np.linalg.norm(step)
+
+    def test_indefinite_matrix_raises(self):
+        corr = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _metric_form(corr, np.array([1.0, 0.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_step(corr, np.array([1.0, 0.0]))
 
 
 class TestClassicalQuantumAgreement:

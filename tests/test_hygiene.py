@@ -1,4 +1,4 @@
-"""Lint for the package, test and script sources, two AST scans.
+"""Lint for the package, test and script sources, three AST scans.
 
 Every imported name is used: a name an import statement binds must appear
 as a name somewhere in the same file.  `import a.b` binds `a`, so attribute
@@ -11,6 +11,10 @@ the package (bar `__init__.py`) or in `scripts/`, or be named in README.
 Its definition and its `__all__` entry do not count, and neither do the
 tests: code that only tests call belongs in `tests/`, reference
 implementations in `tests/oracles.py`.
+
+The package imports no scipy: numpy carries every command, and a scipy
+import costs a fresh process about half a second.  The one exception is
+the function-local root finder in `demos.thermal_setup`.
 """
 
 import ast
@@ -134,3 +138,34 @@ class TestProductionCallers:
                    if p.name != "__init__.py"}
         scripts = [p.read_text() for p in (ROOT / "scripts").glob("*.py")]
         assert uncalled_exports(modules, scripts, (ROOT / "README.md").read_text()) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The scope of each import of scipy or a scipy submodule in source: the
+    enclosing function or class name, or `<module>` at the top level."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, SCOPES):
+            continue
+        for node in _inner_nodes(scope):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(getattr(scope, "name", "<module>"))
+    return sorted(found)
+
+
+def test_scan_finds_scipy_imports():
+    src = ("import scipy.linalg\nfrom scipy import special\nimport scipyish\n"
+           "from . import scipy\n\n\ndef f():\n    from scipy.optimize import brentq\n")
+    assert scipy_imports(src) == ["<module>", "<module>", "f"]
+
+
+def test_package_imports_scipy_only_for_demo_thermal():
+    found = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in scipy_imports(path.read_text())]
+    assert found == ["demos.thermal_setup"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from gibbsfit.inference import (
     DETAIL_MIN_DOF,
     EntropicPrior,
     ExperimentData,
+    _gammainc_series,
+    _log_gammaincc_cf,
     chi2_log_tail,
     chi2_logpdf,
     compare_levels,
@@ -86,8 +90,40 @@ class TestChiSquare:
         assert lt == pytest.approx(want, rel=1e-9)
 
     def test_log_tail_agrees_where_tail_representable(self):
-        for x, k in [(30.0, 5), (200.0, 10), (500.0, 3)]:
+        # the last case sits on the series/fraction switch at a million dof
+        for x, k in [(30.0, 5), (200.0, 10), (500.0, 3), (1000002.0, 1000000)]:
             assert chi2_log_tail(x, k) == pytest.approx(stats.chi2.logsf(x, k), rel=1e-10)
+
+    @given(k=st.integers(1, 2000), data=st.data())
+    def test_tail_matches_scipy_everywhere(self, k, data):
+        x = data.draw(st.one_of(st.floats(0.0, 1e4),
+                                st.floats(0.0, 3.0).map(lambda r: r * k)), label="x")
+        lt = chi2_log_tail(x, k)
+        sf = stats.chi2.sf(x, k)
+        if sf >= 1e-300:
+            # scipy's own sf sums a ln z - z - ln Gamma(a) directly away from
+            # z = a, and carries that sum's rounding: 1.8e-12 at k = 1843,
+            # x = 2610 against a 50-digit reference, where this one is 3e-14
+            a, z = 0.5 * k, 0.5 * x
+            oracle = np.finfo(float).eps * (a * abs(math.log(z or 1.0)) + z
+                                            + abs(math.lgamma(a)))
+            assert math.exp(lt) == pytest.approx(sf, rel=1e-12 + oracle, abs=0.0)
+        logsf = stats.chi2.logsf(x, k)
+        if np.isfinite(logsf):
+            # scipy's logsf reads 0 once P underflows (P = 1.5e-311 at k = 515,
+            # x = 12.2); the value here keeps it
+            assert lt == pytest.approx(logsf, rel=1e-10, abs=1e-300)
+
+    @given(k=st.integers(1, 2000))
+    def test_series_and_fraction_agree_at_the_switch(self, k):
+        a = 0.5 * k
+        below = math.log1p(-_gammainc_series(a, a + 1.0))
+        assert below == pytest.approx(_log_gammaincc_cf(a, a + 1.0), rel=1e-13, abs=0.0)
+
+    def test_far_tail_at_many_dof(self):
+        # 50-digit reference; scipy's sf is 1.8e-12 relative off here
+        assert chi2_log_tail(3317.0, 1843) == pytest.approx(
+            -199.5773560233180819066, rel=1e-15, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
