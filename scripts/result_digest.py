@@ -51,6 +51,9 @@ QUBIT = ["--data", "data/qubit_tilt3.json"]
 # qubit_tilt3 without Y's sample mean: the heisenberg prior keeps an
 # unmeasured direction, so the report carries a complement block
 QUBIT_PARTIAL = ["--data", "data/qubit_partial.json"]
+# a qutrit with a complex non-uniform reference and integer, real-only and
+# diagonal observables
+QUTRIT = ["--data", "data/qutrit_mixed.json"]
 # edges of the classical domain: a reference with four weights below the
 # eigenvalue floor, and a zero count
 EDGES = [["--data", "data/floored_reference.csv"], ["--data", "data/zero_count.csv"]]
@@ -82,6 +85,14 @@ DATA_COMMANDS = [
     ["compare", *QUBIT, "--coarse", "O", "--fine", "ising"],
     ["compare", *QUBIT, "--coarse", "ising", "--fine", "full"],
     ["estimate", *QUBIT_PARTIAL, "--level", "heisenberg", "--alpha", "50"],
+    ["significance", *QUTRIT],
+    ["significance", *QUTRIT, "--level", "diag"],
+    ["project", *QUTRIT],
+    ["project", *QUTRIT, "--level", "spin"],
+    ["estimate", *QUTRIT, "--level", "spin"],
+    ["estimate", *QUTRIT, "--level", "diag", "--alpha", "100"],
+    ["compare", *QUTRIT, "--coarse", "O", "--fine", "spin"],
+    ["compare", *QUTRIT, "--coarse", "diag", "--fine", "full"],
     *([cmd, *edge, *rest] for edge in EDGES for cmd, *rest in EDGE_RUNS),
 ]
 

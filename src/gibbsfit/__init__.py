@@ -39,6 +39,7 @@ from .inference import (
     chi2_logpdf,
     compare_levels,
     estimate_alpha,
+    fit_significance,
     interpolate_states,
     level_significance,
     posterior_estimate,

@@ -29,6 +29,7 @@ from .inference import (
     DEFAULT_SIG_LEVEL,
     EntropicPrior,
     compare_levels,
+    fit_significance,
     level_significance,
     posterior_estimate,
 )
@@ -187,7 +188,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         fit = project(level, ds.data.means_for(level))
         result = {"fit": model_summary(fit)}
         if ds.data.level.n_params > level.n_params:
-            rep = level_significance(ds.data, level, sig_level=args.sig_level)
+            rep = fit_significance(ds.data, fit, sig_level=args.sig_level)
             result["residual"] = significance_summary(rep)
         config = RunConfig(command="project", inputs=inputs, level=args.level,
                            sig_level=args.sig_level, out_format=args.format)

@@ -6,8 +6,12 @@ header ``outcome,<name1>,<name2>,...`` whose rows must cover exactly the
 same outcomes.  Quantum data arrive as a single JSON document carrying the
 reference state, named Hermitian observables (complex matrices split into
 "re"/"im" parts), named levels over those observables, and sample means.
-Named levels are checked at load and built only when resolve_level asks
-for one.
+The observables are read as one stack: their names and row layouts are
+checked in one pass over the document, their numbers converted into one
+(m, d, d) array, and finiteness, the Hermitian check, symmetrization and
+diagonal tagging run once over that array.  The reference state is
+eigendecomposed only after every check on the file has passed.  Named
+levels are checked at load and built only when resolve_level asks for one.
 Both formats are plain text so datasets diff cleanly and reproduce exactly.
 """
 
@@ -170,31 +174,98 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _as_float(x) -> float:
+    """A JSON number as a float; an integer beyond float range reads as
+    infinite, so the finiteness checks refuse it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _json_number(value, path, what: str) -> float:
-    if not _is_number(value) or not math.isfinite(value):
+    if not _is_number(value) or not math.isfinite(_as_float(value)):
         raise DataFormatError(f"{path}: {what} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _parse_part(rows, dim: int, path, what: str) -> np.ndarray:
-    """One real dim x dim part of a JSON matrix: a list of rows of numbers."""
-    if not (isinstance(rows, list) and len(rows) == dim
-            and all(isinstance(r, list) and len(r) == dim and all(map(_is_number, r))
-                    for r in rows)):
-        raise DataFormatError(f"{path}: {what} must be {dim}x{dim} numbers")
-    part = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(part)):
-        raise DataFormatError(f"{path}: {what} has a non-finite entry")
-    return part
+def _is_grid(rows, dim: int) -> bool:
+    """Whether rows is dim lists of dim JSON numbers (bool and str refused)."""
+    return (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim for r in rows)
+            and {type(x) for r in rows for x in r} <= {int, float})
 
 
-def _parse_matrix(obj, dim: int, path, what: str) -> np.ndarray:
+def _layout_fault(obj, dim: int) -> str | None:
+    """What is wrong with the layout of one JSON matrix, or None."""
     if not isinstance(obj, dict) or "re" not in obj:
-        raise DataFormatError(f"{path}: {what} must be an object with 're' (and 'im')")
-    re = _parse_part(obj["re"], dim, path, f"{what} 're'")
-    im = (_parse_part(obj["im"], dim, path, f"{what} 'im'") if "im" in obj
-          else np.zeros_like(re))
-    return re + 1j * im
+        return "must be an object with 're' (and 'im')"
+    for part in ("re", "im"):
+        if part in obj and not _is_grid(obj[part], dim):
+            return f"{part!r} must be {dim}x{dim} numbers"
+    return None
+
+
+def _float_stack(grids: list, dim: int) -> np.ndarray:
+    try:
+        return np.array(grids, dtype=float).reshape(-1, dim, dim)
+    except OverflowError:
+        return np.array([[[_as_float(x) for x in r] for r in g] for g in grids],
+                        dtype=float).reshape(-1, dim, dim)
+
+
+def _read_matrices(objs: list, whats: list, dim: int) -> tuple[np.ndarray, str | None]:
+    """Stack JSON matrices ("re" rows, optional "im" rows) as one complex
+    (m, dim, dim) array, re + 1j * im, in one pass over the numbers.
+
+    Reading stops at the first matrix whose layout is wrong or that has a
+    non-finite entry: the stack holds the matrices before it, and the
+    message names it by ``whats[i]`` (None when every matrix reads).
+    """
+    k = next((i for i, obj in enumerate(objs) if _layout_fault(obj, dim)), len(objs))
+    fault = None if k == len(objs) else f"{whats[k]} {_layout_fault(objs[k], dim)}"
+    re = _float_stack([obj["re"] for obj in objs[:k]], dim)
+    im = np.zeros_like(re)
+    with_im = [i for i in range(k) if "im" in objs[i]]
+    im[with_im] = _float_stack([objs[i]["im"] for i in with_im], dim)
+    bad_re = ~np.all(np.isfinite(re), axis=(1, 2))
+    bad_im = ~np.all(np.isfinite(im), axis=(1, 2))
+    if np.any(bad_re | bad_im):
+        k = int(np.argmax(bad_re | bad_im))
+        part = "'re'" if bad_re[k] else "'im'"
+        fault = f"{whats[k]} {part} has a non-finite entry"
+    return re[:k] + 1j * im[:k], fault
+
+
+def _read_observables(entries: list, dim: int, path) -> dict[str, HermitianOperator]:
+    """The named observables of a quantum file, validated as one stack.
+
+    Names and layouts are checked in one pass, the numbers read in a
+    second, and finiteness, the Hermitian check (within 1e-9 * max(1,
+    max|entry|)), symmetrization and diagonal tagging run once over the
+    stack; each operator holds the bits HermitianOperator.from_matrix(...,
+    atol=1e-9) gives its matrix.  An error names the first faulty
+    observable in file order.
+    """
+    names: dict[str, None] = {}  # insertion-ordered, with O(1) lookups
+    fault = None
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            fault = "each observable needs a 'name' string"
+            break
+        if entry["name"] in names:
+            fault = f"duplicate observable name {entry['name']!r}"
+            break
+        names[entry["name"]] = None
+    whats = [f"observable {name!r}" for name in names]
+    stack, read_fault = _read_matrices(entries[:len(names)], whats, dim)
+    try:
+        ops = HermitianOperator.from_stack(stack, atol=1e-9, names=whats)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}")
+    if read_fault or fault:
+        raise DataFormatError(f"{path}: {read_fault or fault}")
+    return dict(zip(names, ops))
 
 
 def load_quantum(path) -> Dataset:
@@ -203,7 +274,9 @@ def load_quantum(path) -> Dataset:
     The measured level spans every observable that carries a sample mean,
     in file order; its retained generators define the order of the means
     vector.  Named levels must use known observables and may not take a
-    built-in name; they are built at the reference by resolve_level.
+    built-in name; they are built at the reference by resolve_level.  Every
+    check on the file runs before the reference state is eigendecomposed,
+    so a dim that does not fit the matrices fails fast.
     """
     try:
         with open(path) as fh:
@@ -226,31 +299,18 @@ def load_quantum(path) -> Dataset:
         raise DataFormatError(f"{path}: dim must be an integer >= 2")
 
     ref_spec = doc.get("reference", "uniform")
-    if ref_spec == "uniform":
-        reference = uniform_state(dim)
-    else:
-        try:
-            reference = DensityOperator.quantum(_parse_matrix(ref_spec, dim, path, "reference"))
-        except ValidationError as exc:
-            raise DataFormatError(f"{path}: reference: {exc}")
+    ref_matrix = None
+    if ref_spec != "uniform":
+        ref_matrix, fault = _read_matrices([ref_spec], ["reference"], dim)
+        if fault:
+            raise DataFormatError(f"{path}: {fault}")
 
     if not isinstance(doc["observables"], list):
         raise DataFormatError(f"{path}: observables must be an array")
     for key in ("sample_means", "levels"):
         if not isinstance(doc.get(key, {}), dict):
             raise DataFormatError(f"{path}: {key} must be an object")
-    observables: dict[str, HermitianOperator] = {}
-    for entry in doc["observables"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise DataFormatError(f"{path}: each observable needs a 'name' string")
-        name = entry["name"]
-        if name in observables:
-            raise DataFormatError(f"{path}: duplicate observable name {name!r}")
-        try:
-            observables[name] = HermitianOperator.from_matrix(
-                _parse_matrix(entry, dim, path, f"observable {name!r}"), atol=1e-9)
-        except ValidationError as exc:
-            raise DataFormatError(f"{path}: observable {name!r}: {exc}")
+    observables = _read_observables(doc["observables"], dim, path)
 
     means_map = doc["sample_means"]
     unknown = set(means_map) - set(observables)
@@ -265,11 +325,6 @@ def load_quantum(path) -> Dataset:
     if n_shots < 0:
         raise DataFormatError(f"{path}: N must be nonnegative")
 
-    measured = make_level([observables[n] for n in measured_names],
-                          reference, label="F")
-    means = np.array([sample_means[measured_names[i]] for i in measured.retained])
-    data = ExperimentData(level=measured, means=means, n=n_shots)
-
     named: dict[str, tuple[str, ...]] = {}
     for name, obs_names in doc.get("levels", {}).items():
         if name in BUILTIN_LEVELS:
@@ -280,6 +335,18 @@ def load_quantum(path) -> Dataset:
         if missing:
             raise DataFormatError(f"{path}: level {name!r} uses unknown observables {missing}")
         named[name] = tuple(obs_names)
+
+    if ref_matrix is None:
+        reference = uniform_state(dim)
+    else:
+        try:
+            reference = DensityOperator.quantum(ref_matrix[0])
+        except ValidationError as exc:
+            raise DataFormatError(f"{path}: reference: {exc}")
+    measured = make_level([observables[n] for n in measured_names],
+                          reference, label="F")
+    means = np.array([sample_means[measured_names[i]] for i in measured.retained])
+    data = ExperimentData(level=measured, means=means, n=n_shots)
     return Dataset(observables=observables,
                    levels={"full": measured, "F": measured}, named=named,
                    data=data)

@@ -67,6 +67,7 @@ __all__ = [
     "SignificanceReport",
     "significance",
     "level_significance",
+    "fit_significance",
     "ExperimentData",
     "EntropicPrior",
     "AlphaEstimate",
@@ -501,17 +502,10 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorE
 # -- significance of a fitted level -----------------------------------
 
 
-def level_significance(data: ExperimentData, level: LevelOfDescription, *,
-                       sig_level: float = DEFAULT_SIG_LEVEL) -> SignificanceReport:
-    """How surprising is the measured deviation from the best fit at `level`?
-
-    Fits the level to the data, then measures what the fit leaves
-    unexplained inside the measured level: exactly, 2 N S(f || fit), when
-    the data carry raw counts (kind "entropy"), else quadratically in the
-    measured level's metric at the fit (kind "quadratic").  Degrees of
-    freedom: measured minus fitted parameters.  The level must be built at
-    the measured level's reference.
-    """
+def _residual_dof(data: ExperimentData, level: LevelOfDescription) -> int:
+    """Degrees of freedom the measured level has beyond ``level``; refuses
+    data without shots, a level built at another reference and a measured
+    level that is not strictly finer."""
     if data.n <= 0:
         raise ValidationError("significance needs data (n > 0)")
     if not level.same_context(data.level):
@@ -521,8 +515,33 @@ def level_significance(data: ExperimentData, level: LevelOfDescription, *,
     if dof <= 0:
         raise ValidationError(
             "the measured level must be strictly finer than the fitted one")
+    return dof
+
+
+def level_significance(data: ExperimentData, level: LevelOfDescription, *,
+                       sig_level: float = DEFAULT_SIG_LEVEL) -> SignificanceReport:
+    """How surprising is the measured deviation from the best fit at `level`?
+
+    Fits the level to the data and hands the fit to fit_significance.  The
+    level must be built at the measured level's reference.
+    """
+    _residual_dof(data, level)
     targets = data.means_for(level) if not level.is_trivial else np.zeros(0)
-    fit = project(level, targets)
+    return fit_significance(data, project(level, targets), sig_level=sig_level)
+
+
+def fit_significance(data: ExperimentData, fit: GibbsModel, *,
+                     sig_level: float = DEFAULT_SIG_LEVEL) -> SignificanceReport:
+    """How surprising is the measured deviation from `fit`, the projection
+    of the data onto its level?
+
+    Measures what the fit leaves unexplained inside the measured level:
+    exactly, 2 N S(f || fit), when the data carry raw counts (kind
+    "entropy"), else quadratically in the measured level's metric at the
+    fit (kind "quadratic").  Degrees of freedom: measured minus fitted
+    parameters.
+    """
+    dof = _residual_dof(data, fit.level)
     emp = data.empirical
     if emp is not None:
         kind = "entropy"

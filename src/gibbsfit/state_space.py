@@ -77,15 +77,38 @@ class HermitianOperator:
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"observable must be a square matrix, got shape {m.shape}")
-        _require_finite(m, "observable")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        if float(np.max(np.abs(m - m.conj().T))) > atol * scale:
-            raise ValidationError("observable is not Hermitian within tolerance")
-        m = 0.5 * (m + m.conj().T)
-        off = m - np.diag(np.diag(m))
-        if not np.any(off):
-            return cls(diagonal=_freeze(np.real(np.diag(m))))
-        return cls(diagonal=None, dense=_freeze(m))
+        return cls.from_stack(m[None], atol=atol)[0]
+
+    @classmethod
+    def from_stack(cls, stack, *, atol: float = 1e-12,
+                   names=None) -> list["HermitianOperator"]:
+        """from_matrix over an (m, d, d) stack in one pass.
+
+        Each matrix must be finite and within atol * max(1, max|entry|) of
+        its conjugate transpose; it is then symmetrized, and kept as its
+        real diagonal when no off-diagonal entry is left.  A ValidationError
+        names the first failing matrix by ``names[i]`` when names are given.
+        """
+        s = _as_complex(stack)
+        if s.ndim != 3 or s.shape[1] != s.shape[2]:
+            raise ValidationError(f"observables must be stacked square matrices, "
+                                  f"got shape {s.shape}")
+        mirror = s.conj().transpose(0, 2, 1)
+        finite = np.all(np.isfinite(s), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(s), axis=(1, 2)))
+        with np.errstate(invalid="ignore"):  # inf - inf in a matrix refused as non-finite
+            bad = ~finite | (np.max(np.abs(s - mirror), axis=(1, 2)) > atol * scale)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            what = ("observable has a non-finite entry" if not finite[i]
+                    else "observable is not Hermitian within tolerance")
+            raise ValidationError(what if names is None else f"{names[i]}: {what}")
+        s = 0.5 * (s + mirror)
+        diagonals = np.diagonal(s, axis1=1, axis2=2)
+        # no off-diagonal entry: every nonzero entry lies on the diagonal
+        tagged = np.count_nonzero(s, axis=(1, 2)) == np.count_nonzero(diagonals, axis=1)
+        return [cls(diagonal=_freeze(np.real(v))) if t else cls(diagonal=None, dense=_freeze(m))
+                for t, v, m in zip(tagged, diagonals, s)]
 
     @classmethod
     def from_diagonal(cls, values) -> "HermitianOperator":

@@ -8,15 +8,20 @@ a number the package computes another way:
 * the Bloch closed forms of the qubit spin manifold at the maximally mixed
   reference check the generic manifold machinery;
 * manifold_relative_entropy and pythagoras_residual check relative
-  entropies and projections against the log-normalizer identities.
+  entropies and projections against the log-normalizer identities;
+* hermitian_operator, one matrix validated, symmetrized and tagged on its
+  own, checks HermitianOperator.from_matrix and from_stack; with it,
+  parse_observable, one JSON observable read on its own, checks the
+  stacked observable reader of dataio.load_quantum.
 """
 
 import numpy as np
 
-from gibbsfit.errors import ValidationError
+from gibbsfit.errors import DataFormatError, ValidationError
 from gibbsfit.gibbs import BlochVector, gibbs_state, pauli_level, project_state
 from gibbsfit.state_space import (
     DensityOperator,
+    HermitianOperator,
     _check_dims,
     _kmb_weights,
     pauli_x,
@@ -43,6 +48,44 @@ def kmb_inner(sigma, x, y) -> float:
     yp = v.conj().T @ y.matrix @ v
     w = _kmb_weights(sigma.eigenvalues)
     return float(np.real(np.sum(w * xp * np.conj(yp))))
+
+
+def _parse_part(rows, dim: int, what: str) -> np.ndarray:
+    """One real dim x dim part of a JSON matrix: a list of rows of numbers."""
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                            for x in r)
+                    for r in rows)):
+        raise DataFormatError(f"{what} must be {dim}x{dim} numbers")
+    part = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(part)):
+        raise DataFormatError(f"{what} has a non-finite entry")
+    return part
+
+
+def hermitian_operator(m: np.ndarray, atol: float) -> HermitianOperator:
+    """A finite square complex matrix as an operator: refused unless within
+    atol * max(1, max|entry|) of its conjugate transpose, then symmetrized
+    and kept as its real diagonal when no off-diagonal entry is left."""
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(m - m.conj().T))) > atol * scale:
+        raise ValidationError("observable is not Hermitian within tolerance")
+    m = 0.5 * (m + m.conj().T)
+    if not np.any(m - np.diag(np.diag(m))):
+        return HermitianOperator(diagonal=np.real(np.diag(m)).copy())
+    return HermitianOperator(diagonal=None, dense=m)
+
+
+def parse_observable(entry, dim: int) -> HermitianOperator:
+    """One observable of a quantum JSON file, read entry by entry: its
+    "re" and "im" rows (im zero when absent) combined as re + 1j * im and
+    built by hermitian_operator at atol 1e-9."""
+    what = f"observable {entry['name']!r}"
+    re = _parse_part(entry["re"], dim, f"{what} 're'")
+    im = (_parse_part(entry["im"], dim, f"{what} 'im'") if "im" in entry
+          else np.zeros_like(re))
+    return hermitian_operator(re + 1j * im, 1e-9)
 
 
 def manifold_relative_entropy(a, b) -> float:

@@ -12,6 +12,8 @@ import scipy.optimize
 
 import gibbsfit.cli
 import gibbsfit.dataio
+import gibbsfit.gibbs
+import gibbsfit.inference
 import gibbsfit.levels
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
 from gibbsfit.dataio import load_classical, load_quantum
@@ -106,6 +108,10 @@ def _set_observable_entry(doc):
     doc["observables"][0]["re"][0][1] = float("nan")
 
 
+def _set_huge_observable_entry(doc):
+    doc["observables"][2]["im"][0][0] = 10**400
+
+
 def _set_reference(doc):
     doc["reference"] = {"re": [[float("inf"), 0.0], [0.0, 0.5]]}
 
@@ -121,8 +127,13 @@ class TestNonFiniteInput:
         lambda tmp: _quantum_file(tmp, _set_reference),
         lambda tmp: _quantum_file(tmp, lambda doc: doc["sample_means"].update(Z=float("nan"))),
         lambda tmp: _quantum_file(tmp, lambda doc: doc.update(N=float("nan"))),
+        # a JSON integer beyond float range
+        lambda tmp: _quantum_file(tmp, _set_huge_observable_entry),
+        lambda tmp: _quantum_file(tmp, lambda doc: doc["sample_means"].update(Z=-10**400)),
+        lambda tmp: _quantum_file(tmp, lambda doc: doc.update(N=10**400)),
     ], ids=["count-nan", "count-inf", "reference-weight", "observable-value",
-            "quantum-observable", "quantum-reference", "sample-mean", "N"])
+            "quantum-observable", "quantum-reference", "sample-mean", "N",
+            "observable-huge-integer", "sample-mean-huge-integer", "N-huge-integer"])
     def test_rejected_with_data_error(self, tmp_path, capsys, files):
         assert run(["significance", *files(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -201,6 +212,92 @@ class TestMalformedQuantumFile:
         assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "gibbsfit: error:" in err and field in err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_bool_entry_refused(self, tmp_path, capsys, part):
+        # a JSON true is a number to numpy (1.0), not to the loader
+        def edit(doc):
+            doc["observables"][1][part][0][1] = True
+        assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"observable 'Y' '{part}' must be 2x2 numbers" in err
+
+    def test_first_faulty_observable_named(self, tmp_path, capsys):
+        def edit(doc):
+            doc["observables"][0]["re"] = [[0.0, 1.0], [0.3, 0.0]]  # not Hermitian
+            doc["observables"][1]["re"][1].pop()  # ragged
+        assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "observable 'X': observable is not Hermitian" in err
+        assert "'Y'" not in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(dim=100000), "observable 'X' 're' must be 100000x100000"),
+        (lambda doc: doc["levels"].update(bad=["W"]), "level 'bad' uses unknown"),
+        (lambda doc: doc["sample_means"].update(Z=None), "sample mean of 'Z'"),
+    ], ids=["mistyped-dim", "unknown-level-observable", "sample-mean-null"])
+    def test_refused_before_reference_is_built(self, tmp_path, monkeypatch, capsys,
+                                               edit, field):
+        # the d x d reference (an eigendecomposition) comes after every check
+        def refuse(dim):
+            raise AssertionError(f"uniform_state({dim}) built before the checks")
+        monkeypatch.setattr(gibbsfit.dataio, "uniform_state", refuse)
+        assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
+        assert field in capsys.readouterr().err
+
+
+def _full_basis_file(tmp_path, dim=4, seed=3):
+    """A quantum file in the style of a full operator-basis experiment:
+    projectors P_i and X_ij, Y_ij for i < j, exact expectations of a random
+    full-rank state, and a "ring" level (the projectors plus the nearest-
+    neighbour X terms)."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = 0.5 * np.eye(dim) / dim + 0.5 * (w @ w.conj().T) / np.trace(w @ w.conj().T).real
+    ops = {}
+    for i in range(dim):
+        ops[f"P{i}"] = np.diag(np.eye(dim)[i]).astype(complex)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            x, y = np.zeros((2, dim, dim), complex)
+            x[i, j] = x[j, i] = 1.0
+            y[i, j], y[j, i] = -1j, 1j
+            ops[f"X{i}_{j}"], ops[f"Y{i}_{j}"] = x, y
+    ring = [f"P{i}" for i in range(dim)] + [f"X{i}_{i + 1}" for i in range(dim - 1)]
+    doc = {"format_version": 1, "dim": dim, "reference": "uniform",
+           "observables": [{"name": n, "re": m.real.tolist(), "im": m.imag.tolist()}
+                           for n, m in ops.items()],
+           "levels": {"ring": ring},
+           "sample_means": {n: float(np.real(np.trace(rho @ m))) for n, m in ops.items()},
+           "N": 5000}
+    path = tmp_path / "full_basis.json"
+    path.write_text(json.dumps(doc))
+    return ["--data", str(path)]
+
+
+class TestProjectSolvesOnce:
+    # project reports its fit and the residual of that same fit: one Newton
+    # solve, and the residual block is what significance reports
+    @pytest.mark.parametrize("files, level", [
+        (lambda tmp: ["--data", WOLF_COUNTS, "--observables", WOLF_OBS], "G1,G2"),
+        (_full_basis_file, "ring"),
+    ], ids=["wolf-G1G2", "full-basis-ring"])
+    def test_one_newton_solve(self, tmp_path, monkeypatch, capsys, files, level):
+        argv = [*files(tmp_path), "--level", level, "--format", "json"]
+        solves = []
+        original = gibbsfit.gibbs.project
+
+        def counting(lvl, targets):
+            solves.append(lvl)
+            return original(lvl, targets)
+
+        for mod in (gibbsfit.gibbs, gibbsfit.cli, gibbsfit.inference):
+            monkeypatch.setattr(mod, "project", counting)
+        assert run(["project", *argv]) == EXIT_OK
+        residual = json.loads(capsys.readouterr().out)["result"]["residual"]
+        assert len(solves) == 1
+        assert run(["significance", *argv]) == EXIT_OK
+        assert residual == json.loads(capsys.readouterr().out)["result"]["significance"]
 
 
 class TestLogging:

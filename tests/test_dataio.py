@@ -1,11 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gibbsfit.dataio import load_classical, load_quantum, resolve_level
 from gibbsfit.errors import DataFormatError
-from gibbsfit.state_space import expectation, relative_entropy
+from gibbsfit.state_space import HermitianOperator, expectation, relative_entropy
+from oracles import hermitian_operator, parse_observable
 
 WOLF_COUNTS = "data/wolf_counts.csv"
 WOLF_OBS = "data/wolf_observables.csv"
@@ -157,6 +161,69 @@ class TestLoadQuantum:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
             load_quantum(path)
+
+
+OBSERVABLE_KINDS = ("dense", "diagonal", "integer", "real-no-im")
+
+
+def _observable_entry(rng, dim: int, kind: str, name: str) -> dict:
+    """One JSON observable of the given kind.  Dense and real matrices carry
+    an asymmetry well inside the 1e-9 tolerance, so symmetrizing rounds."""
+    im = None
+    if kind == "integer":
+        a, b = rng.integers(-3, 4, size=(2, dim, dim))
+        re, im = a + a.T, b - b.T
+    elif kind == "diagonal":
+        re, im = np.diag(rng.normal(size=dim)), np.zeros((dim, dim))
+    else:
+        a = rng.normal(size=(dim, dim))
+        if kind == "dense":
+            a = a + 1j * rng.normal(size=(dim, dim))
+        h = 0.5 * (a + a.conj().T)
+        h[0, 1] += 1e-12 * rng.normal()
+        re, im = h.real, (h.imag if kind == "dense" else None)
+    entry = {"name": name, "re": re.tolist()}
+    if im is not None:
+        entry["im"] = im.tolist()
+    return entry
+
+
+def _assert_same_operator(got, want):
+    assert (got.diagonal is None) == (want.diagonal is None)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    if want.diagonal is not None:
+        assert np.array_equal(got.diagonal, want.diagonal)
+        assert got.diagonal.tobytes() == want.diagonal.tobytes()
+
+
+class TestStackedObservables:
+    # the stacked reader gives each observable the bits that reading it
+    # on its own gives, with the same dense or diagonal tag
+    @given(dim=st.integers(2, 8), data=st.data())
+    def test_matches_entry_by_entry_reader(self, dim, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kinds = data.draw(st.lists(st.sampled_from(OBSERVABLE_KINDS), min_size=1,
+                                   max_size=8), label="kinds")
+        entries = [_observable_entry(rng, dim, kind, f"A{i}") for i, kind in enumerate(kinds)]
+        measured = {"name": "Z", "re": np.diag([1] + [0] * (dim - 2) + [-1]).tolist()}
+        doc = {"format_version": 1, "dim": dim, "observables": [measured, *entries],
+               "sample_means": {"Z": 0.25}, "N": 100}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "observables.json"
+            path.write_text(json.dumps(doc))
+            ds = load_quantum(path)
+        for entry in doc["observables"]:
+            _assert_same_operator(ds.observables[entry["name"]], parse_observable(entry, dim))
+
+    @given(dim=st.integers(2, 8), kind=st.sampled_from(OBSERVABLE_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_from_matrix_matches_one_matrix_rule(self, dim, kind, seed):
+        entry = _observable_entry(np.random.default_rng(seed), dim, kind, "A")
+        m = np.array(entry["re"], dtype=float) + 1j * np.array(
+            entry.get("im", np.zeros((dim, dim))), dtype=float)
+        _assert_same_operator(HermitianOperator.from_matrix(m, atol=1e-9),
+                              hermitian_operator(m, 1e-9))
 
 
 class TestResolveLevel:
