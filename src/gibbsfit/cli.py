@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .dataio import load_classical, load_quantum, resolve_level
 from .demos import run_qubit, run_thermal, run_wolf
@@ -36,12 +37,10 @@ from .inference import (
 from .report import (
     Report,
     RunConfig,
-    alpha_summary,
     comparison_summary,
     model_summary,
     posterior_summary,
     render_table,
-    significance_summary,
 )
 
 EXIT_OK = 0
@@ -189,7 +188,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         result = {"fit": model_summary(fit)}
         if ds.data.level.n_params > level.n_params:
             rep = fit_significance(ds.data, fit, sig_level=args.sig_level)
-            result["residual"] = significance_summary(rep)
+            result["residual"] = asdict(rep)
         config = RunConfig(command="project", inputs=inputs, level=args.level,
                            sig_level=args.sig_level, out_format=args.format)
         return config, result
@@ -200,7 +199,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         config = RunConfig(command="significance", inputs=inputs,
                            level=args.level, sig_level=args.sig_level,
                            out_format=args.format)
-        return config, {"significance": significance_summary(rep)}
+        return config, {"significance": asdict(rep)}
 
     if args.command == "estimate":
         level = resolve_level(ds, args.level)
@@ -208,7 +207,7 @@ def _dispatch(args) -> tuple[RunConfig, dict]:
         post = posterior_estimate(ds.data, prior)
         result = {}
         if post.evidence is not None:
-            result["evidence"] = alpha_summary(post.evidence)
+            result["evidence"] = asdict(post.evidence)
         result["posterior"] = posterior_summary(post)
         config = RunConfig(command="estimate", inputs=inputs, level=args.level,
                            alpha_policy=args.alpha, out_format=args.format)

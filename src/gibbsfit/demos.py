@@ -14,6 +14,7 @@ Each run_* function returns a JSON-ready result tree (see report.py).
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,12 +34,7 @@ from .inference import (
     posterior_estimate,
 )
 from .levels import full_classical_level, make_level, trivial_level
-from .report import (
-    alpha_summary,
-    comparison_summary,
-    model_summary,
-    significance_summary,
-)
+from .report import comparison_summary, model_summary
 from .state_space import DensityOperator, pauli_z, uniform_state
 
 # Raw counts of 20000 rolls of one worn die (historical dataset).
@@ -83,8 +79,8 @@ def run_wolf() -> dict:
     return {
         "data": {"counts": list(WOLF_COUNTS), "n": data.n,
                  "frequencies": (np.asarray(WOLF_COUNTS, float) / data.n).tolist()},
-        "significance_vs_reference": significance_summary(sig),
-        "evidence": alpha_summary(est),
+        "significance_vs_reference": asdict(sig),
+        "evidence": asdict(est),
         "fit_two_observables": model_summary(cmp_og.fine_model),
         "compare_trivial_vs_two": comparison_summary(cmp_og),
         "compare_two_vs_full": comparison_summary(cmp_gf),
@@ -124,7 +120,7 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
         "fit": {"bloch_r": fit_bloch.r, "bloch_theta": fit_bloch.theta,
                 "bloch_phi": fit_bloch.phi,
                 "metric_theta_theta": float(bloch_metric(fit_bloch)[1, 1])},
-        "evidence": alpha_summary(est),
+        "evidence": asdict(est),
         "metric_route": {"metric_theta_theta_at_r": m_tt,
                          "chi2": chi2_metric,
                          "per_param": chi2_metric / cmp_ih.s},
@@ -132,6 +128,20 @@ def run_qubit(r: float = 0.73, tilt_deg: float = 3.0, n: float = 20000) -> dict:
                         "per_param": cmp_ih.chi2_exact / cmp_ih.s},
         "compare_ising_vs_heisenberg": comparison_summary(cmp_ih),
     }
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f changes sign, by bisection until lo
+    and hi are adjacent floats."""
+    negative_lo = f(lo) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (f(mid) < 0) == negative_lo:
+            lo = mid
+        else:
+            hi = mid
 
 
 def thermal_setup():
@@ -142,10 +152,6 @@ def thermal_setup():
     deviation of the 110 K populations from the 100 K reference equals
     THERMAL_CHI2_TARGET; everything downstream is then pure pipeline.
     """
-    # imported here, not at the top: scipy.optimize is slow to import and
-    # no other command needs it
-    from scipy.optimize import brentq
-
     beta0, beta1 = 1.0 / THERMAL_T_REFERENCE, 1.0 / THERMAL_T_SOURCE
     ladder = np.arange(THERMAL_DIM, dtype=float)
     n = THERMAL_N
@@ -159,7 +165,7 @@ def thermal_setup():
         p1 = populations(beta1, spacing)
         return float(n * np.sum((p1 - p0) ** 2 / p0)) - THERMAL_CHI2_TARGET
 
-    spacing = brentq(pearson_gap, 5.0, 40.0, xtol=1e-12, rtol=1e-15)
+    spacing = _bisect(pearson_gap, 5.0, 40.0)
     p0 = populations(beta0, spacing)
     p1 = populations(beta1, spacing)
     sigma = DensityOperator.classical(p0)
@@ -191,7 +197,7 @@ def run_thermal() -> dict:
         "config": {"dim": THERMAL_DIM, "n": data.n,
                    "t_reference": THERMAL_T_REFERENCE,
                    "t_source": THERMAL_T_SOURCE, "level_spacing": spacing},
-        "evidence": alpha_summary(post.evidence),
+        "evidence": asdict(post.evidence),
         "posterior": {
             "t": post.t, "alpha": post.alpha_used,
             "alpha_source": post.alpha_source,

@@ -35,7 +35,6 @@ from .levels import LevelOfDescription, make_level
 from .state_space import (
     EIG_FLOOR,
     DensityOperator,
-    _fix_phases,
     _kmb_moments,
     pauli_x,
     pauli_y,
@@ -112,10 +111,6 @@ class GibbsModel:
                 f"lam={np.array2string(self.lam, precision=6)})")
 
 
-def _log_state(sigma: DensityOperator) -> np.ndarray:
-    return (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
-
-
 def _moments(state: DensityOperator,
              level: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """(g, corr) of the level's basis at a state; corr exactly symmetric.
@@ -136,37 +131,31 @@ def _eval(level: LevelOfDescription,
     """Evaluate (state, ln_z, g, corr) at multipliers lam, at the level's
     reference sigma.
 
-    The exponent is computed as ln sigma - lam.B and shifted by its top
-    eigenvalue before exponentiation; the centering constant <ln sigma>_sigma
-    only moves ln Z and is added back in closed form (it equals minus the
-    entropy of sigma).  g and corr come from _moments at the new state:
-    the eigenframe kernel on the stacked basis unless all is classical.
+    The exponent ln sigma - lam.B is a vector when all is classical and
+    otherwise a matrix diagonalized by eigh; it is shifted by its top
+    eigenvalue before exponentiation.  The centering constant
+    <ln sigma>_sigma only moves ln Z and is added back in closed form (it
+    equals minus the entropy of sigma).  The new state is held as its
+    spectrum: eigh's eigenvectors are kept as they come, since their
+    phases reach no result.  g and corr come from _moments at that state.
     """
     sigma = level.sigma
     stack = level.stack
-    ent_sigma = von_neumann_entropy(sigma)
     vector = sigma.is_classical and stack.ndim == 2
     if vector:
-        # one row at a time: lam @ stack sums in another order
-        w = np.log(sigma.probs)
-        for lb, row in zip(lam, stack):
-            w = w - lb * row
+        w = np.log(sigma.probs) - lam @ stack
     else:
         shift = np.tensordot(lam, stack, axes=1)
-        a = _log_state(sigma) - (np.diag(shift) if stack.ndim == 2 else shift)
+        a = sigma.log_matrix - (np.diag(shift) if stack.ndim == 2 else shift)
         w, v = np.linalg.eigh(a)
     m = float(w.max())
     raw = np.exp(w - m)
     total = float(raw.sum())
     p = np.maximum(raw / total, EIG_FLOOR)
     p /= p.sum()
-    if vector:
-        order = np.argsort(p)[::-1]
-        vecs = np.eye(p.size, dtype=complex)[:, order]
-        state = DensityOperator._from_spectrum(p[order], vecs, probs=p)
-    else:
-        state = DensityOperator._from_spectrum(p[::-1].copy(), _fix_phases(v[:, ::-1]))
-    ln_z = m + np.log(total) + ent_sigma
+    state = (DensityOperator._diagonal(p) if vector
+             else DensityOperator._from_spectrum(p[::-1], v[:, ::-1]))
+    ln_z = m + np.log(total) + von_neumann_entropy(sigma)
     g, corr = _moments(state, level)
     return state, ln_z, g, corr
 

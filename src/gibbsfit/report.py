@@ -24,8 +24,6 @@ __all__ = [
     "render_table",
     "load_report",
     "model_summary",
-    "significance_summary",
-    "alpha_summary",
     "comparison_summary",
     "posterior_summary",
 ]
@@ -146,20 +144,6 @@ def model_summary(model) -> dict:
     if model.state.is_classical:
         out["probabilities"] = model.state.probs.tolist()
     return out
-
-
-def significance_summary(rep) -> dict:
-    return {"statistic": rep.statistic, "dof": rep.dof, "n": rep.n,
-            "kind": rep.kind, "pdf": rep.pdf, "log10_pdf": rep.log10_pdf,
-            "pvalue": rep.pvalue, "log10_pvalue": rep.log10_pvalue,
-            "significant": rep.significant, "sig_level": rep.sig_level,
-            "entropy_scale": rep.entropy_scale}
-
-
-def alpha_summary(est) -> dict:
-    return {"alpha": est.alpha, "t": est.t, "chi2": est.chi2, "dof": est.dof,
-            "n": est.n, "deviation_ok": est.deviation_ok,
-            "detail_ok": est.detail_ok}
 
 
 def comparison_summary(rep) -> dict:

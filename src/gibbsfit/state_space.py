@@ -1,10 +1,12 @@
 """States and observables on a finite-dimensional Hilbert space.
 
-Quantum systems are represented by Hermitian matrices; classical systems
-ride along as the diagonal special case with plain probability vectors,
-so that small classical problems never pay matrix costs.  Every operation
-below has a vector fast path that evaluates the same formula as the
-general matrix path.
+Observables are Hermitian matrices, kept as their real diagonal when
+they are diagonal.  A state is held as its spectrum: eigenvalues and
+eigenvectors, plus the probability vector of a classical (diagonal)
+state, so that small classical problems never pay matrix costs.  Its
+matrix and its logarithm are built on first use.  Every operation below
+has a vector fast path that evaluates the same formula as the general
+matrix path.
 """
 
 from __future__ import annotations
@@ -169,15 +171,17 @@ class KmbFrame(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A state: unit-trace positive operator, eagerly eigendecomposed.
+    """A state: unit-trace positive operator, held as its spectrum.
 
-    A classical (diagonal) state also stores its probability vector
-    ``probs`` in outcome order; a quantum one has ``probs`` None.  All
-    eigenvalues are clamped to at least ``EIG_FLOOR`` at construction and
-    the state renormalized; ``clamped`` records whether that fired.
+    ``eigenvalues`` run in descending order with ``eigenvectors`` as the
+    matching columns.  A classical (diagonal) state also stores its
+    probability vector ``probs`` in outcome order; a quantum one has
+    ``probs`` None.  All eigenvalues are clamped to at least ``EIG_FLOOR``
+    at construction and the state renormalized; ``clamped`` records
+    whether that fired.  ``matrix`` and ``log_matrix`` are built from the
+    spectrum on first use and kept.
     """
 
-    matrix: np.ndarray
     probs: np.ndarray | None
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -202,11 +206,8 @@ class DensityOperator:
         if w.min() < -1e-10:
             raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
         w, clamped = _clamp_spectrum(w)
-        v = _fix_phases(v[:, ::-1])
-        w = w[::-1].copy()
-        mat = (v * w) @ v.conj().T
-        return cls(matrix=_freeze(mat), probs=None,
-                   eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=clamped)
+        return cls(probs=None, eigenvalues=_freeze(w[::-1]),
+                   eigenvectors=_freeze(_fix_phases(v[:, ::-1])), clamped=clamped)
 
     @classmethod
     def classical(cls, probs, *, atol: float = 1e-9) -> "DensityOperator":
@@ -219,32 +220,42 @@ class DensityOperator:
         total = float(p.sum())
         if abs(total - 1.0) > atol:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        p = p / total
-        p, clamped = _clamp_spectrum(p)
+        return cls._diagonal(*_clamp_spectrum(p / total))
+
+    @classmethod
+    def _diagonal(cls, p: np.ndarray, clamped: bool = False) -> "DensityOperator":
+        """Internal: the classical state of a normalized, floored vector."""
         order = np.argsort(p)[::-1]
-        vecs = np.eye(p.size, dtype=complex)[:, order]
-        return cls(matrix=_freeze(np.diag(p).astype(complex)), probs=_freeze(p),
-                   eigenvalues=_freeze(p[order]), eigenvectors=_freeze(vecs),
+        return cls(probs=_freeze(p), eigenvalues=_freeze(p[order]),
+                   eigenvectors=_freeze(np.eye(p.size, dtype=complex)[:, order]),
                    clamped=clamped)
 
     @classmethod
-    def _from_spectrum(cls, eigenvalues, eigenvectors, *, probs=None) -> "DensityOperator":
-        """Internal: assemble from a known clean eigensystem (already clamped)."""
-        w = np.asarray(eigenvalues, dtype=float)
-        v = _as_complex(eigenvectors)
-        if probs is not None:
-            p = np.asarray(probs, dtype=float)
-            return cls(matrix=_freeze(np.diag(p).astype(complex)), probs=_freeze(p),
-                       eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=False)
-        mat = (v * w) @ v.conj().T
-        return cls(matrix=_freeze(mat), probs=None,
-                   eigenvalues=_freeze(w), eigenvectors=_freeze(v), clamped=False)
+    def _from_spectrum(cls, eigenvalues, eigenvectors) -> "DensityOperator":
+        """Internal: a quantum state from a known clean eigensystem (already
+        clamped)."""
+        return cls(probs=None, eigenvalues=_freeze(np.asarray(eigenvalues, dtype=float)),
+                   eigenvectors=_freeze(_as_complex(eigenvectors)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x d complex matrix (read-only)."""
+        if self.is_classical:
+            return _freeze(np.diag(self.probs).astype(complex))
+        v = self.eigenvectors
+        return _freeze((v * self.eigenvalues) @ v.conj().T)
+
+    @cached_property
+    def log_matrix(self) -> np.ndarray:
+        """ln rho as a d x d complex matrix (read-only)."""
+        v = self.eigenvectors
+        return _freeze((v * np.log(self.eigenvalues)) @ v.conj().T)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def is_classical(self) -> bool:
@@ -298,7 +309,7 @@ def expectation(rho: DensityOperator, obs: HermitianOperator) -> float:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-tr(rho ln rho) with the 0 ln 0 = 0 convention."""
-    p = rho.probs if rho.is_classical else rho.eigenvalues
+    p = rho.eigenvalues
     p = p[p > 0]
     return float(-(p @ np.log(p)))
 
@@ -314,8 +325,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
         p, q = rho.probs, sigma.probs
         return float(p @ (np.log(p) - np.log(q)))
     s_rho = -von_neumann_entropy(rho)
-    ln_sigma = (sigma.eigenvectors * np.log(sigma.eigenvalues)) @ sigma.eigenvectors.conj().T
-    cross = float(np.real(np.trace(rho.matrix @ ln_sigma)))
+    cross = float(np.real(np.trace(rho.matrix @ sigma.log_matrix)))
     return s_rho - cross
 
 

@@ -4,22 +4,24 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import gibbsfit.cli
 import gibbsfit.dataio
+import gibbsfit.demos
 import gibbsfit.gibbs
 import gibbsfit.inference
 import gibbsfit.levels
+import gibbsfit.state_space
 from gibbsfit.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, run
 from gibbsfit.dataio import load_classical, load_quantum
 from gibbsfit.demos import THERMAL_N, thermal_setup
 from gibbsfit.inference import estimate_alpha
-from gibbsfit.report import alpha_summary, load_report
+from gibbsfit.report import load_report
 
 WOLF_COUNTS = "data/wolf_counts.csv"
 WOLF_OBS = "data/wolf_observables.csv"
@@ -300,6 +302,44 @@ class TestProjectSolvesOnce:
         assert residual == json.loads(capsys.readouterr().out)["result"]["significance"]
 
 
+class TestStatesHeldAsSpectra:
+    # a state builds its matrix only when something reads it, and a fitted
+    # quantum state keeps eigh's eigenvectors without fixing their phases
+    def test_project_builds_no_state_matrix(self, monkeypatch, capsys):
+        fits = []
+        original = gibbsfit.cli.project
+
+        def keeping(lvl, targets):
+            fits.append(original(lvl, targets))
+            return fits[-1]
+
+        monkeypatch.setattr(gibbsfit.cli, "project", keeping)
+        assert run(["project", "--data", WOLF_COUNTS, "--level", "full"]) == EXIT_OK
+        [fit] = fits
+        assert "matrix" not in vars(fit.level.sigma)
+        assert "matrix" not in vars(fit.state)
+
+    def test_fits_fix_no_phases(self, monkeypatch, capsys):
+        ds = load_quantum("data/qutrit_mixed.json")
+        calls = []
+        original = gibbsfit.state_space._fix_phases
+
+        def counting(vecs):
+            calls.append(vecs)
+            return original(vecs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("gibbsfit") and hasattr(mod, "_fix_phases"):
+                monkeypatch.setattr(mod, "_fix_phases", counting)
+        monkeypatch.setattr(gibbsfit.cli, "_load_dataset", lambda args: ds)
+        data = ["--data", "data/qutrit_mixed.json"]
+        for argv in (["project", *data], ["project", *data, "--level", "spin"],
+                     ["estimate", *data, "--level", "spin"],
+                     ["compare", *data, "--coarse", "diag", "--fine", "full"]):
+            assert run(argv) == EXIT_OK, argv
+        assert calls == []
+
+
 class TestLogging:
     def test_warning_visible_by_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("GIBBSFIT_LOG", raising=False)
@@ -535,7 +575,7 @@ class TestEstimate:
         assert err.count("fitted directions") == 1
         ds = load_quantum(QUBIT_JSON)
         result = json.loads(out)["result"]
-        assert result["evidence"] == alpha_summary(estimate_alpha(ds.data))
+        assert result["evidence"] == asdict(estimate_alpha(ds.data))
         assert result["posterior"]["alpha"] == result["evidence"]["alpha"]
         assert result["posterior"]["alpha_source"] == "evidence"
 
@@ -637,10 +677,16 @@ class TestDemos:
     @pytest.mark.parametrize("nudge", [-3e-15, 0.0, 3e-15, 4e-15])
     def test_thermal_shot_count_is_exact(self, nudge, monkeypatch):
         # roots a few ulps apart, where the sum of n * p1 rounds off 12000
-        brentq = scipy.optimize.brentq
-        monkeypatch.setattr(scipy.optimize, "brentq",
-                            lambda *a, **kw: brentq(*a, **kw) * (1.0 + nudge))
+        bisect = gibbsfit.demos._bisect
+        roots = []
+
+        def nudged(*args):
+            roots.append(bisect(*args) * (1.0 + nudge))
+            return roots[-1]
+
+        monkeypatch.setattr(gibbsfit.demos, "_bisect", nudged)
         assert thermal_setup()[3].n == THERMAL_N
+        assert len(roots) == 1
 
     def test_thermal_temperature(self, capsys):
         run(["demo", "thermal", "--format", "json"])
@@ -688,8 +734,7 @@ print(json.dumps({"stages": stages, "direct": sorted(direct)}))
 
 class TestStartup:
     def test_commands_load_no_scipy(self):
-        # numpy carries every command; only demo thermal's root finder
-        # imports scipy, and only scipy.optimize
+        # numpy carries every command and every demo
         wolf = ["--data", WOLF_COUNTS, "--observables", WOLF_OBS]
         qubit = ["--data", QUBIT_JSON]
         commands = [[*cmd, *data] for data, fine in ((wolf, "G1,G2"), (qubit, "ising"))
@@ -711,8 +756,8 @@ class TestStartup:
         assert seen["stages"]["import"] == []
         assert seen["stages"]["commands"] == []
         assert seen["stages"]["demos"] == []
-        assert "scipy.optimize" in seen["stages"]["thermal"]
-        assert seen["direct"] == ["gibbsfit.demos:scipy.optimize"]
+        assert seen["stages"]["thermal"] == []
+        assert seen["direct"] == []
 
     def test_run_builds_one_parser(self, monkeypatch, capsys):
         built = []

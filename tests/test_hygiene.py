@@ -1,4 +1,5 @@
-"""Lint for the package, test and script sources, three AST scans.
+"""Lint for the package, test and script sources: three AST scans and a
+check of the declared dependencies.
 
 Every imported name is used: a name an import statement binds must appear
 as a name somewhere in the same file.  `import a.b` binds `a`, so attribute
@@ -12,13 +13,15 @@ Its definition and its `__all__` entry do not count, and neither do the
 tests: code that only tests call belongs in `tests/`, reference
 implementations in `tests/oracles.py`.
 
-The package imports no scipy: numpy carries every command, and a scipy
-import costs a fresh process about half a second.  The one exception is
-the function-local root finder in `demos.thermal_setup`.
+numpy is the package's only runtime dependency: `src/gibbsfit` imports no
+other module from outside the standard library, and `pyproject.toml`
+declares numpy alone.  scipy is a test oracle only; a scipy import would
+also cost a fresh process about half a second.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,32 +143,35 @@ class TestProductionCallers:
         assert uncalled_exports(modules, scripts, (ROOT / "README.md").read_text()) == []
 
 
-def scipy_imports(source: str) -> list[str]:
-    """The scope of each import of scipy or a scipy submodule in source: the
-    enclosing function or class name, or `<module>` at the top level."""
-    found = []
-    for scope in ast.walk(ast.parse(source)):
-        if not isinstance(scope, SCOPES):
+def third_party_imports(source: str) -> list[str]:
+    """The top-level modules outside the standard library that source
+    imports anywhere, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
             continue
-        for node in _inner_nodes(scope):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(getattr(scope, "name", "<module>"))
-    return sorted(found)
+        found.update(n.split(".")[0] for n in names)
+    return sorted(found - sys.stdlib_module_names)
 
 
-def test_scan_finds_scipy_imports():
-    src = ("import scipy.linalg\nfrom scipy import special\nimport scipyish\n"
-           "from . import scipy\n\n\ndef f():\n    from scipy.optimize import brentq\n")
-    assert scipy_imports(src) == ["<module>", "<module>", "f"]
+def test_scan_finds_third_party_imports():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "import scipy.linalg\nfrom scipy import special\nfrom . import yaml\n\n\n"
+           "def f():\n    from hypothesis import given\n")
+    assert third_party_imports(src) == ["hypothesis", "numpy", "scipy"]
 
 
-def test_package_imports_scipy_only_for_demo_thermal():
-    found = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope in scipy_imports(path.read_text())]
-    assert found == ["demos.thermal_setup"]
+def test_package_imports_only_numpy():
+    found = {name for path in PACKAGE.glob("*.py")
+             for name in third_party_imports(path.read_text())}
+    assert found == {"numpy"}
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]

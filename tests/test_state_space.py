@@ -1,6 +1,8 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gibbsfit.errors import ValidationError
 from gibbsfit.state_space import (
@@ -74,6 +76,34 @@ class TestConstruction:
         tagged = HermitianOperator.from_matrix(np.diag([1.0, -2.0]))
         assert np.array_equal(tagged.diagonal, op.diagonal)
         assert "matrix" not in vars(tagged)
+
+
+class TestHeldAsSpectrum:
+    @given(st.integers(2, 8), st.sampled_from(["classical", "quantum"]),
+           st.integers(0, 2**32 - 1))
+    def test_matrices_are_cached_read_only_spectral_forms(self, dim, kind, seed):
+        rho = random_density(np.random.default_rng(seed), dim, kind)
+        v, w = rho.eigenvectors, rho.eigenvalues
+        assert "matrix" not in vars(rho) and "log_matrix" not in vars(rho)
+        for name, want in (("matrix", (v * w) @ v.conj().T),
+                           ("log_matrix", (v * np.log(w)) @ v.conj().T)):
+            got = getattr(rho, name)
+            assert got is getattr(rho, name)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(rho, name, want)
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
+    def test_diagonal_is_classical_of_a_normalized_vector(self, raw):
+        p = np.array(raw) / sum(raw)
+        p /= p.sum()
+        assume(p.sum() == 1.0)
+        got, want = DensityOperator._diagonal(p), DensityOperator.classical(p)
+        for name in ("probs", "eigenvalues", "eigenvectors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.clamped is want.clamped is False
 
 
 class TestExpectationEntropy:
