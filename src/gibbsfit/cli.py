@@ -2,8 +2,10 @@
 report as an aligned table or as JSON.
 
 Exit codes: 0 success, 2 data or validation problems (including evidence
-weighting that does not apply), 3 solver non-convergence.  The package
-log level is set with GIBBSFIT_LOG (error, warn, info, debug).
+weighting that does not apply), 3 solver non-convergence.  An argparse
+usage error (an unknown command or option, a missing or malformed value)
+also exits 2: `run` raises SystemExit(2) for it rather than returning.
+The package log level is set with GIBBSFIT_LOG (error, warn, info, debug).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .inference import (
 )
 from .report import (
     Report,
-    RunConfig,
     comparison_summary,
     model_summary,
     posterior_summary,
@@ -66,84 +67,6 @@ def _configure_logging() -> None:
     pkg.propagate = False
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="gibbsfit",
-        description="Fit, weigh and compare Gibbs-manifold descriptions of "
-                    "small classical and quantum datasets.")
-    sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    def output_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("table", "json"), default="table",
-                       help="report format (default: table)")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the report to a file instead of stdout")
-
-    def data_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--data", required=True, metavar="PATH",
-                       help="counts CSV (classical) or dataset JSON (quantum)")
-        p.add_argument("--observables", metavar="PATH",
-                       help="observable table CSV, classical data only")
-
-    p = sub.add_parser("project", help="fit a level of description to the data")
-    data_opts(p)
-    p.add_argument("--level", default="full",
-                   help="target level: a named level or comma-separated "
-                        "observable names (default: full)")
-    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
-                   help="tail probability threshold for the residual check")
-    output_opts(p)
-
-    p = sub.add_parser("significance",
-                       help="significance of the deviation from a fitted level")
-    data_opts(p)
-    p.add_argument("--level", default="O",
-                   help="fitted level (default: O, the bare reference)")
-    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
-                   help="tail probability below which the deviation counts "
-                        "as significant (default: 1e-3)")
-    output_opts(p)
-
-    p = sub.add_parser("estimate",
-                       help="posterior state estimate with evidence weighting")
-    data_opts(p)
-    p.add_argument("--level", default="full",
-                   help="prior (model) level (default: full)")
-    p.add_argument("--alpha", default="auto", metavar="auto|VALUE",
-                   help="prior weight: 'auto' runs the evidence procedure, "
-                        "a number pins it")
-    output_opts(p)
-
-    p = sub.add_parser("compare",
-                       help="model selection between two nested levels")
-    data_opts(p)
-    p.add_argument("--coarse", required=True, help="coarse candidate level")
-    p.add_argument("--fine", required=True, help="fine candidate level")
-    p.add_argument("--alpha", default="auto", metavar="auto|VALUE",
-                   help="prior weight for the posterior odds (default: auto)")
-    p.add_argument("--prior-odds", type=float, default=1.0,
-                   help="prior probability ratio coarse:fine (default: 1)")
-    output_opts(p)
-
-    p = sub.add_parser("demo", help="run a built-in worked example")
-    p.add_argument("which", choices=("wolf", "qubit", "thermal"))
-    p.add_argument("--tilt-deg", type=float, default=3.0,
-                   help="qubit demo: tilt angle in degrees (default: 3)")
-    p.add_argument("--r", type=float, default=0.73,
-                   help="qubit demo: Bloch radius (default: 0.73)")
-    p.add_argument("--n", type=float, default=20000,
-                   help="qubit demo: number of shots (default: 20000)")
-    output_opts(p)
-    return ap
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `run` uses, built once per process: parse_args keeps no
-    state between calls, so one parser serves every command."""
-    return build_parser()
-
-
 def _load_dataset(args):
     path = str(args.data)
     if path.endswith(".json"):
@@ -166,74 +89,140 @@ def _parse_alpha(text: str) -> float | None:
     return val
 
 
-def _dispatch(args) -> tuple[RunConfig, dict]:
-    if args.command == "demo":
-        extra = {}
-        if args.which == "wolf":
-            result = run_wolf()
-        elif args.which == "qubit":
-            extra = {"tilt_deg": args.tilt_deg, "r": args.r, "n": args.n}
-            result = run_qubit(r=args.r, tilt_deg=args.tilt_deg, n=args.n)
-        else:
-            result = run_thermal()
-        config = RunConfig(command=f"demo {args.which}", out_format=args.format, extra=extra)
-        return config, result
-
+def _project(args) -> dict:
     ds = _load_dataset(args)
-    inputs = tuple(p for p in (args.data, args.observables) if p)
+    level = resolve_level(ds, args.level)
+    fit = project(level, ds.data.means_for(level))
+    result = {"fit": model_summary(fit)}
+    if ds.data.level.n_params > level.n_params:
+        result["residual"] = asdict(fit_significance(ds.data, fit, sig_level=args.sig_level))
+    return result
 
-    if args.command == "project":
-        level = resolve_level(ds, args.level)
-        fit = project(level, ds.data.means_for(level))
-        result = {"fit": model_summary(fit)}
-        if ds.data.level.n_params > level.n_params:
-            rep = fit_significance(ds.data, fit, sig_level=args.sig_level)
-            result["residual"] = asdict(rep)
-        config = RunConfig(command="project", inputs=inputs, level=args.level,
-                           sig_level=args.sig_level, out_format=args.format)
-        return config, result
 
-    if args.command == "significance":
-        level = resolve_level(ds, args.level)
-        rep = level_significance(ds.data, level, sig_level=args.sig_level)
-        config = RunConfig(command="significance", inputs=inputs,
-                           level=args.level, sig_level=args.sig_level,
-                           out_format=args.format)
-        return config, {"significance": asdict(rep)}
+def _significance(args) -> dict:
+    ds = _load_dataset(args)
+    level = resolve_level(ds, args.level)
+    return {"significance": asdict(
+        level_significance(ds.data, level, sig_level=args.sig_level))}
 
-    if args.command == "estimate":
-        level = resolve_level(ds, args.level)
-        prior = EntropicPrior(level=level, alpha=_parse_alpha(args.alpha))
-        post = posterior_estimate(ds.data, prior)
-        result = {}
-        if post.evidence is not None:
-            result["evidence"] = asdict(post.evidence)
-        result["posterior"] = posterior_summary(post)
-        config = RunConfig(command="estimate", inputs=inputs, level=args.level,
-                           alpha_policy=args.alpha, out_format=args.format)
-        return config, result
 
-    if args.command == "compare":
-        coarse = resolve_level(ds, args.coarse)
-        fine = resolve_level(ds, args.fine)
-        alpha = _parse_alpha(args.alpha)
-        rep = compare_levels(coarse, fine, ds.data,
-                             alpha="evidence" if alpha is None else alpha,
-                             prior_odds=args.prior_odds)
-        config = RunConfig(command="compare", inputs=inputs,
-                           coarse=args.coarse, fine=args.fine,
-                           alpha_policy=args.alpha, prior_odds=args.prior_odds,
-                           out_format=args.format)
-        return config, {"comparison": comparison_summary(rep)}
+def _estimate(args) -> dict:
+    ds = _load_dataset(args)
+    prior = EntropicPrior(level=resolve_level(ds, args.level),
+                          alpha=_parse_alpha(args.alpha_policy))
+    post = posterior_estimate(ds.data, prior)
+    evidence = {} if post.evidence is None else {"evidence": asdict(post.evidence)}
+    return {**evidence, "posterior": posterior_summary(post)}
 
-    raise ValidationError(f"unknown command {args.command!r}")
+
+def _compare(args) -> dict:
+    ds = _load_dataset(args)
+    coarse, fine = resolve_level(ds, args.coarse), resolve_level(ds, args.fine)
+    alpha = _parse_alpha(args.alpha_policy)
+    rep = compare_levels(coarse, fine, ds.data,
+                         alpha="evidence" if alpha is None else alpha,
+                         prior_odds=args.prior_odds)
+    return {"comparison": comparison_summary(rep)}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command and per demo, each holding its handler:
+    the function that turns the parsed options into a result tree."""
+    ap = argparse.ArgumentParser(
+        prog="gibbsfit",
+        description="Fit, weigh and compare Gibbs-manifold descriptions of "
+                    "small classical and quantum datasets.")
+    sub = ap.add_subparsers(dest="command", required=True, metavar="command")
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("table", "json"), default="table",
+                        help="report format (default: table)")
+    output.add_argument("--out", metavar="PATH",
+                        help="write the report to a file instead of stdout")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, metavar="PATH",
+                      help="counts CSV (classical) or dataset JSON (quantum)")
+    data.add_argument("--observables", metavar="PATH",
+                      help="observable table CSV, classical data only")
+
+    p = sub.add_parser("project", parents=[data, output],
+                       help="fit a level of description to the data")
+    p.add_argument("--level", default="full",
+                   help="target level: a named level or comma-separated "
+                        "observable names (default: full)")
+    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
+                   help="tail probability threshold for the residual check")
+    p.set_defaults(handler=_project)
+
+    p = sub.add_parser("significance", parents=[data, output],
+                       help="significance of the deviation from a fitted level")
+    p.add_argument("--level", default="O",
+                   help="fitted level (default: O, the bare reference)")
+    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
+                   help="tail probability below which the deviation counts "
+                        "as significant (default: 1e-3)")
+    p.set_defaults(handler=_significance)
+
+    p = sub.add_parser("estimate", parents=[data, output],
+                       help="posterior state estimate with evidence weighting")
+    p.add_argument("--level", default="full",
+                   help="prior (model) level (default: full)")
+    p.add_argument("--alpha", dest="alpha_policy", default="auto", metavar="auto|VALUE",
+                   help="prior weight: 'auto' runs the evidence procedure, "
+                        "a number pins it")
+    p.set_defaults(handler=_estimate)
+
+    p = sub.add_parser("compare", parents=[data, output],
+                       help="model selection between two nested levels")
+    p.add_argument("--coarse", required=True, help="coarse candidate level")
+    p.add_argument("--fine", required=True, help="fine candidate level")
+    p.add_argument("--alpha", dest="alpha_policy", default="auto", metavar="auto|VALUE",
+                   help="prior weight for the posterior odds (default: auto)")
+    p.add_argument("--prior-odds", type=float, default=1.0,
+                   help="prior probability ratio coarse:fine (default: 1)")
+    p.set_defaults(handler=_compare)
+
+    demo = sub.add_parser("demo", help="run a built-in worked example")
+    demos = demo.add_subparsers(dest="which", required=True, metavar="which")
+    p = demos.add_parser("wolf", parents=[output], help="a die from 20000 throws")
+    p.set_defaults(handler=lambda args: run_wolf())
+    p = demos.add_parser("qubit", parents=[output], help="a tilted spin")
+    p.add_argument("--tilt-deg", type=float, default=3.0,
+                   help="tilt angle in degrees (default: 3)")
+    p.add_argument("--r", type=float, default=0.73, help="Bloch radius (default: 0.73)")
+    p.add_argument("--n", type=float, default=20000,
+                   help="number of shots (default: 20000)")
+    p.set_defaults(handler=lambda args: run_qubit(r=args.r, tilt_deg=args.tilt_deg, n=args.n))
+    p = demos.add_parser("thermal", parents=[output], help="a thermal ladder")
+    p.set_defaults(handler=lambda args: run_thermal())
+    return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built once per process: parse_args keeps no
+    state between calls, so one parser serves every command."""
+    return build_parser()
+
+
+# parsed values the config block leaves out: the command and handler, and
+# the paths, which it echoes as `inputs` or not at all
+_NOT_ECHOED = frozenset({"command", "which", "handler", "data", "observables", "out"})
+
+
+def _config(args) -> dict:
+    """Echo of one invocation: the command, its input files and every
+    other option its parser declares, as parsed."""
+    parsed = vars(args)
+    config = {"command": " ".join(filter(None, (parsed["command"], parsed.get("which"))))}
+    if "data" in parsed:
+        config["inputs"] = tuple(filter(None, (parsed["data"], parsed["observables"])))
+    config.update((key, val) for key, val in parsed.items() if key not in _NOT_ECHOED)
+    return config
 
 
 def _emit(report: Report, args) -> None:
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = render_table(report)
+    text = report.to_json() + "\n" if args.format == "json" else render_table(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -245,8 +234,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _configure_logging()
-        config, result = _dispatch(args)
-        _emit(Report.build(config, result), args)
+        _emit(Report.build(_config(args), args.handler(args)), args)
     except (DataFormatError, ValidationError, EvidenceNotApplicableError,
             OSError) as exc:
         print(f"gibbsfit: error: {exc}", file=sys.stderr)

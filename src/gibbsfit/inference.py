@@ -612,7 +612,8 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     the first term being the parameter-cost penalty the finer model pays.
     alpha="evidence" estimates the weight from the data on its own level,
     a number pins it, None skips the odds (the verdict is alpha-free).
-    ValidationError when chi2_exact, chi2_gain or the odds overflow.
+    ValidationError when chi2_exact, chi2_gain or the odds overflow, naming
+    alpha when N/alpha does.
     """
     if data.n <= 1:
         raise ValidationError("model comparison needs n > 1")
@@ -653,6 +654,10 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
 
     log_ratio = None
     if alpha_used is not None:
+        if not math.isfinite(data.n / alpha_used):
+            raise ValidationError(
+                f"N/alpha overflows in the log posterior odds at sample size n = "
+                f"{data.n!r}: the prior weight alpha = {alpha_used!r} is too small")
         log_ratio = float(0.5 * s * np.log(data.n / alpha_used)
                           - (data.n - alpha_used) * s_gain + np.log(prior_odds))
         _require_finite_statistic(log_ratio, "the log posterior odds", data.n)

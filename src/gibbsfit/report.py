@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .gibbs import thermodynamic_entropy, volume_weight
 REPORT_FORMAT_VERSION = 1
 
 __all__ = [
-    "RunConfig",
     "Report",
     "render_table",
     "load_report",
@@ -27,32 +26,6 @@ __all__ = [
     "comparison_summary",
     "posterior_summary",
 ]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one CLI invocation, kept verbatim inside the report.  An
-    option the command does not take stays None and is left out."""
-
-    command: str
-    inputs: tuple[str, ...] | None = None
-    level: str | None = None
-    coarse: str | None = None
-    fine: str | None = None
-    alpha_policy: str | None = None
-    sig_level: float | None = None
-    prior_odds: float | None = None
-    out_format: str = "table"
-    extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"command": self.command, "inputs": self.inputs,
-             "alpha_policy": self.alpha_policy, "sig_level": self.sig_level,
-             "prior_odds": self.prior_odds, "format": self.out_format,
-             "level": self.level, "coarse": self.coarse, "fine": self.fine}
-        d = {key: val for key, val in d.items() if val is not None}
-        d.update(self.extra)
-        return d
 
 
 def _digest(path) -> str:
@@ -91,12 +64,14 @@ class Report:
     provenance: dict
 
     @classmethod
-    def build(cls, config: RunConfig, result: dict) -> "Report":
+    def build(cls, config: dict, result: dict) -> "Report":
+        """`config` echoes the invocation: its `command` and the paths in
+        its `inputs`, if any, which the provenance digests."""
         from . import __version__
         prov = {"tool": "gibbsfit", "version": __version__,
-                "inputs": {str(p): _digest(p) for p in config.inputs or ()}}
-        return cls(command=config.command, result=_jsonable(result),
-                   config=_jsonable(config.as_dict()), provenance=prov)
+                "inputs": {str(p): _digest(p) for p in config.get("inputs", ())}}
+        return cls(command=config["command"], result=_jsonable(result),
+                   config=_jsonable(config), provenance=prov)
 
     def to_json(self, indent: int | None = 2) -> str:
         doc = {"format_version": REPORT_FORMAT_VERSION, "command": self.command,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,6 +440,16 @@ class TestOverflowingStatistic:
         assert out == ""
         assert "gibbsfit: error:" in err and f"sample size n = {n}" in err
 
+    def test_subnormal_alpha_names_alpha(self, capsys):
+        # N/alpha overflows at a subnormal alpha, whatever the sample size
+        argv = ["compare", "--data", QUBIT_JSON, "--coarse", "O", "--fine", "full",
+                "--alpha", "1e-320"]
+        assert run(argv) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "prior weight alpha = 1e-320 is too small" in err
+        assert "sample size is too large" not in err
+
     def test_large_sample_still_reports(self, capsys):
         assert run(["demo", "qubit", "--n", "1e200", "--format", "json"]) == EXIT_OK
         result = _strict_json(capsys.readouterr().out)["result"]
@@ -652,6 +664,97 @@ class TestConfigEcho:
         rep = load_report(dest)
         assert set(rep.config) == keys
         assert rep.command == rep.config["command"]
+
+
+class TestConfigValues:
+    # non-default options echo as typed: level names and --alpha as strings,
+    # --sig-level and --prior-odds as floats
+    @pytest.mark.parametrize("argv, want", [
+        (["project", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+          "--level", "G1,G2", "--sig-level", "0.01"],
+         {"command": "project", "inputs": [WOLF_COUNTS, WOLF_OBS], "level": "G1,G2",
+          "sig_level": 0.01}),
+        (["significance", "--data", WOLF_COUNTS, "--sig-level", "0.01"],
+         {"command": "significance", "inputs": [WOLF_COUNTS], "level": "O",
+          "sig_level": 0.01}),
+        (["estimate", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+          "--level", "G1,G2", "--alpha", "250"],
+         {"command": "estimate", "inputs": [WOLF_COUNTS, WOLF_OBS], "level": "G1,G2",
+          "alpha_policy": "250"}),
+        (["compare", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+          "--coarse", "G1", "--fine", "G1,G2", "--alpha", "250", "--prior-odds", "2"],
+         {"command": "compare", "inputs": [WOLF_COUNTS, WOLF_OBS], "coarse": "G1",
+          "fine": "G1,G2", "alpha_policy": "250", "prior_odds": 2.0}),
+    ], ids=["project", "significance", "estimate", "compare"])
+    def test_values_echo_as_typed(self, tmp_path, capsys, argv, want):
+        dest = tmp_path / "report.json"
+        assert run([*argv, "--format", "json", "--out", str(dest)]) == EXIT_OK
+        config = load_report(dest).config
+        want = {**want, "format": "json"}
+        assert config == want
+        assert all(type(config[key]) is type(val) for key, val in want.items())
+
+
+class TestEveryOptionRead:
+    # every option a command's parser declares is read by _load_dataset, the
+    # handler or _emit: none is accepted and then ignored
+    @pytest.mark.parametrize("argv", [
+        # a level below the data's, so that project checks the residual
+        ["project", "--data", WOLF_COUNTS, "--observables", WOLF_OBS, "--level", "G1,G2"],
+        ["significance", "--data", WOLF_COUNTS],
+        ["estimate", "--data", WOLF_COUNTS, "--observables", WOLF_OBS, "--level", "G1,G2"],
+        ["compare", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+         "--coarse", "O", "--fine", "G1,G2"],
+        ["demo", "wolf"],
+        ["demo", "qubit"],
+        ["demo", "thermal"],
+    ], ids=["project", "significance", "estimate", "compare", "demo-wolf",
+            "demo-qubit", "demo-thermal"])
+    def test_declared_options_are_read(self, monkeypatch, capsys, argv):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parser = gibbsfit.cli.build_parser()
+        parsed = []
+
+        def parse_args(args):
+            # argparse itself reads every destination while parsing
+            parsed.append(parser.parse_args(args, namespace=Recording()))
+            reads.clear()
+            return parsed[-1]
+
+        monkeypatch.setattr(gibbsfit.cli, "_parser",
+                            lambda: SimpleNamespace(parse_args=parse_args))
+        assert run(argv) == EXIT_OK
+        declared = set(vars(parsed[0])) - {"command", "which", "handler"}
+        assert "format" in declared and "out" in declared
+        assert declared - reads == set()
+
+
+class TestDemoOptions:
+    # --tilt-deg, --r and --n belong to demo qubit; the other demos refuse
+    # them as a usage error
+    @pytest.mark.parametrize("which", ["wolf", "thermal"])
+    @pytest.mark.parametrize("option", [["--tilt-deg", "2"], ["--r", "0.9"], ["--n", "10"]],
+                             ids=["tilt-deg", "r", "n"])
+    def test_other_demos_refuse_qubit_options(self, capsys, which, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["demo", which, *option])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and option[0] in err
+
+    def test_qubit_echoes_its_options(self, capsys):
+        argv = ["demo", "qubit", "--tilt-deg", "2", "--r", "0.9", "--n", "500",
+                "--format", "json"]
+        assert run(argv) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["tilt_deg"], config["r"], config["n"]) == (2.0, 0.9, 500.0)
+        assert config["command"] == "demo qubit"
 
 
 class TestDemos:
