@@ -10,11 +10,11 @@ matrices.  `LevelOfDescription.basis` reads its rows as operators.
 Span arithmetic runs in a Euclidean embedding of operator space, one row
 per stacked operator, computed from each reference's frame
 (`DensityOperator.kmb_frame`).  At a classical reference a diagonal stack
-is written straight onto the diagonal slots, Gram-Schmidt projects its
-real rows, and the embedding updates touch only those d slots, so a
-classical level never builds a d x d matrix.  The inner products that
-choose a basis still run one at a time over the full length-d^2
-embeddings, because BLAS sums a shorter vector, or a stacked product, in
+is written straight onto the diagonal slots, and its embeddings and the
+Gram-Schmidt frame are held as those d slots alone, so a classical level
+never builds a d x d matrix.  The inner products that choose a basis
+still run one at a time over full length-d^2 vectors, each a reused
+scratch, because BLAS sums a shorter vector, or a stacked product, in
 another order; every basis is bit-identical to the dense matrix algebra in
 tests/levels_oracle.py.  Coordinates that choose no basis come stacked:
 a level's generator coordinates are its Gram-Schmidt R factor, and a
@@ -144,6 +144,15 @@ def _split_identity(ops, stack: np.ndarray,
     return offsets, stack - offsets[:, None, None] * np.eye(sigma.dim)
 
 
+def _scratch(slots: slice, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed vector of the full embedding length (d^2 for the diagonal
+    slots of `_slots`, else the row's own) and its ``slots`` view.  No other
+    entry is ever written, so it stays +0.0 and a vdot over the vector reads
+    the bytes of the full embedding of the row written into the view."""
+    full = np.zeros(row.size if slots.step is None else (slots.step - 1) ** 2, row.dtype)
+    return full, full[slots]
+
+
 def _gram_schmidt(embeds, stack=None, slots=slice(None)):
     """Orthonormalize embeddings (with one reorthogonalization pass).
 
@@ -160,41 +169,47 @@ def _gram_schmidt(embeds, stack=None, slots=slice(None)):
     ``m * (1.0 / norm)``: that is how numpy divides a complex matrix by a
     real scalar, so both forms have the same bits.
 
-    The embedding updates write only the ``slots`` entries (see `_slots`)
-    through one reused buffer: every other entry is +0.0 in every input and
-    stays +0.0 (0 - c*0 is +0.0 for finite c), and an elementwise ufunc gives
-    each entry the same bits whatever the stride.  The inner products run
-    one at a time over the full length-d^2 vectors, because BLAS sums a
-    compact vector or a stacked product in another order, and that would
-    rotate the basis `intersection` chooses.
+    The embeddings, and the frame rows, hold only the ``slots`` entries
+    (see `_slots`): every other entry of a full embedding is +0.0 and stays
+    +0.0 (0 - c*0 is +0.0 for finite c), and an elementwise ufunc gives each
+    entry the same bits whatever the stride.  The inner products still run
+    one at a time over full length-d^2 vectors, because BLAS sums a compact
+    vector or a stacked product in another order, and that would rotate the
+    basis `intersection` chooses.  Those vectors exist only as two reused
+    scratches (`_scratch`): the current input, updated in place through its
+    slots, and the frame row it is projected on.  Rows that hold every entry
+    are read as they are.
     """
-    basis_z: list[np.ndarray] = []
-    basis_s: list[np.ndarray] = []
+    frame: list[np.ndarray] = []
     kept: list[int] = []
     r = np.zeros((len(embeds), len(embeds)))
-    buf = np.empty_like(embeds[0][slots]) if len(embeds) else None
+    if len(embeds):
+        (zz, zs), (fz, fs) = _scratch(slots, embeds[0]), _scratch(slots, embeds[0])
+        padded = zs.size < zz.size
+        buf = np.empty_like(zs)
     if stack is not None:
         # rows: the basis so far; work: a row, then its projections
         shape = stack.shape[1:]
         rows = np.empty_like(stack)
         work = np.empty((2 * len(stack) + 1, *shape), stack.dtype)
     for idx, z in enumerate(embeds):
-        orig = np.sqrt(max(np.vdot(z, z).real, 0.0))
+        zs[...] = z
+        orig = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
         if orig == 0.0:
             continue
-        zz = z.copy()
-        zs = zz[slots]
         coeffs = []
         for _ in range(2):
-            for bz, bs in zip(basis_z, basis_s):
-                c = np.vdot(bz, zz).real
-                np.multiply(bs, c, out=buf)
+            for f in frame:
+                if padded:
+                    fs[...] = f
+                c = np.vdot(fz if padded else f, zz).real
+                np.multiply(f, c, out=buf)
                 zs -= buf
                 coeffs.append(c)
         norm = np.sqrt(max(np.vdot(zz, zz).real, 0.0))
         if norm < DROP_TOL * orig:
             continue
-        n = len(basis_z)
+        n = len(frame)
         coeffs = np.array(coeffs).reshape(2, n)
         if stack is not None:
             m = stack[idx]
@@ -205,12 +220,11 @@ def _gram_schmidt(embeds, stack=None, slots=slice(None)):
                 m = np.subtract.reduce(work[:2 * n + 1], axis=0)
             rows[n] = m / norm if len(shape) == 2 else m * (1.0 / norm)
         zs /= norm
-        basis_z.append(zz)
-        basis_s.append(zs)
+        frame.append(zs.copy())
         kept.append(idx)
         r[:n, n], r[n, n] = coeffs[0] + coeffs[1], norm
     basis = None if stack is None else rows[:len(kept)]
-    return kept, basis_z, basis, r[:len(kept), :len(kept)]
+    return kept, frame, basis, r[:len(kept), :len(kept)]
 
 
 def _orthonormalize(ops, stack: np.ndarray,
@@ -219,8 +233,8 @@ def _orthonormalize(ops, stack: np.ndarray,
     Gram-Schmidt: the kept input indices and the frame of
     `LevelOfDescription`."""
     offsets, centered = _split_identity(ops, stack, sigma)
-    kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered), centered,
-                                      _slots(sigma, centered))
+    slots = _slots(sigma, centered)
+    kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered, slots), centered, slots)
     return tuple(kept), {"stack": _freeze(basis), "gen_offsets": _freeze(offsets[kept]),
                          "gen_coeffs": _freeze(r.T.copy())}
 
@@ -354,12 +368,22 @@ def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
         raise ValidationError("levels are built at different reference states")
 
 
-def _frame_dots(frame, zs) -> np.ndarray:
+def _frame_dots(frame, zs, slots: slice) -> np.ndarray:
     """Re <f, z> for every embedding z (rows) and frame vector f (columns),
-    each a full-length vdot: `intersection` picks its shared basis from
-    these, and a stacked product would round them differently."""
-    dots = np.array([[np.vdot(fz, z).real for fz in frame] for z in zs])
-    return dots.reshape(len(zs), len(frame))
+    both holding the ``slots`` entries, each a vdot over the full length-d^2
+    vectors (`_scratch`): `intersection` picks its shared basis from these,
+    and a compact or stacked product would round them differently."""
+    (zz, zv), (fz, fv) = _scratch(slots, zs[0]), _scratch(slots, zs[0])
+    padded = zv.size < zz.size
+    dots = np.empty((len(zs), len(frame)))
+    for i, z in enumerate(zs):
+        if padded:
+            zv[...] = z
+        for j, f in enumerate(frame):
+            if padded:
+                fv[...] = f
+            dots[i, j] = np.vdot(fz if padded else f, zz if padded else z).real
+    return dots
 
 
 def _frame_coords(level: LevelOfDescription,
@@ -404,10 +428,10 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     if a.is_trivial or b.is_trivial:
         return trivial_level(a.sigma)
     sigma = a.sigma
-    za, zb = _embedding(sigma, a.stack), _embedding(sigma, b.stack)
-    frame = _gram_schmidt([*za, *zb], slots=_slots(sigma, a.stack, b.stack))[1]
-    ca = _frame_dots(frame, za)
-    cb = _frame_dots(frame, zb)
+    slots = _slots(sigma, a.stack, b.stack)
+    za, zb = (_embedding(sigma, lvl.stack, slots) for lvl in (a, b))
+    frame = _gram_schmidt([*za, *zb], slots=slots)[1]
+    ca, cb = (_frame_dots(frame, z, slots) for z in (za, zb))
     resid = cb - (cb @ ca.T) @ ca
     u, s, _ = np.linalg.svd(resid, full_matrices=True)
     # s descends; the columns of u past it have sine 0

@@ -313,9 +313,9 @@ class TestEmbeddingCount:
 
 
 class TestSlotUpdates:
-    # diagonal operators at a permutation eigenframe: the projections update
-    # only the d diagonal slots of each length-d^2 embedding, through one
-    # length-d buffer
+    # diagonal operators at a permutation eigenframe: the embeddings and the
+    # Gram-Schmidt frame hold only the d diagonal slots of each length-d^2
+    # embedding; the full-length vectors exist only as reused scratches
     D = 64
     ENTRY = np.dtype(complex).itemsize
 
@@ -326,7 +326,7 @@ class TestSlotUpdates:
         stack = raw - (raw @ sigma.probs)[:, None]
         slots = gibbsfit.levels._slots(sigma, stack)
         assert slots != slice(None)
-        return gibbsfit.levels._embedding(sigma, stack), stack, slots, sigma
+        return gibbsfit.levels._embedding(sigma, stack, slots), stack, slots, sigma
 
     @staticmethod
     def _traced(call):
@@ -343,12 +343,53 @@ class TestSlotUpdates:
 
     def test_gram_schmidt_allocates_only_its_frame(self, diagonal_inputs):
         embeds, stack, slots, _ = diagonal_inputs
+        assert embeds.shape == stack.shape
         (_, frame, basis, r), peak, retained = self._traced(
             lambda: gibbsfit.levels._gram_schmidt(embeds, stack, slots))
-        assert len(frame) == len(stack) and basis.shape == stack.shape
-        assert r.shape == (len(stack), len(stack))
-        # no length-d^2 temporary on top of the frame it returns
-        assert peak - retained < self.D * self.D * self.ENTRY / 2
+        k = len(stack)
+        assert len(frame) == k and basis.shape == stack.shape
+        assert r.shape == (k, k)
+        # the frame holds the d slots of each row; the basis rows are real
+        assert sum(f.size for f in frame) == k * self.D
+        assert retained < 2 * k * self.D * self.ENTRY
+        # beyond the frame: two length-d^2 scratches and length-d buffers
+        assert peak - retained <= 3 * self.D * self.D * self.ENTRY
+
+    @given(dim=st.integers(2, 70), k=st.integers(1, 6), dependent=st.booleans(),
+           data=st.data())
+    def test_slot_rows_keep_the_full_length_bits(self, dim, k, dependent, data):
+        # a vdot over the d slots alone rounds differently from the
+        # full-length one at most d; slot rows must keep every bit
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = random_density(rng, dim, kind="classical")
+        raw = rng.normal(size=(min(k, dim - 1), dim))
+        if dependent:
+            raw = np.vstack([raw, 2.0 * raw[0] - raw[-1]])
+        stack = raw - (raw @ sigma.probs)[:, None]
+        slots = gibbsfit.levels._slots(sigma, stack)
+        assert slots == slice(None, None, dim + 1)
+        compact = gibbsfit.levels._gram_schmidt(
+            gibbsfit.levels._embedding(sigma, stack, slots), stack, slots)
+        full = gibbsfit.levels._gram_schmidt(
+            gibbsfit.levels._embedding(sigma, stack), stack)
+        assert compact[0] == full[0]
+        assert compact[2].tobytes() == full[2].tobytes()
+        assert compact[3].tobytes() == full[3].tobytes()
+        padded = np.zeros((len(compact[1]), dim * dim), dtype=complex)
+        padded[:, slots] = compact[1]
+        assert padded.tobytes() == np.array(full[1]).reshape(padded.shape).tobytes()
+
+    def test_diagonal_levels_build_no_full_length_stack(self, rng):
+        # the outcome level's lazy pass and an intersection with it keep
+        # (k, d) rows: the peak is a few length-d^2 scratches plus O(k d)
+        sigma = random_density(rng, self.D, kind="classical")
+        full = full_classical_level(sigma)
+        small = make_level([random_diagonal(rng, self.D) for _ in range(3)], sigma)
+        for call, k in ((lambda: full.stack, self.D - 1),
+                        (lambda: intersection(full, small), self.D + 2)):
+            _, peak, _ = self._traced(call)
+            # one (k, d^2) complex array alone would take k * D^2 entries
+            assert peak <= (3 * self.D * self.D + 8 * k * self.D) * self.ENTRY
 
     def test_frame_coords_allocates_one_working_copy(self, diagonal_inputs):
         _, stack, _, sigma = diagonal_inputs
