@@ -28,6 +28,12 @@ X" reads off one number:
 The command set covers every command on the files in ``data/``, the three
 demos, and the first two analyses of each perfbench workload at seeds 1 and
 29 (their datasets come from ``perfbench.workloads``, which is only read).
+
+The script then runs the same commands a second time in the same process,
+where every level comes from the package's per-process memo, and exits 1
+if any warm line differs from the cold one.  It prints each such label as
+``warm differs: <label>`` and a one-line count on standard error, so the
+standard output stays a file that ``--against`` reads.
 """
 
 import argparse
@@ -177,7 +183,25 @@ def perfbench_commands(workdir: Path):
                     yield label, cmd.argv
 
 
-def main() -> int:
+def run_pass(only: str | None, workdir: Path):
+    """Run the command set once, or the group ``only``, with its reports
+    and datasets under ``workdir``: yield (label, line, exit code, result
+    tree) per command."""
+    workdir.mkdir()
+    groups = {
+        "data": ((" ".join(argv), argv) for argv in DATA_COMMANDS),
+        "demos": ((" ".join(argv), argv) for argv in DEMO_COMMANDS),
+        "perfbench": perfbench_commands(workdir),
+    }
+    for name, items in groups.items():
+        if only not in (None, name):
+            continue
+        for label, argv in items:
+            digest, rc, result = result_digest(argv, workdir / "report.json")
+            yield label, f"{digest} {rc} {label}", rc, result
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", choices=("data", "demos", "perfbench"),
                     help="run one group of commands (default: all)")
@@ -186,7 +210,7 @@ def main() -> int:
                          "the labels that differ and exit 1 if any does")
     ap.add_argument("--values", type=Path, metavar="FILE",
                     help="also write every result tree and exit code to FILE as JSON")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     saved = values = None
     if args.against is not None:
         saved, values = _read_saved(args.against)
@@ -195,31 +219,28 @@ def main() -> int:
     os.environ.setdefault("GIBBSFIT_LOG", "error")
 
     runs: dict[str, tuple[int, object]] = {}
+    lines: dict[str, str] = {}
     differ: list[str] = []
     with tempfile.TemporaryDirectory(prefix="result-digest-") as tmp:
-        tmp = Path(tmp)
-        groups = {
-            "data": ((" ".join(argv), argv) for argv in DATA_COMMANDS),
-            "demos": ((" ".join(argv), argv) for argv in DEMO_COMMANDS),
-            "perfbench": perfbench_commands(tmp),
-        }
-        for name, items in groups.items():
-            if args.only not in (None, name):
-                continue
-            for label, argv in items:
-                digest, rc, result = result_digest(argv, tmp / "report.json")
-                runs[label] = (rc, result)
-                line = f"{digest} {rc} {label}"
-                if saved is None:
-                    print(line, flush=True)
-                elif saved.pop(label, None) != line:
-                    differ.append(label)
+        for label, line, rc, result in run_pass(args.only, Path(tmp) / "cold"):
+            runs[label] = (rc, result)
+            lines[label] = line
+            if saved is None:
+                print(line, flush=True)
+            elif saved.pop(label, None) != line:
+                differ.append(label)
+        warm = {label: line for label, line, *_ in run_pass(args.only, Path(tmp) / "warm")}
+    warm_differ = [label for label in {**lines, **warm} if warm.get(label) != lines.get(label)]
+    for label in warm_differ:
+        print(f"warm differs: {label}", file=sys.stderr)
+    print(f"{len(warm_differ)} of {len(lines)} label(s) differ between the cold and the "
+          "warm pass", file=sys.stderr)
     if out_values is not None:
         out_values.write_text(json.dumps(
             {label: {"exit": rc, "result": result} for label, (rc, result) in runs.items()},
             indent=1, allow_nan=False) + "\n")
     if saved is None:
-        return 0
+        return 1 if warm_differ else 0
     differ += saved  # saved lines this run did not produce
     worst = (0.0, "")
     for label in differ:
@@ -233,7 +254,7 @@ def main() -> int:
     if values is not None:
         where = f" at {worst[1]}" if worst[1] else ""
         print(f"largest relative difference over all labels: {worst[0]:.3g}{where}")
-    return 1 if differ else 0
+    return 1 if differ or warm_differ else 0
 
 
 if __name__ == "__main__":

@@ -22,12 +22,22 @@ sublevel's are one product over the nonzero slots.  `complement`
 orthonormalizes in those coordinates, where the metric is Euclidean.
 The classical outcome level orthonormalizes on the first read of its
 frame, so a command that needs only its dimension never does.
+
+Levels depend on the reference and the generators, never on the data, so
+the two computations that build them are memoized per process by content
+(`_memo`): every level's orthonormalization and `intersection`'s shared
+directions.  A key holds the exact bytes of every array the computation
+reads, and a hit returns the read-only result the first build computed,
+so a warm result is the cold one bit for bit.  A one-shot CLI command
+builds each level once, as without the memo; commands run one after
+another in one process build each level once in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,6 +45,7 @@ from .errors import ValidationError
 from .state_space import (
     DensityOperator,
     HermitianOperator,
+    _content,
     _freeze,
     expectation,
 )
@@ -49,6 +60,10 @@ SUBLEVEL_TOL = 1e-8
 # Intersection keeps directions whose principal angle (in radians, via its
 # sine) is below this.
 ANGLE_TOL = 1e-8
+
+# Most level computations `_memo` keeps per process, least recently used
+# dropped first.
+MEMO_SIZE = 32
 
 __all__ = [
     "LevelOfDescription",
@@ -227,16 +242,48 @@ def _gram_schmidt(embeds, stack=None, slots=slice(None)):
     return kept, frame, basis, r[:len(kept), :len(kept)]
 
 
+class _Key:
+    """The content of one memoized computation, hashed and compared as a
+    tuple of exact contents (`_content`), never by a digest alone.  It
+    also carries the cold computation, which `_memo` drops once it has
+    run, so the memo keeps no input alive."""
+
+    __slots__ = ("parts", "hash", "compute")
+
+    def __init__(self, compute, *parts):
+        self.parts, self.hash, self.compute = parts, hash(parts), compute
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Key) and self.parts == other.parts
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _memo(key: _Key):
+    """The result of key's computation, run on the first call with its
+    content; every later call returns that same read-only object."""
+    compute, key.compute = key.compute, None
+    return compute()
+
+
 def _orthonormalize(ops, stack: np.ndarray,
-                    sigma: DensityOperator) -> tuple[tuple[int, ...], dict]:
+                    sigma: DensityOperator) -> tuple[tuple[int, ...], MappingProxyType]:
     """Center the stacked operators at sigma, embed them and run
-    Gram-Schmidt: the kept input indices and the frame of
-    `LevelOfDescription`."""
-    offsets, centered = _split_identity(ops, stack, sigma)
-    slots = _slots(sigma, centered)
-    kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered, slots), centered, slots)
-    return tuple(kept), {"stack": _freeze(basis), "gen_offsets": _freeze(offsets[kept]),
-                         "gen_coeffs": _freeze(r.T.copy())}
+    Gram-Schmidt: the kept input indices and the read-only frame of
+    `LevelOfDescription`, memoized on the content of the reference, the
+    stack and each operator's diagonal or dense array."""
+    def compute():
+        offsets, centered = _split_identity(ops, stack, sigma)
+        slots = _slots(sigma, centered)
+        kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered, slots), centered, slots)
+        return tuple(kept), MappingProxyType({
+            "stack": _freeze(basis), "gen_offsets": _freeze(offsets[kept]),
+            "gen_coeffs": _freeze(r.T.copy())})
+
+    return _memo(_Key(compute, "orthonormalize", sigma.content, _content(stack),
+                      tuple((_content(op.diagonal), _content(op.dense)) for op in ops)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +314,7 @@ class LevelOfDescription:
     retained: tuple[int, ...]
     label: str = ""
 
-    def _frame(self) -> dict:
+    def _frame(self) -> MappingProxyType:
         """Orthonormalize and keep all three frame attributes."""
         stack = _stack(self.generators, self.dim_hilbert)
         kept, frame = _orthonormalize(self.generators, stack, self.sigma)
@@ -427,16 +474,27 @@ def intersection(a: LevelOfDescription, b: LevelOfDescription) -> LevelOfDescrip
     _require_same_context(a, b)
     if a.is_trivial or b.is_trivial:
         return trivial_level(a.sigma)
+    return _level(_combine(_shared_weights(a, b), b.stack), a.sigma, _op_label(a, b, "&"))
+
+
+def _shared_weights(a: LevelOfDescription, b: LevelOfDescription) -> np.ndarray:
+    """Read-only weights over b's basis of the directions `intersection`
+    declares shared, memoized on the content of the reference and of both
+    stacks."""
     sigma = a.sigma
-    slots = _slots(sigma, a.stack, b.stack)
-    za, zb = (_embedding(sigma, lvl.stack, slots) for lvl in (a, b))
-    frame = _gram_schmidt([*za, *zb], slots=slots)[1]
-    ca, cb = (_frame_dots(frame, z, slots) for z in (za, zb))
-    resid = cb - (cb @ ca.T) @ ca
-    u, s, _ = np.linalg.svd(resid, full_matrices=True)
-    # s descends; the columns of u past it have sine 0
-    shared = u[:, np.count_nonzero(s >= ANGLE_TOL):].T
-    return _level(_combine(shared, b.stack), sigma, _op_label(a, b, "&"))
+
+    def compute():
+        slots = _slots(sigma, a.stack, b.stack)
+        za, zb = (_embedding(sigma, lvl.stack, slots) for lvl in (a, b))
+        frame = _gram_schmidt([*za, *zb], slots=slots)[1]
+        ca, cb = (_frame_dots(frame, z, slots) for z in (za, zb))
+        resid = cb - (cb @ ca.T) @ ca
+        u, s, _ = np.linalg.svd(resid, full_matrices=True)
+        # s descends; the columns of u past it have sine 0
+        return _freeze(u[:, np.count_nonzero(s >= ANGLE_TOL):].T)
+
+    return _memo(_Key(compute, "intersection", sigma.content,
+                      _content(a.stack), _content(b.stack)))
 
 
 def complement(sub: LevelOfDescription,

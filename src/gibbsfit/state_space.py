@@ -50,6 +50,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _content(a: np.ndarray | None) -> tuple | None:
+    """An array's exact content: its dtype, shape and bytes (None for no
+    array).  Equal contents give bit-identical results in every function
+    that reads them."""
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
@@ -272,6 +279,14 @@ class DensityOperator:
             if a is not None:
                 a.setflags(write=False)
         return frame
+
+    @cached_property
+    def content(self) -> tuple:
+        """The exact content (`_content`) of ``probs``, ``eigenvalues`` and
+        ``eigenvectors``, computed on first use and kept.  Unlike
+        `same_state`, it tells apart equal matrices held with differently
+        phased eigenvectors, which embed differently."""
+        return tuple(_content(a) for a in (self.probs, self.eigenvalues, self.eigenvectors))
 
     def same_state(self, other: "DensityOperator") -> bool:
         return self is other or (self.dim == other.dim

@@ -12,6 +12,14 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def cold_levels():
+    """Start every test with an empty level memo (`gibbsfit.levels._memo`),
+    so that a level a test builds is built cold, whatever ran before it."""
+    from gibbsfit.levels import _memo
+    _memo.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)

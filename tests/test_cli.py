@@ -577,6 +577,35 @@ class TestLazyLevels:
         assert len(outcome) == frames
 
 
+class TestLevelMemo:
+    def test_second_command_reuses_the_outcome_frame(self, monkeypatch, capsys, tmp_path):
+        # estimate builds the outcome level's frame; compare, run next in
+        # the same process, takes it from the memo with the same result
+        assert run(["estimate", "--data", WOLF_COUNTS]) == EXIT_OK
+        outcome = []
+        original = gibbsfit.levels._gram_schmidt
+
+        def counting(embeds, stack=None, slots=slice(None)):
+            if stack is not None and len(stack) == 5:
+                outcome.append(stack)
+            return original(embeds, stack, slots)
+
+        monkeypatch.setattr(gibbsfit.levels, "_gram_schmidt", counting)
+
+        def compare(name):
+            out = tmp_path / f"{name}.json"
+            assert run(["compare", "--data", WOLF_COUNTS, "--coarse", "O", "--fine", "full",
+                        "--format", "json", "--out", str(out)]) == EXIT_OK
+            return json.dumps(json.loads(out.read_text())["result"])
+
+        warm = compare("warm")
+        assert outcome == []
+        gibbsfit.levels._memo.cache_clear()
+        cold = compare("cold")
+        assert len(outcome) == 1
+        assert warm == cold
+
+
 class TestEstimate:
     def test_evidence_runs_once(self, monkeypatch, capsys):
         monkeypatch.delenv("GIBBSFIT_LOG", raising=False)

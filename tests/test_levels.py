@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -510,3 +512,161 @@ class TestLazyDiagonal:
         for lvl in (*levels, shared):
             assert all(op.diagonal is not None and "matrix" not in vars(op)
                        for op in lvl.basis)
+
+
+def _level_bytes(level):
+    """The exact bytes of a level's retained set and frame."""
+    return (level.retained, *((a.dtype.str, a.shape, a.tobytes()) for a in (
+        level.stack, level.gen_offsets, level.gen_coeffs)))
+
+
+def _misses():
+    return gibbsfit.levels._memo.cache_info().misses
+
+
+class TestMemo:
+    # levels are memoized per process by content: a warm result is the
+    # cold one byte for byte, and any other content is built cold
+    @given(dim=st.sampled_from([2, 3, 4, 6]),
+           reference=st.sampled_from(["classical", "quantum", "uniform"]),
+           kind=st.sampled_from(["diagonal", "dense", "mixed"]),
+           signed_zero=st.booleans(), data=st.data())
+    def test_warm_equals_cold(self, dim, reference, kind, signed_zero, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = (uniform_state(dim) if reference == "uniform"
+                 else random_density(rng, dim, kind=reference))
+        max_params = dim - 1 if kind == "diagonal" else dim * dim - 1
+
+        def draw():
+            if kind == "dense" or (kind == "mixed" and rng.random() < 0.5):
+                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                m = m + m.conj().T
+                if signed_zero:
+                    m[0, 0] = -0.0
+                return HermitianOperator.from_matrix(m)
+            v = rng.normal(size=dim)
+            if signed_zero:
+                v[0] = -0.0
+            return HermitianOperator.from_diagonal(v)
+
+        k = data.draw(st.integers(1, min(4, max_params)), label="k")
+        gens = [draw() for _ in range(k)]
+        # a combination of earlier generators and the identity: dropped
+        dep = HermitianOperator.from_matrix(
+            2.0 * gens[0].matrix - gens[-1].matrix + 0.5 * np.eye(dim))
+        others = [draw() for _ in range(k)]
+
+        def build():
+            a = make_level([*gens, dep], sigma, label="A")
+            b = make_level([gens[0], *others], sigma, label="B")
+            sub = make_level(gens[:1], sigma)
+            built = [a, b, intersection(a, b), intersection(b, a), complement(sub, a)]
+            if sigma.is_classical:
+                full = full_classical_level(sigma)
+                shared = intersection(full, b)
+                built += [full, shared, complement(shared, full)]
+            return [_level_bytes(lvl) for lvl in built]
+
+        gibbsfit.levels._memo.cache_clear()
+        cold = build()
+        misses = _misses()
+        warm = build()
+        assert _misses() == misses  # every computation of the second build hits
+        gibbsfit.levels._memo.cache_clear()
+        assert build() == warm == cold
+
+    def test_other_content_is_built_cold(self, rng):
+        # a signed zero, or the same matrix held dense rather than diagonal,
+        # is other content: each is built cold, as it is after a clear
+        sigma = random_density(rng, 4, kind="classical")
+        v = rng.normal(size=4)
+        v[1] = 0.0
+        w = v.copy()
+        w[1] = -0.0
+        x = random_hermitian(rng, 4)
+        dense_v = HermitianOperator(diagonal=None, dense=np.diag(v).astype(complex))
+        variants = [[v], [w], [HermitianOperator.from_diagonal(v), x], [dense_v, x]]
+        built = []
+        for gens in variants:
+            misses = _misses()
+            built.append(_level_bytes(make_level(gens, sigma)))
+            assert _misses() == misses + 1
+        gibbsfit.levels._memo.cache_clear()
+        assert [_level_bytes(make_level(gens, sigma)) for gens in variants] == built
+
+    def test_each_eigenvector_phase_is_built_cold(self, rng):
+        # equal matrices (same_state) held with a column of the eigenvectors
+        # negated: the embeddings differ, so each state gets its own result
+        one = random_density(rng, 3)
+        v = np.array(one.eigenvectors)
+        v[:, 1] *= -1.0
+        other = DensityOperator._from_spectrum(one.eigenvalues, v)
+        assert one.same_state(other) and one.content != other.content
+        gens = [random_hermitian(rng, 3) for _ in range(3)]
+        a, b = make_level(gens[:2], one), make_level(gens[1:], one)
+        intersection(a, b)
+        misses = _misses()
+        c, d = make_level(gens[:2], other), make_level(gens[1:], other)
+        shared = _level_bytes(intersection(c, d))
+        # two levels, the intersection's weights and its result level
+        assert _misses() == misses + 4
+        built = [_level_bytes(lvl) for lvl in (c, d)]
+        gibbsfit.levels._memo.cache_clear()
+        c, d = make_level(gens[:2], other), make_level(gens[1:], other)
+        assert [_level_bytes(lvl) for lvl in (c, d)] == built
+        assert _level_bytes(intersection(c, d)) == shared
+
+    def test_threads_share_one_memo(self, rng):
+        # more threads than cores build and intersect the same levels at
+        # once, switching often: every result is the cold one
+        sigma = random_density(rng, 4)
+        gens = [[random_hermitian(rng, 4) for _ in range(2)] for _ in range(6)]
+
+        def build(i):
+            a, b = make_level(gens[i], sigma), make_level(gens[i - 1][:1] + gens[i], sigma)
+            return [_level_bytes(lvl) for lvl in (a, b, intersection(b, a))]
+
+        want = [build(i) for i in range(len(gens))]
+        gibbsfit.levels._memo.cache_clear()
+        got, errors = [], []
+
+        def work(order):
+            try:
+                for i in order:
+                    got.append((i, build(i)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(list(rng.permutation(6)) * 3,))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 4 * 18
+        assert all(built == want[i] for i, built in got)
+
+    def test_bounded_and_read_only(self, rng):
+        size = gibbsfit.levels.MEMO_SIZE
+        sigma = random_density(rng, 4)
+        levels = [make_level([random_hermitian(rng, 4)], sigma) for _ in range(size + 5)]
+        assert gibbsfit.levels._memo.cache_info().currsize <= size
+        amb = make_level([random_hermitian(rng, 4) for _ in range(3)], sigma)
+        sub = make_level([amb.generators[0], random_hermitian(rng, 4)], sigma)
+        weights = gibbsfit.levels._shared_weights(sub, amb)
+        # a hit returns the cached objects themselves
+        warm = make_level(levels[-1].generators, sigma)
+        assert warm.stack is levels[-1].stack
+        assert gibbsfit.levels._shared_weights(sub, amb) is weights
+        for a in (weights, warm.stack, warm.gen_offsets, warm.gen_coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+        frame = gibbsfit.levels._orthonormalize(warm.generators, warm.stack, sigma)[1]
+        with pytest.raises(TypeError):
+            frame["stack"] = None

@@ -1,5 +1,6 @@
 """Smoke tests for the command-line scripts under scripts/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,6 +47,10 @@ def data_run(tmp_path_factory):
     values = tmp_path_factory.mktemp("digest") / "values.json"
     proc = _run_script("result_digest.py", "--only", "data", "--values", str(values))
     assert proc.returncode == 0, proc.stderr
+    # the second, warm pass in the same process gives every line again
+    assert proc.stderr.splitlines()[-1] == (
+        f"0 of {len(proc.stdout.splitlines())} label(s) differ between the cold and "
+        "the warm pass")
     return proc.stdout, json.loads(values.read_text())
 
 
@@ -136,6 +141,31 @@ def test_result_digest_largest_over_labels(data_run, tmp_path):
     size = head.removeprefix("largest relative difference over all labels: ")
     assert float(size) == pytest.approx(1e-9, rel=1e-3)
     assert label == large
+
+
+def test_result_digest_warm_difference(monkeypatch, capsys):
+    # a warm line that differs from its cold one makes the script exit 1
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", ROOT / "scripts" / "result_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+    cold = script.result_digest
+
+    def drifting(argv, out):
+        digest, rc, result = cold(argv, out)
+        seen.append(argv)
+        return ("0" * 64 if seen.count(argv) == 2 and argv == ["demo", "wolf"]
+                else digest), rc, result
+
+    monkeypatch.setattr(script, "result_digest", drifting)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("GIBBSFIT_LOG", "error")
+    assert script.main(["--only", "demos"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == ["warm differs: demo wolf",
+                        "1 of 4 label(s) differ between the cold and the warm pass"]
+    assert len(seen) == 2 * len(script.DEMO_COMMANDS)
 
 
 def test_readme_library_block_runs(monkeypatch, capsys):
