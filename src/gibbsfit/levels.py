@@ -26,11 +26,14 @@ frame, so a command that needs only its dimension never does.
 Levels depend on the reference and the generators, never on the data, so
 the two computations that build them are memoized per process by content
 (`_memo`): every level's orthonormalization and `intersection`'s shared
-directions.  A key holds the exact bytes of every array the computation
+directions.  A key holds the exact content of everything the computation
 reads, and a hit returns the read-only result the first build computed,
-so a warm result is the cold one bit for bit.  A one-shot CLI command
-builds each level once, as without the memo; commands run one after
-another in one process build each level once in all.
+so a warm result is the cold one bit for bit.  The memo pays only where
+one process runs several commands at one reference, through
+`gibbsfit.cli.run` or the library: the commands of one analysis share
+its levels, and so do analyses of successive datasets taken with one
+reference and one set of observables.  A single CLI command finds none
+of its levels there and builds each once, as without the memo.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ SUBLEVEL_TOL = 1e-8
 ANGLE_TOL = 1e-8
 
 # Most level computations `_memo` keeps per process, least recently used
-# dropped first.
-MEMO_SIZE = 32
+# dropped first: room for the levels of one analysis (at most 12 in any
+# perfbench analysis), while a stream of fresh references holds little.
+MEMO_SIZE = 16
 
 __all__ = [
     "LevelOfDescription",
@@ -272,8 +276,10 @@ def _orthonormalize(ops, stack: np.ndarray,
                     sigma: DensityOperator) -> tuple[tuple[int, ...], MappingProxyType]:
     """Center the stacked operators at sigma, embed them and run
     Gram-Schmidt: the kept input indices and the read-only frame of
-    `LevelOfDescription`, memoized on the content of the reference, the
-    stack and each operator's diagonal or dense array."""
+    `LevelOfDescription`, memoized on the content of the reference and
+    the stack and on which operators hold a diagonal: every row of the
+    stack is its operator's diagonal or matrix, but the offsets read an
+    operator's diagonal when it has one."""
     def compute():
         offsets, centered = _split_identity(ops, stack, sigma)
         slots = _slots(sigma, centered)
@@ -283,7 +289,7 @@ def _orthonormalize(ops, stack: np.ndarray,
             "gen_coeffs": _freeze(r.T.copy())})
 
     return _memo(_Key(compute, "orthonormalize", sigma.content, _content(stack),
-                      tuple((_content(op.diagonal), _content(op.dense)) for op in ops)))
+                      tuple(op.diagonal is None for op in ops)))
 
 
 @dataclass(frozen=True, eq=False)
