@@ -14,9 +14,14 @@ of the retained generators.
 
 An evaluation reads the level's stacked basis `LevelOfDescription.stack`.
 At a classical reference a (k, d) diagonal stack stays on vectors;
-otherwise lam.B is one contraction, and g and the covariance come from one
-pass of the eigenframe kernel state_space._kmb_moments, which takes the
-(k, d) diagonals as they are.
+otherwise lam.B is one GEMV over the stack's rows and the exponent is
+diagonalized by eigh.  It comes in two parts: `_log_norm` gives ln Z and
+the spectrum of pi(lam), all that a line search reads, and `_moments_at`
+gives g and the covariance on that spectrum, through the eigenframe kernel
+state_space._kmb_moments unless all is classical.  The reference itself
+needs neither: the basis is centered and orthonormal at sigma, so there
+g = 0, C = I and ln Z = S(sigma).  `project` starts Newton at that point,
+and `inference.estimate_alpha` reads its chi2 off the basis means.
 
 At the bottom: the spin level of a qubit and Bloch coordinates read off
 its manifold points, which the qubit demo reports.  The closed forms of
@@ -111,53 +116,74 @@ class GibbsModel:
                 f"lam={np.array2string(self.lam, precision=6)})")
 
 
+def _moments_at(p: np.ndarray, v: np.ndarray | None,
+                stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, corr) of a stacked basis at the state with probability vector p
+    (v None; a (k, d) diagonal stack stays on vectors) or with eigenvalues
+    p and eigenvector columns v; corr exactly symmetric."""
+    if v is None:
+        g = stack @ p
+        centered = stack - g[:, None]
+        corr = (centered * p) @ centered.T
+    else:
+        g, corr = _kmb_moments(p, v, stack)
+    return g, 0.5 * (corr + corr.T)
+
+
 def _moments(state: DensityOperator,
              level: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
     """(g, corr) of the level's basis at a state; corr exactly symmetric.
     A classical state and a diagonal stack stay on vectors."""
     stack = level.stack
     if state.is_classical and stack.ndim == 2:
-        p = state.probs
-        g = stack @ p
-        centered = stack - g[:, None]
-        corr = (centered * p) @ centered.T
-    else:
-        g, corr = _kmb_moments(state.eigenvalues, state.eigenvectors, stack)
-    return g, 0.5 * (corr + corr.T)
+        return _moments_at(state.probs, None, stack)
+    return _moments_at(state.eigenvalues, state.eigenvectors, stack)
 
 
-def _eval(level: LevelOfDescription,
-          lam: np.ndarray) -> tuple[DensityOperator, float, np.ndarray, np.ndarray]:
-    """Evaluate (state, ln_z, g, corr) at multipliers lam, at the level's
-    reference sigma.
+def _log_norm(level: LevelOfDescription):
+    """The function lam -> (ln_z, p, v) on the level's manifold: ln Z(lam)
+    and the spectrum of pi(lam), its probability vector p with v None when
+    all is classical, else its eigenvalues p, descending, and eigenvector
+    columns v.  `_moments_at` and `_state` read that spectrum.
 
     The exponent ln sigma - lam.B is a vector when all is classical and
     otherwise a matrix diagonalized by eigh; it is shifted by its top
-    eigenvalue before exponentiation.  The centering constant
-    <ln sigma>_sigma only moves ln Z and is added back in closed form (it
-    equals minus the entropy of sigma).  The new state is held as its
-    spectrum: eigh's eigenvectors are kept as they come, since their
-    phases reach no result.  g and corr come from _moments at that state.
+    eigenvalue before exponentiation.  lam.B is one GEMV over the stack's
+    rows.  The centering constant <ln sigma>_sigma only moves ln Z and is
+    added back in closed form (it equals minus the entropy of sigma).
+    ln sigma and that entropy are computed once, here, for every lam.
+    eigh's eigenvectors are kept as they come, since their phases reach no
+    result.
     """
-    sigma = level.sigma
-    stack = level.stack
+    sigma, stack, d = level.sigma, level.stack, level.dim_hilbert
+    entropy = von_neumann_entropy(sigma)
     vector = sigma.is_classical and stack.ndim == 2
-    if vector:
-        w = np.log(sigma.probs) - lam @ stack
-    else:
-        shift = np.tensordot(lam, stack, axes=1)
-        a = sigma.log_matrix - (np.diag(shift) if stack.ndim == 2 else shift)
-        w, v = np.linalg.eigh(a)
-    m = float(w.max())
-    raw = np.exp(w - m)
-    total = float(raw.sum())
-    p = np.maximum(raw / total, EIG_FLOOR)
-    p /= p.sum()
-    state = (DensityOperator._diagonal(p) if vector
-             else DensityOperator._from_spectrum(p[::-1], v[:, ::-1]))
-    ln_z = m + np.log(total) + von_neumann_entropy(sigma)
-    g, corr = _moments(state, level)
-    return state, ln_z, g, corr
+    log_sigma = np.log(sigma.probs) if vector else sigma.log_matrix
+    rows = stack if stack.ndim == 2 else stack.reshape(len(stack), d * d)
+
+    def log_norm(lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
+        shift = lam @ rows
+        if vector:
+            w, v = log_sigma - shift, None
+        else:
+            shift = np.diag(shift) if stack.ndim == 2 else shift.reshape(d, d)
+            w, v = np.linalg.eigh(log_sigma - shift)
+        m = float(w.max())
+        raw = np.exp(w - m)
+        total = float(raw.sum())
+        p = np.maximum(raw / total, EIG_FLOOR)
+        p /= p.sum()
+        if v is not None:
+            p, v = p[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+        return m + np.log(total) + entropy, p, v
+
+    return log_norm
+
+
+def _state(p: np.ndarray, v: np.ndarray | None) -> DensityOperator:
+    """The state of a `_log_norm` spectrum."""
+    return (DensityOperator._diagonal(p) if v is None
+            else DensityOperator._from_spectrum(p, v))
 
 
 def gibbs_state(level: LevelOfDescription, lam) -> GibbsModel:
@@ -166,9 +192,10 @@ def gibbs_state(level: LevelOfDescription, lam) -> GibbsModel:
     if lam.size != level.n_params:
         raise ValidationError(
             f"expected {level.n_params} multipliers, got {lam.size}")
-    state, ln_z, g, corr = _eval(level, lam)
+    ln_z, p, v = _log_norm(level)(lam)
+    g, corr = _moments_at(p, v, level.stack)
     return GibbsModel(level=level, lam=lam.copy(), ln_z=ln_z,
-                      state=state, g=g, corr=corr)
+                      state=_state(p, v), g=g, corr=corr)
 
 
 def _basis_targets(level: LevelOfDescription, targets: np.ndarray) -> np.ndarray:
@@ -199,30 +226,40 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
     unique minimizer of relative entropy to the reference among states
     matching the targets.
 
+    Newton minimizes Gamma(lam) = ln Z(lam) + lam.t with an Armijo
+    backtracking line search (Boyd & Vandenberghe, Convex Optimization,
+    sec. 9.5).  It starts at the reference with nothing evaluated: the
+    basis is centered and orthonormal at sigma, so there g = 0, C = I and
+    ln Z = S(sigma), and the first step is t itself.  A trial point costs
+    one spectrum and its ln Z (`_log_norm`), which is all the Armijo test
+    reads; g and C are computed once per accepted point, and one state is
+    built, for the returned model (at lam = 0 that is sigma itself).
+
     Raises InfeasibleTargetError when the iteration caps out or multipliers
     blow past LAMBDA_CAP (targets on or outside the achievable set), and
     NotConvergedError if the line search stagnates without that signature.
     """
     t = np.asarray(targets, dtype=float).reshape(-1)
-    if t.size != level.n_params:
-        raise ValidationError(
-            f"expected {level.n_params} basis targets, got {t.size}")
+    k = level.n_params
+    if t.size != k:
+        raise ValidationError(f"expected {k} basis targets, got {t.size}")
 
     scale = float(np.max(np.abs(t))) if t.size else 0.0
     tol = 1e-10 * (1.0 + scale)
-    lam = np.zeros(level.n_params)
-    state, ln_z, g, corr = _eval(level, lam)
-    if level.n_params == 0:
-        return GibbsModel(level=level, lam=lam, ln_z=ln_z,
-                          state=state, g=g, corr=corr)
+    log_norm = _log_norm(level)
+    lam = np.zeros(k)
+    ln_z = von_neumann_entropy(level.sigma)
+    g, corr = np.zeros(k), np.eye(k)
+    spectrum = None  # of the current point; None at the reference
 
     def objective(ln_z_val: float, lam_val: np.ndarray) -> float:
         return ln_z_val + float(lam_val @ t)
 
     gamma = objective(ln_z, lam)
     for _ in range(MAX_NEWTON_ITER):
-        resid_inf = float(np.max(np.abs(g - t)))
+        resid_inf = float(np.max(np.abs(g - t), initial=0.0))
         if resid_inf <= tol:
+            state = level.sigma if spectrum is None else _state(*spectrum)
             return GibbsModel(level=level, lam=lam, ln_z=ln_z,
                               state=state, g=g, corr=corr)
         grad = t - g
@@ -239,7 +276,7 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
         noise = 1e-14 * (1.0 + abs(gamma))
         while True:
             cand = lam + s * step
-            state_c, ln_z_c, g_c, corr_c = _eval(level, cand)
+            ln_z_c, *spectrum_c = log_norm(cand)
             if objective(ln_z_c, cand) <= gamma + _ARMIJO * s * slope + noise:
                 break
             s *= 0.5
@@ -247,7 +284,8 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
                 raise NotConvergedError(
                     "line search stagnated before reaching the target tolerance",
                     last_lambda=lam, residual=resid_inf)
-        lam, state, ln_z, g, corr = cand, state_c, ln_z_c, g_c, corr_c
+        lam, ln_z, spectrum = cand, ln_z_c, spectrum_c
+        g, corr = _moments_at(*spectrum, level.stack)
         gamma = objective(ln_z, lam)
         if float(np.max(np.abs(lam))) > LAMBDA_CAP:
             raise InfeasibleTargetError(

@@ -33,16 +33,13 @@ from .gibbs import (
 )
 from .levels import (
     LevelOfDescription,
+    _stack,
     _sublevel_decomposition,
     complement,
     intersection,
     is_sublevel,
 )
-from .state_space import (
-    DensityOperator,
-    expectation,
-    relative_entropy,
-)
+from .state_space import DensityOperator, relative_entropy
 
 logger = logging.getLogger("gibbsfit.inference")
 
@@ -249,6 +246,14 @@ def significance(chi2: float, k: int, n: float, *,
 # -- measured data ------------------------------------------------------
 
 
+def _classical_means(probs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """tr(rho X) at the classical state with probabilities probs for every
+    stacked operator X ((k, d) diagonals or (k, d, d) matrices), as one
+    product over their diagonals."""
+    diagonals = stack if stack.ndim == 2 else np.diagonal(stack, axis1=1, axis2=2).real
+    return diagonals @ probs
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentData:
     """Sample means of a level's retained generators over n shots.
@@ -274,8 +279,11 @@ class ExperimentData:
             object.__setattr__(self, "counts", c)
             freq = DensityOperator.classical(c / c.sum())
             object.__setattr__(self, "empirical", freq)
+            d = self.level.dim_hilbert
+            if freq.dim != d:
+                raise ValidationError(f"dimension mismatch: {freq.dim} vs {d}")
             gens = [self.level.generators[i] for i in self.level.retained]
-            recomputed = np.array([expectation(freq, g) for g in gens])
+            recomputed = _classical_means(freq.probs, _stack(gens, d))
             if self.means is None:
                 object.__setattr__(self, "means", recomputed)
         m = np.asarray(self.means, dtype=float).reshape(-1)
@@ -315,7 +323,7 @@ class ExperimentData:
         """
         emp = self.empirical
         if emp is not None:
-            return np.array([expectation(emp, op) for op in sub.basis])
+            return _classical_means(emp.probs, sub.stack)
         offsets, coeffs = _sublevel_decomposition(self.level, sub)
         return offsets + coeffs @ self.basis_means()
 
@@ -374,7 +382,9 @@ def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
 
     chi2 is the squared distance of the measured expectations from the
     reference point of the data's own level, in the reference metric;
-    its pure-noise mean is the number of fitted directions.  The estimate
+    its pure-noise mean is the number of fitted directions.  The level's
+    basis is centered and orthonormal at the reference, where g = 0 and
+    C = I, so chi2 = N |tau|^2 for the basis means tau.  The estimate
     depends only on the measured level, not on any model level.  Raises
     EvidenceNotApplicableError without data (n = 0); below the noise floor
     it returns alpha None, and below DETAIL_MIN_DOF directions it logs a
@@ -382,11 +392,10 @@ def estimate_alpha(data: ExperimentData) -> AlphaEstimate:
     """
     if data.n <= 0:
         raise EvidenceNotApplicableError("evidence weighting needs data (n > 0)")
-    level = data.level
-    g, corr = _moments(level.sigma, level)
-    chi2 = float(data.n) * _metric_form(corr, data.basis_means() - g)
+    tau = data.basis_means()
+    chi2 = float(data.n) * float(tau @ tau)
     _require_finite_statistic(chi2, "the evidence chi2", data.n)
-    dof = level.n_params
+    dof = data.level.n_params
     deviation_ok = chi2 > dof
     detail_ok = dof >= DETAIL_MIN_DOF
     t = dof / chi2 if chi2 > 0 else float("inf")

@@ -8,12 +8,13 @@ real diagonals when every generator is diagonal, else (k, d, d) complex
 matrices.  `LevelOfDescription.basis` reads its rows as operators.
 
 Span arithmetic runs in a Euclidean embedding of operator space, one row
-per stacked operator, computed from each reference's frame
-(`DensityOperator.kmb_frame`).  At a classical reference a diagonal stack
-is written straight onto the diagonal slots, and its embeddings and the
-Gram-Schmidt frame are held as those d slots alone, so a classical level
-never builds a d x d matrix.  The inner products that choose a basis
-still run one at a time over full length-d^2 vectors, each a reused
+per stacked operator, computed from each reference's eigenvectors and
+weights (`DensityOperator.kmb_roots`).  At a classical reference a diagonal
+stack is written straight onto the diagonal slots
+(`DensityOperator.permutation`), and its embeddings and the Gram-Schmidt
+frame are held as those d slots alone, so neither a classical level nor
+its reference builds a d x d matrix.  The inner products that choose a
+basis still run one at a time over full length-d^2 vectors, each a reused
 scratch, because BLAS sums a shorter vector, or a stacked product, in
 another order; every basis is bit-identical to the dense matrix algebra in
 tests/levels_oracle.py.  Coordinates that choose no basis come stacked:
@@ -24,15 +25,15 @@ The classical outcome level orthonormalizes on the first read of its
 frame, so a command that needs only its dimension never does.
 
 Levels depend on the reference and the generators, never on the data, so
-the two computations that build them are memoized per process by content
-(`_memo`): every level's orthonormalization and `intersection`'s shared
-directions.  A key holds the exact content of everything the computation
-reads, and a hit returns the read-only result the first build computed,
-so a warm result is the cold one bit for bit.  The memo pays only where
-one process runs several commands at one reference, through
-`gibbsfit.cli.run` or the library: the commands of one analysis share
-its levels, and so do analyses of successive datasets taken with one
-reference and one set of observables.  A single CLI command finds none
+the three computations that build them are memoized per process by
+content (`_memo`): every level's orthonormalization, `intersection`'s
+shared directions and `complement`'s kept ones.  A key holds the exact
+content of everything the computation reads, and a hit returns the
+read-only result the first build computed, so a warm result is the cold
+one bit for bit.  The memo pays only where one process runs several
+commands at one reference, through `gibbsfit.cli.run` or the library:
+the commands of one analysis share its levels, and so do analyses of
+successive datasets taken with one reference and one set of observables.  A single CLI command finds none
 of its levels there and builds each once, as without the memo.
 """
 
@@ -65,7 +66,7 @@ SUBLEVEL_TOL = 1e-8
 ANGLE_TOL = 1e-8
 
 # Most level computations `_memo` keeps per process, least recently used
-# dropped first: room for the levels of one analysis (at most 12 in any
+# dropped first: room for the levels of one analysis (at most 14 in any
 # perfbench analysis), while a stream of fresh references holds little.
 MEMO_SIZE = 16
 
@@ -130,13 +131,15 @@ def _embedding(sigma: DensityOperator, stack: np.ndarray,
     diagonal, without roundoff; those entries are written straight into the
     diagonal slots instead, with the same bits as the two matrix products.
     """
-    v = sigma.eigenvectors
-    vh, sw, perm = sigma.kmb_frame
+    perm = sigma.permutation
     d = sigma.dim
     if perm is None or stack.ndim == 3:
+        v = sigma.eigenvectors
         mats = stack if stack.ndim == 3 else stack[:, :, None] * np.eye(d)
-        return (sw * (vh @ mats @ v)).reshape(len(stack), d * d)[:, slots]
-    diag = np.diagonal(sw) * stack[:, perm]
+        rotated = v.conj().T @ mats @ v
+        return (sigma.kmb_roots * rotated).reshape(len(stack), d * d)[:, slots]
+    # the weights' diagonal is the spectrum itself
+    diag = np.sqrt(sigma.eigenvalues) * stack[:, perm]
     if slots.step == d + 1:
         return diag.astype(complex)
     z = np.zeros((len(stack), d * d), dtype=complex)
@@ -148,7 +151,7 @@ def _slots(sigma: DensityOperator, *stacks: np.ndarray) -> slice:
     """The entries of the stacks' embeddings that can be nonzero: the
     diagonal slots when every stack takes `_embedding`'s diagonal fast
     path, else all of them."""
-    if sigma.kmb_frame.perm is not None and all(s.ndim == 2 for s in stacks):
+    if sigma.permutation is not None and all(s.ndim == 2 for s in stacks):
         return slice(None, None, sigma.dim + 1)
     return slice(None)
 
@@ -515,11 +518,23 @@ def complement(sub: LevelOfDescription,
     drops at DROP_TOL even where the reference's weights are floored."""
     if not is_sublevel(sub, ambient):
         raise ValidationError("complement requires sub to be contained in ambient")
-    coords = _frame_coords(ambient, sub.stack)[0]
-    kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
-    residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
-    return _level(_combine(residuals, ambient.stack), ambient.sigma,
-                  _op_label(ambient, sub, "-"))
+    return _level(_combine(_complement_weights(sub, ambient), ambient.stack),
+                  ambient.sigma, _op_label(ambient, sub, "-"))
+
+
+def _complement_weights(sub: LevelOfDescription, ambient: LevelOfDescription) -> np.ndarray:
+    """Read-only weights over ambient's basis of the directions `complement`
+    keeps, memoized on the content of the reference and of both stacks."""
+    sigma = ambient.sigma
+
+    def compute():
+        coords = _frame_coords(ambient, sub.stack)[0]
+        kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
+        residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
+        return _freeze(np.array(residuals).reshape(len(residuals), ambient.n_params))
+
+    return _memo(_Key(compute, "complement", sigma.content,
+                      _content(sub.stack), _content(ambient.stack)))
 
 
 def _sublevel_decomposition(level: LevelOfDescription,

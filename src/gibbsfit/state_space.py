@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -157,23 +156,14 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _permutation(v: np.ndarray) -> np.ndarray | None:
-    """The column-to-row map of v when v is exactly a permutation matrix
-    (every entry 0 or 1, one 1 per row and column), else None."""
+    """The column-to-row map of v (read-only) when v is exactly a
+    permutation matrix (every entry 0 or 1, one 1 per row and column), else
+    None."""
     ones = v == 1
     if (np.all(ones | (v == 0)) and np.all(ones.sum(axis=0) == 1)
             and np.all(ones.sum(axis=1) == 1)):
-        return np.argmax(ones, axis=0)
+        return _freeze(np.argmax(ones, axis=0))
     return None
-
-
-class KmbFrame(NamedTuple):
-    """What the canonical-correlation embedding needs of a state: V^dag,
-    the square roots of the logarithmic-mean weights, and the column-to-row
-    map of V when V is an exact permutation (every classical reference)."""
-
-    vh: np.ndarray
-    sw: np.ndarray
-    perm: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +171,21 @@ class DensityOperator:
     """A state: unit-trace positive operator, held as its spectrum.
 
     ``eigenvalues`` run in descending order with ``eigenvectors`` as the
-    matching columns.  A classical (diagonal) state also stores its
-    probability vector ``probs`` in outcome order; a quantum one has
-    ``probs`` None.  All eigenvalues are clamped to at least ``EIG_FLOOR``
-    at construction and the state renormalized; ``clamped`` records
-    whether that fired.  ``matrix`` and ``log_matrix`` are built from the
-    spectrum on first use and kept.
+    matching columns.  A quantum state holds those columns as ``vectors``
+    and has ``probs`` and ``order`` None.  A classical (diagonal) state
+    holds its probability vector ``probs`` in outcome order and ``order``,
+    the outcome of each eigenvalue, so that ``eigenvalues`` is
+    ``probs[order]``; its ``vectors`` is None, and ``eigenvectors``, the
+    unit vectors of ``order``, is built on first read.  All eigenvalues are
+    clamped to at least ``EIG_FLOOR`` at construction and the state
+    renormalized; ``clamped`` records whether that fired.  ``matrix`` and
+    ``log_matrix`` are built from the spectrum on first use and kept.
     """
 
     probs: np.ndarray | None
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    order: np.ndarray | None = None
+    vectors: np.ndarray | None = field(default=None, repr=False)
     clamped: bool = False
 
     # -- constructors -------------------------------------------------
@@ -214,7 +208,7 @@ class DensityOperator:
             raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
         w, clamped = _clamp_spectrum(w)
         return cls(probs=None, eigenvalues=_freeze(w[::-1]),
-                   eigenvectors=_freeze(_fix_phases(v[:, ::-1])), clamped=clamped)
+                   vectors=_freeze(_fix_phases(v[:, ::-1])), clamped=clamped)
 
     @classmethod
     def classical(cls, probs, *, atol: float = 1e-9) -> "DensityOperator":
@@ -234,15 +228,22 @@ class DensityOperator:
         """Internal: the classical state of a normalized, floored vector."""
         order = np.argsort(p)[::-1]
         return cls(probs=_freeze(p), eigenvalues=_freeze(p[order]),
-                   eigenvectors=_freeze(np.eye(p.size, dtype=complex)[:, order]),
-                   clamped=clamped)
+                   order=_freeze(order), clamped=clamped)
 
     @classmethod
     def _from_spectrum(cls, eigenvalues, eigenvectors) -> "DensityOperator":
         """Internal: a quantum state from a known clean eigensystem (already
         clamped)."""
         return cls(probs=None, eigenvalues=_freeze(np.asarray(eigenvalues, dtype=float)),
-                   eigenvectors=_freeze(_as_complex(eigenvectors)))
+                   vectors=_freeze(_as_complex(eigenvectors)))
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvector columns (read-only); for a classical state the
+        unit vectors of ``order``, built on first read."""
+        if self.vectors is not None:
+            return self.vectors
+        return _freeze(np.eye(self.dim, dtype=complex)[:, self.order])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -269,24 +270,30 @@ class DensityOperator:
         return self.probs is not None
 
     @cached_property
-    def kmb_frame(self) -> KmbFrame:
-        """The embedding frame (read-only), computed on first use and kept:
-        the level operations at one reference all share it."""
-        v = self.eigenvectors
-        frame = KmbFrame(vh=v.conj().T, sw=np.sqrt(_kmb_weights(self.eigenvalues)),
-                         perm=_permutation(v))
-        for a in frame:
-            if a is not None:
-                a.setflags(write=False)
-        return frame
+    def permutation(self) -> np.ndarray | None:
+        """The column-to-row map of ``eigenvectors`` when they form an exact
+        permutation, else None (read-only, computed on first use and kept).
+        A classical state's is its ``order``, so its eigenvectors are not
+        built."""
+        return self.order if self.is_classical else _permutation(self.eigenvectors)
+
+    @cached_property
+    def kmb_roots(self) -> np.ndarray:
+        """Square roots of the logarithmic-mean weights (`_kmb_weights`) of
+        the spectrum, d x d and read-only, computed on first use and kept:
+        the level operations at one reference all share them."""
+        return _freeze(np.sqrt(_kmb_weights(self.eigenvalues)))
 
     @cached_property
     def content(self) -> tuple:
-        """The exact content (`_content`) of ``probs``, ``eigenvalues`` and
-        ``eigenvectors``, computed on first use and kept.  Unlike
-        `same_state`, it tells apart equal matrices held with differently
-        phased eigenvectors, which embed differently."""
-        return tuple(_content(a) for a in (self.probs, self.eigenvalues, self.eigenvectors))
+        """The exact content (`_content`) of ``probs``, ``eigenvalues``,
+        ``order`` and ``vectors``, computed on first use and kept: a
+        classical state's eigenvectors follow from ``order``, so its content
+        holds no d x d array.  Unlike `same_state`, it tells apart equal
+        matrices held with differently phased eigenvectors, which embed
+        differently."""
+        return tuple(_content(a) for a in (self.probs, self.eigenvalues,
+                                           self.order, self.vectors))
 
     def same_state(self, other: "DensityOperator") -> bool:
         return self is other or (self.dim == other.dim

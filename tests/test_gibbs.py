@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gibbsfit.gibbs
 from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
     _basis_targets,
+    _log_norm,
     _metric_form,
+    _moments,
     _newton_step,
     bloch_metric,
     gibbs_state,
@@ -19,7 +24,9 @@ from gibbsfit.gibbs import (
 )
 from gibbsfit.levels import make_level
 from gibbsfit.state_space import (
+    EIG_FLOOR,
     DensityOperator,
+    HermitianOperator,
     expectation,
     relative_entropy,
     uniform_state,
@@ -160,6 +167,92 @@ class TestProjection:
         lvl = _random_level(rng, sigma, 1)
         with pytest.raises(ValidationError):
             project(lvl, [0.1, 0.2])
+
+
+class TestReferenceStart:
+    # project starts Newton at lam = 0 with g = 0, C = I and ln Z = S(sigma)
+    # taken as known: the level's basis is centered and orthonormal at its
+    # reference, and pi(0) is the reference itself
+    @given(dim=st.integers(2, 5), kind=st.sampled_from(["classical", "quantum"]),
+           reference=st.sampled_from(["uniform", "random", "floored"]),
+           diagonal=st.booleans(), data=st.data())
+    def test_basis_is_centered_and_orthonormal_at_reference(
+            self, dim, kind, reference, diagonal, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if reference == "uniform":
+            p = np.full(dim, 1.0 / dim)
+        else:
+            p = rng.dirichlet(np.ones(dim)) * 0.98 + 0.02 / dim
+        # a floored reference keeps at least two weights above the floor
+        kept = dim
+        if reference == "floored" and dim > 2:
+            kept = data.draw(st.integers(2, dim - 1), label="kept")
+            p[kept:] = EIG_FLOOR * 1e-2 * rng.random(dim - kept)
+            p /= p.sum()
+        if kind == "classical":
+            sigma = DensityOperator.classical(p)
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            sigma = DensityOperator.quantum((q * p) @ q.conj().T)
+        diagonal = diagonal and sigma.is_classical
+        # directions that only weights below the floor resolve carry rounding
+        # amplified by up to 1/sqrt(EIG_FLOOR); the generators stay within
+        # the directions the weights above it resolve
+        resolved = kept - 1 if diagonal else dim * dim - (dim - kept) ** 2 - 1
+        k = data.draw(st.integers(1, min(resolved, 4)), label="k")
+        draw = random_diagonal if diagonal else random_hermitian
+        gens = [draw(rng, dim) for _ in range(k)]
+        # dependent: a repeat, and a combination with the identity
+        dep = HermitianOperator.from_matrix(
+            2.0 * gens[0].matrix - gens[-1].matrix + 0.5 * np.eye(dim))
+        level = make_level([*gens, gens[0], dep], sigma)
+        assert level.n_params == k
+        # rounding in the centering and in Gram-Schmidt grows as a generator
+        # nears the identity or the span of the earlier ones: by its size
+        # over the norm it keeps, the diagonal of gen_coeffs (1 or so for
+        # most draws, up to 1e6 for a few)
+        size = max(np.max(np.abs(level.generators[a].matrix)) for a in level.retained)
+        tol = 1e-12 * max(1.0, size / np.min(np.abs(np.diag(level.gen_coeffs))))
+        g, corr = _moments(sigma, level)
+        assert np.max(np.abs(g)) <= tol
+        assert np.max(np.abs(corr - np.eye(k))) <= tol
+        ln_z = _log_norm(level)(np.zeros(k))[0]
+        assert abs(ln_z - von_neumann_entropy(sigma)) <= 1e-12
+        # targets at the reference: nothing to solve, and pi(0) is sigma
+        assert project(level, np.zeros(k)).state is sigma
+
+    def test_moments_once_per_accepted_step(self, monkeypatch):
+        # g and C are computed at each accepted point and nowhere else: not at
+        # lam = 0, where the basis fixes them, and not at a trial point the
+        # line search rejects, whose Armijo test reads ln Z alone
+        sigma = DensityOperator.quantum(np.diag([0.98, 0.01, 0.01]))
+        level = make_level([HermitianOperator.from_diagonal([0.0, 0.0, 1.0])], sigma)
+        counts = Counter()
+        at = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def moments(p, v, stack):
+            at.append(np.array(p))
+            return kmb_moments(p, v, stack)
+
+        kmb_moments = gibbsfit.gibbs._kmb_moments
+        monkeypatch.setattr(gibbsfit.gibbs, "_kmb_moments", counting("moments", moments))
+        monkeypatch.setattr(gibbsfit.gibbs, "_newton_step",
+                            counting("steps", gibbsfit.gibbs._newton_step))
+        monkeypatch.setattr(np.linalg, "eigh", counting("spectra", np.linalg.eigh))
+        # the rare outcome's basis value is about 10: the first full step
+        # to this far target overshoots, and the line search halves it
+        model = project(level, [3.0])
+        assert model.g == pytest.approx([3.0], abs=1e-9)
+        assert counts["spectra"] > counts["steps"]
+        assert counts["moments"] == counts["steps"]
+        assert not any(np.allclose(p, sigma.eigenvalues) for p in at)
+        assert np.array_equal(at[-1], model.state.eigenvalues)
 
 
 class TestGeometry:

@@ -207,6 +207,20 @@ class TestExperimentData:
             ExperimentData(level=full, means=np.zeros(5), n=10,
                            counts=np.array([5.0, 5.0]))
 
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_count_means_match_expectations(self, rng, kind):
+        # the means of counts come as one product over the generators'
+        # diagonals; each is the expectation at the frequency state
+        sigma = random_density(rng, 5, kind="classical")
+        draw = random_diagonal if kind == "diagonal" else random_hermitian
+        measured = make_level([draw(rng, 5) for _ in range(4)], sigma)
+        sub = make_level(measured.generators[:2], sigma)
+        data = ExperimentData.from_counts(rng.integers(5, 50, size=5).astype(float), measured)
+        want = [expectation(data.empirical, measured.generators[i]) for i in measured.retained]
+        assert np.allclose(data.means, want, rtol=0, atol=1e-14)
+        want = [expectation(data.empirical, op) for op in sub.basis]
+        assert np.allclose(data.means_for(sub), want, rtol=0, atol=1e-13)
+
 
 class TestEvidence:
     def test_noise_split_identity(self, rng):
@@ -226,6 +240,20 @@ class TestEvidence:
         assert est.t == pytest.approx(est.dof / chi2_target, rel=1e-12)
         assert est.alpha == pytest.approx(n * est.t / (1 - est.t), rel=1e-12)
         assert est.alpha / (est.alpha + n) == pytest.approx(est.t, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_chi2_in_reference_metric(self, rng, kind):
+        # chi2 is N (tau - g)^t C^{-1} (tau - g) at the reference, where the
+        # basis gives g = 0 and C = I
+        sigma = random_density(rng, 4, kind=kind)
+        draw = random_diagonal if kind == "classical" else random_hermitian
+        level = make_level([draw(rng, 4) for _ in range(3)], sigma)
+        rho = random_density(rng, 4, kind=kind)
+        means = [expectation(rho, level.generators[i]) for i in level.retained]
+        data = ExperimentData(level=level, means=means, n=300.0)
+        g, corr = gibbsfit.gibbs._moments(sigma, level)
+        want = data.n * _metric_form(corr, data.basis_means() - g)
+        assert estimate_alpha(data).chi2 == pytest.approx(want, rel=1e-12)
 
     def test_below_noise_floor_returns_none(self, rng):
         sigma, full, _ = _classical_setup(rng)

@@ -419,7 +419,9 @@ class TestSlotUpdates:
         assert is_sublevel(sub, amb)
         assert intersection(sub, amb).n_params == 1
         assert complement(sub, amb).n_params == 2
-        assert len(calls) == 1
+        # diagonal generators at a classical reference read only the
+        # weights' diagonal, the spectrum, so the d x d weights are never built
+        assert len(calls) == (0 if kind == "classical" else 1)
 
 
 def _assert_same_level(new, old):
@@ -615,6 +617,51 @@ class TestMemo:
         c, d = make_level(gens[:2], other), make_level(gens[1:], other)
         assert [_level_bytes(lvl) for lvl in (c, d)] == built
         assert _level_bytes(intersection(c, d)) == shared
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_warm_complement_runs_no_gram_schmidt(self, rng, monkeypatch, kind):
+        # complement's kept directions come from the memo too: a warm
+        # complement, of levels built anew with the same content, runs no
+        # Gram-Schmidt at all and returns the cold level's bytes
+        sigma = random_density(rng, 4, kind=kind)
+        draw = random_diagonal if kind == "classical" else random_hermitian
+        gens = [draw(rng, 4) for _ in range(3)]
+
+        def build():
+            amb = make_level(gens, sigma, label="A")
+            return _level_bytes(complement(make_level(gens[:1], sigma), amb))
+
+        cold = build()
+        calls = []
+        original = gibbsfit.levels._gram_schmidt
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gibbsfit.levels, "_gram_schmidt", counting)
+        assert build() == cold
+        assert calls == []
+
+    def test_classical_reference_holds_no_square_array(self, rng):
+        # a classical state holds its eigenvectors as their order, so neither
+        # the state nor a memo key built on it holds a d x d array until
+        # the eigenvectors are read
+        d = 16
+        sigma = random_density(rng, d, kind="classical")
+        full = full_classical_level(sigma)
+        sub = make_level([random_diagonal(rng, d) for _ in range(2)], sigma)
+        complement(intersection(full, sub), full)
+        assert "eigenvectors" not in vars(sigma)
+        assert all(value.ndim <= 1 for value in vars(sigma).values()
+                   if isinstance(value, np.ndarray))
+        # the memo keys hold the state as its content
+        assert gibbsfit.levels._memo.cache_info().currsize > 0
+        assert all(part is None or len(part[1]) <= 1 for part in sigma.content)
+        v = sigma.eigenvectors
+        assert v.shape == (d, d) and not v.flags.writeable
+        assert np.array_equal(v, np.eye(d, dtype=complex)[:, np.argsort(sigma.probs)[::-1]])
+        assert np.array_equal((v * sigma.eigenvalues) @ v.T, np.diag(sigma.probs))
 
     def test_threads_share_one_memo(self, rng):
         # more threads than cores build and intersect the same levels at
