@@ -218,9 +218,10 @@ def _read_matrices(objs: list, whats: list, dim: int) -> tuple[np.ndarray, str |
     """Stack JSON matrices ("re" rows, optional "im" rows) as one complex
     (m, dim, dim) array, re + 1j * im, in one pass over the numbers.
 
-    Reading stops at the first matrix whose layout is wrong or that has a
-    non-finite entry: the stack holds the matrices before it, and the
-    message names it by ``whats[i]`` (None when every matrix reads).
+    Reading stops at the first matrix whose layout is wrong: the stack
+    holds the matrices before it, and the message names it by ``whats[i]``
+    (None when every matrix reads).  Non-finite entries are left to the
+    checks of the operator or state built from the stack.
     """
     k = next((i for i, obj in enumerate(objs) if _layout_fault(obj, dim)), len(objs))
     fault = None if k == len(objs) else f"{whats[k]} {_layout_fault(objs[k], dim)}"
@@ -228,13 +229,8 @@ def _read_matrices(objs: list, whats: list, dim: int) -> tuple[np.ndarray, str |
     im = np.zeros_like(re)
     with_im = [i for i in range(k) if "im" in objs[i]]
     im[with_im] = _float_stack([objs[i]["im"] for i in with_im], dim)
-    bad_re = ~np.all(np.isfinite(re), axis=(1, 2))
-    bad_im = ~np.all(np.isfinite(im), axis=(1, 2))
-    if np.any(bad_re | bad_im):
-        k = int(np.argmax(bad_re | bad_im))
-        part = "'re'" if bad_re[k] else "'im'"
-        fault = f"{whats[k]} {part} has a non-finite entry"
-    return re[:k] + 1j * im[:k], fault
+    with np.errstate(invalid="ignore"):  # 1j * inf, refused as non-finite later
+        return re + 1j * im, fault
 
 
 def _read_observables(entries: list, dim: int, path) -> dict[str, HermitianOperator]:

@@ -22,25 +22,11 @@ class DataFormatError(ValidationError):
 
 
 class InfeasibleTargetError(GibbsFitError):
-    """Projection target lies outside the open achievable set.
-
-    Carries the last Newton iterate so callers can inspect how the solve
-    diverged.
-    """
-
-    def __init__(self, message: str, last_lambda=None, residual=None):
-        super().__init__(message)
-        self.last_lambda = last_lambda
-        self.residual = residual
+    """Projection target lies outside the open achievable set."""
 
 
 class NotConvergedError(GibbsFitError):
     """Solver stagnated without an infeasibility signature."""
-
-    def __init__(self, message: str, last_lambda=None, residual=None):
-        super().__init__(message)
-        self.last_lambda = last_lambda
-        self.residual = residual
 
 
 class EvidenceNotApplicableError(GibbsFitError):

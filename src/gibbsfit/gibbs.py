@@ -266,8 +266,7 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
         try:
             step = _newton_step(corr, grad)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - corr is PD
-            raise NotConvergedError(f"covariance factorization failed: {exc}",
-                                    last_lambda=lam, residual=resid_inf)
+            raise NotConvergedError(f"covariance factorization failed: {exc}")
         slope = float(grad @ step)  # = -step.C.step < 0
         s = 1.0
         # near the optimum the true decrease drops below eps*|Gamma|, so a
@@ -282,19 +281,16 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
             s *= 0.5
             if s < _MIN_STEP:
                 raise NotConvergedError(
-                    "line search stagnated before reaching the target tolerance",
-                    last_lambda=lam, residual=resid_inf)
+                    "line search stagnated before reaching the target tolerance")
         lam, ln_z, spectrum = cand, ln_z_c, spectrum_c
         g, corr = _moments_at(*spectrum, level.stack)
         gamma = objective(ln_z, lam)
         if float(np.max(np.abs(lam))) > LAMBDA_CAP:
             raise InfeasibleTargetError(
-                "multipliers diverged; targets lie outside the achievable set",
-                last_lambda=lam, residual=float(np.max(np.abs(g - t))))
+                "multipliers diverged; targets lie outside the achievable set")
     raise InfeasibleTargetError(
         f"no convergence within {MAX_NEWTON_ITER} Newton steps; targets are likely "
-        "on the boundary of the achievable set",
-        last_lambda=lam, residual=float(np.max(np.abs(g - t))))
+        "on the boundary of the achievable set")
 
 
 def project_state(level: LevelOfDescription, rho: DensityOperator) -> GibbsModel:

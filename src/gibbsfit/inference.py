@@ -33,8 +33,9 @@ from .gibbs import (
 )
 from .levels import (
     LevelOfDescription,
+    _coords,
+    _require_same_context,
     _stack,
-    _sublevel_decomposition,
     complement,
     intersection,
     is_sublevel,
@@ -315,17 +316,18 @@ class ExperimentData:
         return _basis_targets(self.level, self.means)
 
     def means_for(self, sub: LevelOfDescription) -> np.ndarray:
-        """Basis-coordinate sample means for a level inside this one.
-
-        With raw counts available the expectations are taken directly;
-        otherwise each sub-basis element is decomposed in the measured
-        frame and the stored means are carried through linearly.
+        """Basis-coordinate sample means for a level inside this one, built
+        at its reference.  With raw counts available the expectations are
+        taken directly; otherwise the stored means are carried through
+        linearly, along sub's basis coordinates in the measured frame.
+        ValidationError for a level built at another reference, and without
+        counts for one the measured level does not contain.
         """
         emp = self.empirical
-        if emp is not None:
-            return _classical_means(emp.probs, sub.stack)
-        offsets, coeffs = _sublevel_decomposition(self.level, sub)
-        return offsets + coeffs @ self.basis_means()
+        if emp is None:
+            return _coords(self.level, sub) @ self.basis_means()
+        _require_same_context(self.level, sub)
+        return _classical_means(emp.probs, sub.stack)
 
 
 # -- entropic prior and evidence weighting --------------------------

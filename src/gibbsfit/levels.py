@@ -515,20 +515,24 @@ def complement(sub: LevelOfDescription,
     metric is Euclidean at any reference: sub's basis vectors, then the
     unit vectors, are orthonormalized, and the unit vectors' kept residuals
     are mapped back through ambient's basis.  A dependent direction thus
-    drops at DROP_TOL even where the reference's weights are floored."""
-    if not is_sublevel(sub, ambient):
-        raise ValidationError("complement requires sub to be contained in ambient")
+    drops at DROP_TOL even where the reference's weights are floored.
+    Raises ValidationError unless sub is contained in ambient."""
+    _require_same_context(sub, ambient)
     return _level(_combine(_complement_weights(sub, ambient), ambient.stack),
                   ambient.sigma, _op_label(ambient, sub, "-"))
 
 
 def _complement_weights(sub: LevelOfDescription, ambient: LevelOfDescription) -> np.ndarray:
     """Read-only weights over ambient's basis of the directions `complement`
-    keeps, memoized on the content of the reference and of both stacks."""
+    keeps, memoized on the content of the reference and of both stacks.
+    The cold computation refuses a sub that ambient does not contain, so a
+    hit stands for a containment already checked."""
     sigma = ambient.sigma
 
     def compute():
-        coords = _frame_coords(ambient, sub.stack)[0]
+        coords, resid = _frame_coords(ambient, sub.stack)
+        if np.any(resid > SUBLEVEL_TOL):
+            raise ValidationError("complement requires sub to be contained in ambient")
         kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
         residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
         return _freeze(np.array(residuals).reshape(len(residuals), ambient.n_params))
@@ -537,13 +541,14 @@ def _complement_weights(sub: LevelOfDescription, ambient: LevelOfDescription) ->
                       _content(sub.stack), _content(ambient.stack)))
 
 
-def _sublevel_decomposition(level: LevelOfDescription,
-                            sub: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Write each basis element of sub as c_j 1 + sum_b R_jb B_b in the
-    frame of ``level``.  Requires sub to be contained in ``level``."""
-    offsets, centered = _split_identity(sub.basis, sub.stack, level.sigma)
-    coeffs, resid = _frame_coords(level, centered)
+def _coords(level: LevelOfDescription, sub: LevelOfDescription) -> np.ndarray:
+    """Coefficients of sub's basis along level's, one row per element: both
+    bases are centred at the shared reference, so no multiple of the
+    identity is left over.  ValidationError for a sub built at another
+    reference or not contained in level."""
+    _require_same_context(level, sub)
+    coeffs, resid = _frame_coords(level, sub.stack)
     if np.any(resid > SUBLEVEL_TOL):
         raise ValidationError(
             "level is not contained in the measured level of the data")
-    return offsets, coeffs
+    return coeffs

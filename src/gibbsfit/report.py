@@ -73,11 +73,11 @@ class Report:
         return cls(command=config["command"], result=_jsonable(result),
                    config=_jsonable(config), provenance=prov)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {"format_version": REPORT_FORMAT_VERSION, "command": self.command,
                "config": self.config, "provenance": self.provenance,
                "result": self.result}
-        return json.dumps(doc, indent=indent, sort_keys=False, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
 
 
 def load_report(path_or_text) -> Report:

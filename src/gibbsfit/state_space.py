@@ -29,6 +29,10 @@ EIG_FLOOR = 1e-12
 # weight to its continuous limit.
 KMB_DEGENERATE_TOL = 1e-9
 
+# A state's largest tolerated Hermitian defect and trace (or probability
+# sum) deviation from 1.
+STATE_TOL = 1e-9
+
 __all__ = [
     "EIG_FLOOR",
     "HermitianOperator",
@@ -191,16 +195,16 @@ class DensityOperator:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def quantum(cls, matrix, *, atol: float = 1e-9) -> "DensityOperator":
+    def quantum(cls, matrix) -> "DensityOperator":
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         _require_finite(m, "density matrix")
-        if float(np.max(np.abs(m - m.conj().T))) > atol:
+        if float(np.max(np.abs(m - m.conj().T))) > STATE_TOL:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         m = 0.5 * (m + m.conj().T)
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > atol:
+        if abs(tr - 1.0) > STATE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} is not 1")
         m = m / tr
         w, v = np.linalg.eigh(m)
@@ -211,7 +215,7 @@ class DensityOperator:
                    vectors=_freeze(_fix_phases(v[:, ::-1])), clamped=clamped)
 
     @classmethod
-    def classical(cls, probs, *, atol: float = 1e-9) -> "DensityOperator":
+    def classical(cls, probs) -> "DensityOperator":
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValidationError("classical state needs at least two outcomes")
@@ -219,7 +223,7 @@ class DensityOperator:
         if p.min() < -1e-10:
             raise ValidationError(f"negative probability {p.min():.3e}")
         total = float(p.sum())
-        if abs(total - 1.0) > atol:
+        if abs(total - 1.0) > STATE_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
         return cls._diagonal(*_clamp_spectrum(p / total))
 

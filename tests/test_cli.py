@@ -799,6 +799,12 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "Refine" in out and "KeepCoarse" in out
 
+    def test_wolf_json_refines_the_trivial_level(self, capsys):
+        assert run(["demo", "wolf", "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "demo wolf"
+        assert doc["result"]["compare_trivial_vs_two"]["verdict"] == "Refine"
+
     def test_qubit_tilt_flag(self, capsys):
         run(["demo", "qubit", "--tilt-deg", "2.0", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
@@ -862,6 +868,30 @@ for stage, argvs in json.loads(sys.argv[1]):
     stages[stage] = scipy_modules()
 print(json.dumps({"stages": stages, "direct": sorted(direct)}))
 """
+
+
+class TestWarmWork:
+    # a command whose levels are all in the memo computes no offset: the
+    # means of a sublevel come from its coordinates alone
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--data", "data/qutrit_mixed.json", "--level", "spin", "--alpha", "50"],
+        ["compare", "--data", "data/qutrit_mixed.json", "--coarse", "diag", "--fine", "full"],
+        ["estimate", "--data", QUBIT_PARTIAL, "--level", "full", "--alpha", "50"],
+        ["compare", "--data", QUBIT_JSON, "--coarse", "O", "--fine", "ising"],
+    ], ids=["qutrit-estimate", "qutrit-compare", "qubit-estimate", "qubit-compare"])
+    def test_warm_quantum_command_takes_no_expectation(self, monkeypatch, capsys, argv):
+        assert run(argv) == EXIT_OK
+        calls = []
+        original = gibbsfit.state_space.expectation
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (gibbsfit.state_space, gibbsfit.levels):
+            monkeypatch.setattr(module, "expectation", counting)
+        assert run(argv) == EXIT_OK
+        assert calls == []
 
 
 class TestStartup:

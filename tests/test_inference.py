@@ -29,9 +29,14 @@ from gibbsfit.inference import (
 from gibbsfit.levels import full_classical_level, make_level, trivial_level
 from gibbsfit.state_space import (
     DensityOperator,
+    HermitianOperator,
     _fix_phases,
     expectation,
+    pauli_x,
+    pauli_y,
+    pauli_z,
     relative_entropy,
+    uniform_state,
 )
 from conftest import random_density, random_diagonal, random_hermitian
 from oracles import pythagoras_residual
@@ -220,6 +225,57 @@ class TestExperimentData:
         assert np.allclose(data.means, want, rtol=0, atol=1e-14)
         want = [expectation(data.empirical, op) for op in sub.basis]
         assert np.allclose(data.means_for(sub), want, rtol=0, atol=1e-13)
+
+    @given(dim=st.integers(2, 4), reference=st.sampled_from(["classical", "quantum", "uniform"]),
+           data=st.data())
+    def test_means_for_carries_exact_expectations(self, dim, reference, data):
+        # mean-only data holding the exact expectations of the measured
+        # generators at a full-rank state give, for a level nested inside the
+        # measured one, the expectations of its basis at that state
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = "classical" if reference == "classical" else "quantum"
+        sigma = uniform_state(dim) if reference == "uniform" else random_density(rng, dim, kind)
+        draw = random_diagonal if kind == "classical" else random_hermitian
+        max_params = dim - 1 if kind == "classical" else dim * dim - 1
+        k = data.draw(st.integers(1, min(5, max_params)), label="k")
+        measured = make_level([draw(rng, dim) for _ in range(k)], sigma)
+        rho = random_density(rng, dim, kind)
+        means = [expectation(rho, measured.generators[i]) for i in measured.retained]
+        bare = ExperimentData(level=measured, means=means, n=100.0)
+        # some of the measured generators, each rescaled and shifted by the
+        # identity: a basis row keeps roundoff of its centring of about
+        # 1e-16 * |generator| / |centred generator|, which the carry drops
+        j = data.draw(st.integers(1, k), label="j")
+        gens = [HermitianOperator.from_matrix(
+            rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * measured.generators[i].matrix
+            + rng.normal() * np.eye(dim)) for i in rng.permutation(k)[:j]]
+        sub = make_level(gens, sigma)
+        want = [expectation(rho, op) for op in sub.basis]
+        # generator means reach basis coordinates through the measured
+        # level's R factor, which costs its condition number in digits
+        tol = 1e-12 * max(1.0, np.linalg.cond(measured.gen_coeffs))
+        assert np.allclose(bare.means_for(sub), want, rtol=0, atol=tol)
+
+    def test_means_for_refuses_another_reference(self, rng):
+        # a level's basis is centred at its own reference, so one built
+        # elsewhere has no coordinates in the measured frame
+        spin = make_level([pauli_x(), pauli_y(), pauli_z()], uniform_state(2))
+        bare = ExperimentData(level=spin, means=[0.1, -0.2, 0.3], n=100.0)
+        tilted = DensityOperator.quantum(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        with pytest.raises(ValidationError, match="different reference"):
+            bare.means_for(make_level([pauli_x()], tilted))
+        sigma, full, _ = _classical_setup(rng)
+        data = ExperimentData.from_counts(rng.integers(50, 500, size=6).astype(float), full)
+        other = random_density(rng, 6, kind="classical")
+        with pytest.raises(ValidationError, match="different reference"):
+            data.means_for(make_level([random_diagonal(rng, 6)], other))
+
+    def test_means_for_refuses_a_level_outside(self, rng):
+        sigma, full, _ = _classical_setup(rng)
+        measured = make_level([random_diagonal(rng, 6) for _ in range(2)], sigma)
+        bare = ExperimentData(level=measured, means=[0.1, -0.2], n=100.0)
+        with pytest.raises(ValidationError, match="not contained"):
+            bare.means_for(make_level([random_diagonal(rng, 6)], sigma))
 
 
 class TestEvidence:

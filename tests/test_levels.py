@@ -254,8 +254,13 @@ class TestSetOperations:
         sigma = random_density(rng, 3, kind="classical")
         la = make_level([random_diagonal(rng, 3)], sigma)
         lb = make_level([random_diagonal(rng, 3)], sigma)
-        with pytest.raises(ValidationError):
-            complement(la, lb)
+        # a refusal is never memoized
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="contained"):
+                complement(la, lb)
+        other = make_level(la.generators, random_density(rng, 3, kind="classical"))
+        with pytest.raises(ValidationError, match="different reference"):
+            complement(la, other)
 
     def test_complement_builds_one_level(self, rng, monkeypatch):
         # the inputs are used as built; only the result is a new level
@@ -622,7 +627,8 @@ class TestMemo:
     def test_warm_complement_runs_no_gram_schmidt(self, rng, monkeypatch, kind):
         # complement's kept directions come from the memo too: a warm
         # complement, of levels built anew with the same content, runs no
-        # Gram-Schmidt at all and returns the cold level's bytes
+        # Gram-Schmidt and no containment check (the cold one ran it) and
+        # returns the cold level's bytes
         sigma = random_density(rng, 4, kind=kind)
         draw = random_diagonal if kind == "classical" else random_hermitian
         gens = [draw(rng, 4) for _ in range(3)]
@@ -633,13 +639,14 @@ class TestMemo:
 
         cold = build()
         calls = []
-        original = gibbsfit.levels._gram_schmidt
+        for name in ("_gram_schmidt", "_frame_coords"):
+            original = getattr(gibbsfit.levels, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(*args, original=original, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(gibbsfit.levels, "_gram_schmidt", counting)
+            monkeypatch.setattr(gibbsfit.levels, name, counting)
         assert build() == cold
         assert calls == []
 

@@ -33,14 +33,6 @@ def test_tilt_scan_two_steps():
     assert "ln N" in proc.stdout.splitlines()[-1]
 
 
-def test_run_demos_wolf_json():
-    proc = _run_script("run_demos.py", "--only", "wolf", "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["command"] == "demo wolf"
-    assert doc["result"]["compare_trivial_vs_two"]["verdict"] == "Refine"
-
-
 @pytest.fixture(scope="module")
 def data_run(tmp_path_factory):
     """The digest lines and the --values file of the data commands."""
