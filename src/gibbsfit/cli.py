@@ -89,6 +89,15 @@ def _parse_alpha(text: str) -> float | None:
     return val
 
 
+def _sig_level(text: str) -> float:
+    """The --sig-level tail probability, refused as a usage error unless it
+    lies in (0, 1): a fit with no finer data never reads it."""
+    val = float(text)
+    if not 0.0 < val < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return val
+
+
 def _project(args) -> dict:
     ds = _load_dataset(args)
     level = resolve_level(ds, args.level)
@@ -150,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", default="full",
                    help="target level: a named level or comma-separated "
                         "observable names (default: full)")
-    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
+    p.add_argument("--sig-level", type=_sig_level, default=DEFAULT_SIG_LEVEL,
                    help="tail probability threshold for the residual check")
     p.set_defaults(handler=_project)
 
@@ -158,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="significance of the deviation from a fitted level")
     p.add_argument("--level", default="O",
                    help="fitted level (default: O, the bare reference)")
-    p.add_argument("--sig-level", type=float, default=DEFAULT_SIG_LEVEL,
+    p.add_argument("--sig-level", type=_sig_level, default=DEFAULT_SIG_LEVEL,
                    help="tail probability below which the deviation counts "
                         "as significant (default: 1e-3)")
     p.set_defaults(handler=_significance)

@@ -29,7 +29,6 @@ from .gibbs import (
     _moments,
     gibbs_state,
     project,
-    project_state,
 )
 from .levels import (
     LevelOfDescription,
@@ -499,10 +498,9 @@ def posterior_estimate(data: ExperimentData, prior: EntropicPrior) -> PosteriorE
 
     unmeasured = None
     cov_unmeasured = None
-    comp = complement(inter, prior.level)
-    if not comp.is_trivial:
-        unmeasured = comp
-        cov_unmeasured = _moments(rho_hat.state, comp)[1] / alpha
+    if inter.n_params < prior.level.n_params:
+        unmeasured = complement(inter, prior.level)
+        cov_unmeasured = _moments(rho_hat.state, unmeasured)[1] / alpha
     return PosteriorEstimate(
         rho_hat=rho_hat, data_model=data_model, t=t, alpha_used=alpha,
         evidence=evidence, n=float(data.n), measured=inter,
@@ -537,8 +535,8 @@ def level_significance(data: ExperimentData, level: LevelOfDescription, *,
     level must be built at the measured level's reference.
     """
     _residual_dof(data, level)
-    targets = data.means_for(level) if not level.is_trivial else np.zeros(0)
-    return fit_significance(data, project(level, targets), sig_level=sig_level)
+    return fit_significance(data, project(level, data.means_for(level)),
+                            sig_level=sig_level)
 
 
 def fit_significance(data: ExperimentData, fit: GibbsModel, *,
@@ -614,10 +612,12 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
                    alpha="evidence", prior_odds: float = 1.0) -> ComparisonReport:
     """Does the finer level earn its extra parameters on this data?
 
-    Requires coarse within fine within the measured level.  Both levels are
-    fitted to the data; the information the refinement captures is scaled
-    to a chi-square statistic and referred, per extra parameter, to the
-    ln N decision band.
+    Requires coarse within fine within the measured level.  The fine level
+    is fitted to the data, the coarse one to the fine fit's means carried
+    along coarse's coordinates in fine's frame (both bases are centred at
+    the shared reference).  The information the refinement captures is
+    scaled to a chi-square statistic and referred, per extra parameter, to
+    the ln N decision band.
 
     log posterior odds: (s/2) ln(N/alpha) - (N - alpha) S + ln(prior odds),
     the first term being the parameter-cost penalty the finer model pays.
@@ -628,17 +628,19 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     """
     if data.n <= 1:
         raise ValidationError("model comparison needs n > 1")
-    if not is_sublevel(coarse, fine):
-        raise ValidationError("coarse level is not contained in the fine level")
-    if not is_sublevel(fine, data.level):
+    coords = _coords(fine, coarse)
+    # mean-only data check fine's containment in their own read; counts
+    # give the means of any level at their reference
+    targets = data.means_for(fine)
+    if data.empirical is not None and not is_sublevel(fine, data.level):
         raise ValidationError("fine level is not contained in the measured level")
     s = fine.dim - coarse.dim
     if s <= 0:
         raise ValidationError("fine level adds no parameters over the coarse one")
     _require_positive(prior_odds, "prior odds")
 
-    fine_model = project(fine, data.means_for(fine))
-    coarse_model = project_state(coarse, fine_model.state)
+    fine_model = project(fine, targets)
+    coarse_model = project(coarse, coords @ fine_model.g)
     s_gain = relative_entropy(fine_model.state, coarse_model.state)
     chi2_exact = 2.0 * data.n * s_gain
     _require_finite_statistic(chi2_exact, "chi2_exact", data.n)

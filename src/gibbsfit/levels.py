@@ -19,22 +19,23 @@ scratch, because BLAS sums a shorter vector, or a stacked product, in
 another order; every basis is bit-identical to the dense matrix algebra in
 tests/levels_oracle.py.  Coordinates that choose no basis come stacked:
 a level's generator coordinates are its Gram-Schmidt R factor, and a
-sublevel's are one product over the nonzero slots.  `complement`
-orthonormalizes in those coordinates, where the metric is Euclidean.
+sublevel's are one product over the nonzero slots, which is also where
+its containment is checked (`_coords`).  `complement` orthonormalizes in
+those coordinates, where the metric is Euclidean.
 The classical outcome level orthonormalizes on the first read of its
 frame, so a command that needs only its dimension never does.
 
 Levels depend on the reference and the generators, never on the data, so
-the three computations that build them are memoized per process by
-content (`_memo`): every level's orthonormalization, `intersection`'s
-shared directions and `complement`'s kept ones.  A key holds the exact
-content of everything the computation reads, and a hit returns the
-read-only result the first build computed, so a warm result is the cold
-one bit for bit.  The memo pays only where one process runs several
-commands at one reference, through `gibbsfit.cli.run` or the library:
-the commands of one analysis share its levels, and so do analyses of
-successive datasets taken with one reference and one set of observables.  A single CLI command finds none
-of its levels there and builds each once, as without the memo.
+the two computations that build them are memoized per process by
+content (`_memo`): every level's orthonormalization and `intersection`'s
+shared directions.  A key holds the exact content of everything the
+computation reads, and a hit returns the read-only result the first
+build computed, so a warm result is the cold one bit for bit.  The memo
+pays only where one process runs several commands at one reference,
+through `gibbsfit.cli.run` or the library: the commands of one analysis
+share its levels, and so do analyses of successive datasets taken with
+one reference and one set of observables.  A single CLI command finds
+none of its levels there and builds each once, as without the memo.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ SUBLEVEL_TOL = 1e-8
 ANGLE_TOL = 1e-8
 
 # Most level computations `_memo` keeps per process, least recently used
-# dropped first: room for the levels of one analysis (at most 14 in any
+# dropped first: room for the levels of one analysis (at most 11 in any
 # perfbench analysis), while a stream of fresh references holds little.
 MEMO_SIZE = 16
 
@@ -511,44 +512,30 @@ def complement(sub: LevelOfDescription,
     """Orthogonal complement of sub inside ambient, in the canonical
     correlation geometry at their shared reference.
 
-    Runs in the coordinates of ambient's orthonormal basis, where the
-    metric is Euclidean at any reference: sub's basis vectors, then the
-    unit vectors, are orthonormalized, and the unit vectors' kept residuals
-    are mapped back through ambient's basis.  A dependent direction thus
-    drops at DROP_TOL even where the reference's weights are floored.
-    Raises ValidationError unless sub is contained in ambient."""
-    _require_same_context(sub, ambient)
-    return _level(_combine(_complement_weights(sub, ambient), ambient.stack),
-                  ambient.sigma, _op_label(ambient, sub, "-"))
-
-
-def _complement_weights(sub: LevelOfDescription, ambient: LevelOfDescription) -> np.ndarray:
-    """Read-only weights over ambient's basis of the directions `complement`
-    keeps, memoized on the content of the reference and of both stacks.
-    The cold computation refuses a sub that ambient does not contain, so a
-    hit stands for a containment already checked."""
-    sigma = ambient.sigma
-
-    def compute():
-        coords, resid = _frame_coords(ambient, sub.stack)
-        if np.any(resid > SUBLEVEL_TOL):
-            raise ValidationError("complement requires sub to be contained in ambient")
-        kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
-        residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
-        return _freeze(np.array(residuals).reshape(len(residuals), ambient.n_params))
-
-    return _memo(_Key(compute, "complement", sigma.content,
-                      _content(sub.stack), _content(ambient.stack)))
+    Runs in the coordinates of ambient's orthonormal basis (`_coords`),
+    where the metric is Euclidean at any reference: sub's basis vectors,
+    then the unit vectors, are orthonormalized, and the unit vectors' kept
+    residuals are mapped back through ambient's basis.  A dependent
+    direction thus drops at DROP_TOL even where the reference's weights
+    are floored.  Raises ValidationError unless sub is contained in
+    ambient.  Only the resulting level is memoized."""
+    coords = _coords(ambient, sub)
+    kept, frame, _, _ = _gram_schmidt([*coords, *np.eye(ambient.n_params)])
+    residuals = [f for f, idx in zip(frame, kept) if idx >= len(coords)]
+    weights = np.array(residuals).reshape(len(residuals), ambient.n_params)
+    return _level(_combine(weights, ambient.stack), ambient.sigma,
+                  _op_label(ambient, sub, "-"))
 
 
 def _coords(level: LevelOfDescription, sub: LevelOfDescription) -> np.ndarray:
     """Coefficients of sub's basis along level's, one row per element: both
     bases are centred at the shared reference, so no multiple of the
-    identity is left over.  ValidationError for a sub built at another
-    reference or not contained in level."""
+    identity is left over.  The one containment check that refuses:
+    ValidationError for a sub built at another reference or not contained
+    in level, naming both levels."""
     _require_same_context(level, sub)
     coeffs, resid = _frame_coords(level, sub.stack)
     if np.any(resid > SUBLEVEL_TOL):
         raise ValidationError(
-            "level is not contained in the measured level of the data")
+            f"level {sub.label!r} is not contained in level {level.label!r}")
     return coeffs

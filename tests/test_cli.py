@@ -893,6 +893,93 @@ class TestWarmWork:
         assert run(argv) == EXIT_OK
         assert calls == []
 
+    def test_warm_compare_reads_each_nesting_once(self, monkeypatch, capsys):
+        # ising in heisenberg gives the containment check and the coarse
+        # targets in one coordinate read, and heisenberg in the measured
+        # level is read once, by its means; the one moment pass is the
+        # coarse fit's metric on the fine level
+        argv = ["compare", "--data", QUBIT_JSON, "--coarse", "ising", "--fine", "heisenberg"]
+        assert run(argv) == EXIT_OK
+        calls = {"_frame_coords": [], "_moments": []}
+
+        def counter(name, original):
+            def counting(*args):
+                calls[name].append(args)
+                return original(*args)
+            return counting
+
+        monkeypatch.setattr(gibbsfit.levels, "_frame_coords",
+                            counter("_frame_coords", gibbsfit.levels._frame_coords))
+        moments = counter("_moments", gibbsfit.gibbs._moments)
+        for module in (gibbsfit.gibbs, gibbsfit.inference):
+            monkeypatch.setattr(module, "_moments", moments)
+        assert run(argv) == EXIT_OK
+        assert (len(calls["_frame_coords"]), len(calls["_moments"])) == (2, 1)
+
+
+@pytest.fixture
+def complement_calls(monkeypatch):
+    """Every complement that posterior_estimate builds."""
+    calls = []
+    original = gibbsfit.inference.complement
+
+    def counting(sub, ambient):
+        calls.append((sub, ambient))
+        return original(sub, ambient)
+
+    monkeypatch.setattr(gibbsfit.inference, "complement", counting)
+    return calls
+
+
+class TestUnmeasuredBlock:
+    def test_measured_prior_builds_no_complement(self, capsys, complement_calls):
+        # every spin direction is measured: nothing is left at prior width
+        argv = ["estimate", "--data", "data/qutrit_mixed.json", "--level", "spin",
+                "--format", "json"]
+        assert run(argv) == EXIT_OK
+        post = json.loads(capsys.readouterr().out)["result"]["posterior"]
+        assert post["measured_dim"] == 4 and "unmeasured_dim" not in post
+        assert complement_calls == []
+
+    def test_partial_prior_keeps_its_unmeasured_block(self, capsys, complement_calls):
+        # Y carries no sample mean: one complement, and its variance to the
+        # bit (the closed form is checked in TestEstimate)
+        rc = run(["estimate", "--data", QUBIT_PARTIAL, "--level", "heisenberg",
+                  "--alpha", "50", "--format", "json"])
+        assert rc == EXIT_OK
+        post = json.loads(capsys.readouterr().out)["result"]["posterior"]
+        assert post["unmeasured_dim"] == 2
+        assert post["cov_unmeasured"] == [[0.015736343559822202]]
+        assert len(complement_calls) == 1
+
+
+class TestContainmentRefusal:
+    @pytest.mark.parametrize("argv, sub, level", [
+        (["compare", "--data", QUBIT_JSON, "--coarse", "heisenberg", "--fine", "ising"],
+         "heisenberg", "ising"),
+        (["compare", "--data", QUBIT_PARTIAL, "--coarse", "ising", "--fine", "heisenberg"],
+         "heisenberg", "F"),
+        (["project", "--data", QUBIT_PARTIAL, "--level", "heisenberg"], "heisenberg", "F"),
+    ], ids=["coarse-outside-fine", "fine-outside-measured", "project-outside-measured"])
+    def test_names_both_levels(self, capsys, argv, sub, level):
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"level {sub!r} is not contained in level {level!r}" in err
+
+
+class TestSigLevel:
+    # the significance level is refused where it enters, also when no
+    # residual is computed to read it
+    @pytest.mark.parametrize("value", ["5", "nan", "-1", "0", "1"])
+    @pytest.mark.parametrize("data", [WOLF_COUNTS, QUBIT_JSON], ids=["counts", "means"])
+    @pytest.mark.parametrize("command", ["project", "significance"])
+    def test_out_of_range_is_a_usage_error(self, capsys, command, data, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--data", data, "--sig-level", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--sig-level" in err
+
 
 class TestStartup:
     def test_commands_load_no_scipy(self):

@@ -610,6 +610,43 @@ class TestCompareLevels:
         with pytest.raises(ValidationError, match="finite"):
             compare_levels(coarse, mid, data, **option)
 
+    @given(reference=st.sampled_from(["classical", "quantum", "uniform"]),
+           counts=st.booleans(), data=st.data())
+    def test_coarse_fit_is_the_projection_of_the_fine_fit(self, reference, counts, data):
+        # the coarse fit comes from fine's fit and coarse's coordinates in
+        # fine's frame; it is the projection of the fine fit's state onto
+        # the coarse manifold, to the solver's tolerance
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        d = data.draw(st.integers(3, 4), label="d")
+        counts = counts and reference != "quantum"
+        sigma = (uniform_state(d) if reference == "uniform"
+                 else random_density(rng, d, kind=reference))
+        draw = random_hermitian if reference == "quantum" else random_diagonal
+        gens = [draw(rng, d) for _ in range(d - 1)]
+        k_fine = data.draw(st.integers(1, d - 1), label="k_fine")
+        k_coarse = data.draw(st.integers(0, k_fine - 1), label="k_coarse")
+        fine = make_level(gens[:k_fine], sigma)
+        # combinations of fine's generators and the identity: inside fine
+        mix = rng.normal(size=(k_coarse, k_fine))
+        coarse = make_level([HermitianOperator.from_matrix(
+            sum(w * g.matrix for w, g in zip(row, gens)) + rng.normal() * np.eye(d))
+            for row in mix], sigma)
+        if counts:
+            exp_data = ExperimentData.from_counts(
+                rng.integers(50, 500, size=d).astype(float), full_classical_level(sigma))
+        else:
+            measured = make_level(gens, sigma)
+            rho = random_density(rng, d, kind="quantum" if reference == "quantum" else "classical")
+            means = [expectation(rho, measured.generators[i]) for i in measured.retained]
+            exp_data = ExperimentData(level=measured, means=means, n=1000.0)
+        rep = compare_levels(coarse, fine, exp_data, alpha=None)
+        want = project_state(coarse, rep.fine_model.state)
+        # each solve stops within 1e-10 (1 + |targets|) of its targets
+        tol = 2e-10 * (1.0 + float(np.max(np.abs(want.g), initial=0.0)))
+        assert np.allclose(rep.coarse_model.g, want.g, rtol=0, atol=tol)
+        assert np.allclose(rep.coarse_model.state.matrix, want.state.matrix,
+                           rtol=0, atol=1e-9)
+
     def test_chi2_routes_close(self, rng):
         sigma, data, coarse, mid, full = self._wolf_like(rng)
         rep = compare_levels(coarse, mid, data, alpha=None)

@@ -262,6 +262,13 @@ class TestSetOperations:
         with pytest.raises(ValidationError, match="different reference"):
             complement(la, other)
 
+    def test_refused_containment_names_both_levels(self, rng):
+        sigma = random_density(rng, 3)
+        la = make_level([random_hermitian(rng, 3)], sigma, label="A")
+        lb = make_level([random_hermitian(rng, 3)], sigma, label="B")
+        with pytest.raises(ValidationError, match="level 'A' is not contained in level 'B'"):
+            complement(la, lb)
+
     def test_complement_builds_one_level(self, rng, monkeypatch):
         # the inputs are used as built; only the result is a new level
         sigma = random_density(rng, 4)
@@ -622,33 +629,6 @@ class TestMemo:
         c, d = make_level(gens[:2], other), make_level(gens[1:], other)
         assert [_level_bytes(lvl) for lvl in (c, d)] == built
         assert _level_bytes(intersection(c, d)) == shared
-
-    @pytest.mark.parametrize("kind", ["classical", "quantum"])
-    def test_warm_complement_runs_no_gram_schmidt(self, rng, monkeypatch, kind):
-        # complement's kept directions come from the memo too: a warm
-        # complement, of levels built anew with the same content, runs no
-        # Gram-Schmidt and no containment check (the cold one ran it) and
-        # returns the cold level's bytes
-        sigma = random_density(rng, 4, kind=kind)
-        draw = random_diagonal if kind == "classical" else random_hermitian
-        gens = [draw(rng, 4) for _ in range(3)]
-
-        def build():
-            amb = make_level(gens, sigma, label="A")
-            return _level_bytes(complement(make_level(gens[:1], sigma), amb))
-
-        cold = build()
-        calls = []
-        for name in ("_gram_schmidt", "_frame_coords"):
-            original = getattr(gibbsfit.levels, name)
-
-            def counting(*args, original=original, **kwargs):
-                calls.append(args)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(gibbsfit.levels, name, counting)
-        assert build() == cold
-        assert calls == []
 
     def test_classical_reference_holds_no_square_array(self, rng):
         # a classical state holds its eigenvectors as their order, so neither
