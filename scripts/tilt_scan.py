@@ -11,7 +11,6 @@ band, then locates the angle where the exact rate crosses ln N.
 import argparse
 
 import numpy as np
-from scipy.optimize import brentq
 
 from gibbsfit import (
     ExperimentData,
@@ -21,6 +20,7 @@ from gibbsfit import (
     pauli_z,
     uniform_state,
 )
+from gibbsfit.demos import _bisect
 
 
 def tilt_rates(r: float, tilt_deg: float, n: float):
@@ -57,7 +57,7 @@ def main() -> None:
         return tilt_rates(args.r, deg, args.n)[1] - ln_n
 
     if gap(args.min_deg) * gap(args.max_deg) < 0:
-        cross = brentq(gap, args.min_deg, args.max_deg, xtol=1e-9)
+        cross = _bisect(gap, args.min_deg, args.max_deg)
         print(f"exact rate meets ln N at {cross:.4f} deg")
     else:
         print("exact rate does not cross ln N inside the scanned range")

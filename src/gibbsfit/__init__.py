@@ -51,7 +51,6 @@ from .levels import (
     complement,
     full_classical_level,
     intersection,
-    is_sublevel,
     make_level,
     trivial_level,
 )

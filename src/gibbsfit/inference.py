@@ -34,10 +34,8 @@ from .levels import (
     LevelOfDescription,
     _coords,
     _require_same_context,
-    _stack,
     complement,
     intersection,
-    is_sublevel,
 )
 from .state_space import DensityOperator, relative_entropy
 
@@ -260,7 +258,8 @@ class ExperimentData:
 
     ``means`` follow the generator order of ``level``; ``counts`` optionally
     keeps the raw classical histogram behind them (then n must equal its
-    total, and the means must match it or be None to take them from it).
+    total, and the means must match it, one product over the rows of the
+    level's generator stack, or be None to take them from it).
     ``empirical`` is the frequency state of the counts, built once here.
     n = 0 encodes "no data yet", which the posterior maps to the bare prior.
     """
@@ -279,11 +278,10 @@ class ExperimentData:
             object.__setattr__(self, "counts", c)
             freq = DensityOperator.classical(c / c.sum())
             object.__setattr__(self, "empirical", freq)
-            d = self.level.dim_hilbert
-            if freq.dim != d:
-                raise ValidationError(f"dimension mismatch: {freq.dim} vs {d}")
-            gens = [self.level.generators[i] for i in self.level.retained]
-            recomputed = _classical_means(freq.probs, _stack(gens, d))
+            level = self.level
+            if freq.dim != level.dim_hilbert:
+                raise ValidationError(f"dimension mismatch: {freq.dim} vs {level.dim_hilbert}")
+            recomputed = _classical_means(freq.probs, level.generators[list(level.retained)])
             if self.means is None:
                 object.__setattr__(self, "means", recomputed)
         m = np.asarray(self.means, dtype=float).reshape(-1)
@@ -517,9 +515,7 @@ def _residual_dof(data: ExperimentData, level: LevelOfDescription) -> int:
     level that is not strictly finer."""
     if data.n <= 0:
         raise ValidationError("significance needs data (n > 0)")
-    if not level.same_context(data.level):
-        raise ValidationError(
-            "fitted level is built at a different reference than the measured level")
+    _require_same_context(level, data.level)
     dof = data.level.n_params - level.n_params
     if dof <= 0:
         raise ValidationError(
@@ -612,12 +608,13 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
                    alpha="evidence", prior_odds: float = 1.0) -> ComparisonReport:
     """Does the finer level earn its extra parameters on this data?
 
-    Requires coarse within fine within the measured level.  The fine level
-    is fitted to the data, the coarse one to the fine fit's means carried
-    along coarse's coordinates in fine's frame (both bases are centred at
-    the shared reference).  The information the refinement captures is
-    scaled to a chi-square statistic and referred, per extra parameter, to
-    the ln N decision band.
+    Requires coarse within fine within the measured level, each nesting
+    checked once by `_coords`; the first check gives coarse's coordinates in
+    fine's frame.  The fine level is fitted to the data, the coarse one to
+    the fine fit's means carried along those coordinates (both bases are
+    centred at the shared reference).  The information the refinement
+    captures is scaled to a chi-square statistic and referred, per extra
+    parameter, to the ln N decision band.
 
     log posterior odds: (s/2) ln(N/alpha) - (N - alpha) S + ln(prior odds),
     the first term being the parameter-cost penalty the finer model pays.
@@ -632,8 +629,8 @@ def compare_levels(coarse: LevelOfDescription, fine: LevelOfDescription,
     # mean-only data check fine's containment in their own read; counts
     # give the means of any level at their reference
     targets = data.means_for(fine)
-    if data.empirical is not None and not is_sublevel(fine, data.level):
-        raise ValidationError("fine level is not contained in the measured level")
+    if data.empirical is not None and fine is not data.level:
+        _coords(data.level, fine)
     s = fine.dim - coarse.dim
     if s <= 0:
         raise ValidationError("fine level adds no parameters over the coarse one")

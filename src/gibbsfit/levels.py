@@ -1,11 +1,12 @@
 """Levels of description: observable spans and their lattice operations.
 
 A level is the real span of the identity together with a set of Hermitian
-generators.  It holds one basis of that span, centered and orthonormal in
-the canonical-correlation (Kubo-Mori) product at the reference state the
-level carries, as one read-only array `LevelOfDescription.stack`: (k, d)
-real diagonals when every generator is diagonal, else (k, d, d) complex
-matrices.  `LevelOfDescription.basis` reads its rows as operators.
+generators.  It holds its generators, as handed in, and one basis of that
+span, centered and orthonormal in the canonical-correlation (Kubo-Mori)
+product at the reference state the level carries, as read-only stacks
+(`LevelOfDescription.generators`, `.stack`): (m, d) real diagonals when
+every operator is diagonal, else (m, d, d) complex matrices.  `make_level`
+alone takes operators; every other function reads and returns stacks.
 
 Span arithmetic runs in a Euclidean embedding of operator space, one row
 per stacked operator, computed from each reference's eigenvectors and
@@ -19,23 +20,23 @@ scratch, because BLAS sums a shorter vector, or a stacked product, in
 another order; every basis is bit-identical to the dense matrix algebra in
 tests/levels_oracle.py.  Coordinates that choose no basis come stacked:
 a level's generator coordinates are its Gram-Schmidt R factor, and a
-sublevel's are one product over the nonzero slots, which is also where
-its containment is checked (`_coords`).  `complement` orthonormalizes in
-those coordinates, where the metric is Euclidean.
+sublevel's are one product over the nonzero slots, computed by `_coords`,
+the one containment check.  `complement` orthonormalizes in those
+coordinates, where the metric is Euclidean.
 The classical outcome level orthonormalizes on the first read of its
 frame, so a command that needs only its dimension never does.
 
 Levels depend on the reference and the generators, never on the data, so
 the two computations that build them are memoized per process by
 content (`_memo`): every level's orthonormalization and `intersection`'s
-shared directions.  A key holds the exact content of everything the
-computation reads, and a hit returns the read-only result the first
-build computed, so a warm result is the cold one bit for bit.  The memo
-pays only where one process runs several commands at one reference,
-through `gibbsfit.cli.run` or the library: the commands of one analysis
-share its levels, and so do analyses of successive datasets taken with
-one reference and one set of observables.  A single CLI command finds
-none of its levels there and builds each once, as without the memo.
+shared directions, each keyed on the exact content of the reference and
+the stacks it reads.  A hit returns the read-only result the first build
+computed, so a warm result is the cold one bit for bit.  The memo pays
+only where one process runs several commands at one reference, through
+`gibbsfit.cli.run` or the library: the commands of one analysis share its
+levels, and so do analyses of successive datasets taken with one
+reference and one set of observables.  A single CLI command finds none of
+its levels there and builds each once, as without the memo.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .state_space import (
     HermitianOperator,
     _content,
     _freeze,
-    expectation,
 )
 
 # Gram-Schmidt drops a generator when its residual falls below this times
@@ -74,7 +74,6 @@ MEMO_SIZE = 16
 __all__ = [
     "LevelOfDescription",
     "make_level",
-    "is_sublevel",
     "complement",
     "intersection",
     "trivial_level",
@@ -91,15 +90,6 @@ def _coerce_operator(obj) -> HermitianOperator:
     return HermitianOperator.from_matrix(arr)
 
 
-def _stack(ops, d: int) -> np.ndarray:
-    """The operators' diagonals as a (k, d) array when every one is
-    diagonal, else their matrices as a (k, d, d) array."""
-    diagonals = [op.diagonal for op in ops]
-    if any(v is None for v in diagonals):
-        return np.array([op.matrix for op in ops], dtype=complex).reshape(-1, d, d)
-    return np.array(diagonals, dtype=float).reshape(-1, d)
-
-
 def _compact(stack: np.ndarray) -> np.ndarray:
     """A (k, d, d) stack with no off-diagonal entry as its (k, d) real
     diagonals, the form `HermitianOperator.from_matrix` gives such a
@@ -109,16 +99,22 @@ def _compact(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _views(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
-    """Operators reading the rows of a read-only stack, unvalidated: the
-    package computed them from validated inputs.  A matrix row with no
-    off-diagonal entry also carries its diagonal, as from_matrix tags it."""
+def _diagonals(stack: np.ndarray) -> list[np.ndarray | None]:
+    """Each stacked row's real diagonal, read-only, when it has no
+    off-diagonal entry, else None: how `HermitianOperator.from_matrix`
+    tags the row."""
     if stack.ndim == 2:
-        return tuple(HermitianOperator(diagonal=row) for row in stack)
+        return list(stack)
     off = ~np.eye(stack.shape[1], dtype=bool)
-    return tuple(HermitianOperator(
-        dense=row, diagonal=None if np.any(row[off]) else _freeze(np.real(np.diag(row))))
-        for row in stack)
+    return [None if np.any(row[off]) else _freeze(np.real(np.diag(row))) for row in stack]
+
+
+def _views(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """Operators reading the rows of a read-only stack, tagged as
+    `_diagonals` tags them, unvalidated: the package computed them from
+    validated inputs."""
+    return tuple(HermitianOperator(diagonal=v, dense=None if stack.ndim == 2 else m)
+                 for v, m in zip(_diagonals(stack), stack))
 
 
 def _embedding(sigma: DensityOperator, stack: np.ndarray,
@@ -157,11 +153,17 @@ def _slots(sigma: DensityOperator, *stacks: np.ndarray) -> slice:
     return slice(None)
 
 
-def _split_identity(ops, stack: np.ndarray,
+def _split_identity(stack: np.ndarray,
                     sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """Split each stacked X = c*1 + dX with dX orthogonal to the identity
-    at sigma: the offsets c (from the operators) and the stacked dX."""
-    offsets = np.array([expectation(sigma, op) for op in ops], dtype=float)
+    at sigma: the offsets c = tr(sigma X), each with the bits `expectation`
+    gives X's row tagged as `_diagonals` tags it, and the stacked dX."""
+    def offset(row, v):
+        if sigma.is_classical and v is not None:
+            return sigma.probs @ v
+        return np.real(np.trace(sigma.matrix @ (np.diag(row) if row.ndim == 1 else row)))
+
+    offsets = np.array([offset(*rv) for rv in zip(stack, _diagonals(stack))], dtype=float)
     if stack.ndim == 2:
         return offsets, stack - offsets[:, None]
     return offsets, stack - offsets[:, None, None] * np.eye(sigma.dim)
@@ -276,24 +278,20 @@ def _memo(key: _Key):
     return compute()
 
 
-def _orthonormalize(ops, stack: np.ndarray,
+def _orthonormalize(stack: np.ndarray,
                     sigma: DensityOperator) -> tuple[tuple[int, ...], MappingProxyType]:
-    """Center the stacked operators at sigma, embed them and run
+    """Center the stacked generators at sigma, embed them and run
     Gram-Schmidt: the kept input indices and the read-only frame of
-    `LevelOfDescription`, memoized on the content of the reference and
-    the stack and on which operators hold a diagonal: every row of the
-    stack is its operator's diagonal or matrix, but the offsets read an
-    operator's diagonal when it has one."""
+    `LevelOfDescription`, memoized on the content of sigma and the stack."""
     def compute():
-        offsets, centered = _split_identity(ops, stack, sigma)
+        offsets, centered = _split_identity(stack, sigma)
         slots = _slots(sigma, centered)
         kept, _, basis, r = _gram_schmidt(_embedding(sigma, centered, slots), centered, slots)
         return tuple(kept), MappingProxyType({
             "stack": _freeze(basis), "gen_offsets": _freeze(offsets[kept]),
             "gen_coeffs": _freeze(r.T.copy())})
 
-    return _memo(_Key(compute, "orthonormalize", sigma.content, _content(stack),
-                      tuple(op.diagonal is None for op in ops)))
+    return _memo(_Key(compute, "orthonormalize", sigma.content, _content(stack)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,33 +299,31 @@ class LevelOfDescription:
     """Span of {1, G_1, ..., G_m} with a basis orthonormal and centered in
     the canonical-correlation product at ``sigma``.
 
-    ``generators`` keeps the operators as handed in; ``retained`` indexes
-    the subset that survived dependency dropping, in input order.  Each
+    ``generators`` stacks the generators as handed in and ``stack`` the
+    basis, both read-only: (m, d) real diagonals when every operator is
+    diagonal, else (m, d, d) complex matrices.  ``retained`` indexes the
+    generators that survived dependency dropping, in input order.  Each
     retained generator decomposes exactly as
 
-        G_a = gen_offsets[a] * 1 + sum_b gen_coeffs[a, b] * basis[b],
+        G_a = gen_offsets[a] * 1 + sum_b gen_coeffs[a, b] * stack[b],
 
     which is how expectation targets in generator coordinates map onto the
-    internal basis coordinates.
-
-    ``stack`` holds the basis, read-only: (k, d) real diagonals when every
-    generator is diagonal, else (k, d, d) complex matrices; ``basis`` holds
-    read-only operator views of its rows.  ``stack``, ``gen_offsets`` and
-    ``gen_coeffs`` (the frame) come from one Gram-Schmidt pass.
+    internal basis coordinates.  ``basis`` holds read-only operator views
+    of the rows of ``stack``, which comes with ``gen_offsets`` and
+    ``gen_coeffs`` (the frame) from one Gram-Schmidt pass.
     `make_level` runs it at once; `full_classical_level` knows ``retained``
     in advance and leaves the pass to the first read of the frame, which
     raises if the pass keeps other generators.
     """
 
     sigma: DensityOperator
-    generators: tuple[HermitianOperator, ...]
+    generators: np.ndarray
     retained: tuple[int, ...]
     label: str = ""
 
     def _frame(self) -> MappingProxyType:
         """Orthonormalize and keep all three frame attributes."""
-        stack = _stack(self.generators, self.dim_hilbert)
-        kept, frame = _orthonormalize(self.generators, stack, self.sigma)
+        kept, frame = _orthonormalize(self.generators, self.sigma)
         if kept != self.retained:
             raise ValidationError(
                 f"Gram-Schmidt keeps generators {kept}, not the level's {self.retained}")
@@ -357,9 +353,6 @@ class LevelOfDescription:
     def is_trivial(self) -> bool:
         return not self.retained
 
-    def same_context(self, other: "LevelOfDescription") -> bool:
-        return self.sigma.same_state(other.sigma)
-
     def with_label(self, label: str) -> "LevelOfDescription":
         """The same level relabelled, with whatever it has computed."""
         new = replace(self, label=label)
@@ -371,16 +364,11 @@ class LevelOfDescription:
         return f"LevelOfDescription(dim={self.dim}, d={self.dim_hilbert}{name})"
 
 
-def _level(stack: np.ndarray, sigma: DensityOperator, label: str,
-           ops=None) -> LevelOfDescription:
-    """The level of the stacked operators ops, orthonormalized at once; a
-    computed stack without ops spans it with views of its rows."""
-    if ops is None:
-        stack = _freeze(_compact(stack))
-        ops = _views(stack)
-    kept, frame = _orthonormalize(ops, stack, sigma)
-    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
-                               retained=kept, label=label)
+def _level(stack: np.ndarray, sigma: DensityOperator, label: str) -> LevelOfDescription:
+    """The level of the stacked generators, orthonormalized at once."""
+    stack = _freeze(_compact(stack))
+    kept, frame = _orthonormalize(stack, sigma)
+    level = LevelOfDescription(sigma=sigma, generators=stack, retained=kept, label=label)
     vars(level).update(frame)
     return level
 
@@ -399,7 +387,9 @@ def make_level(generators, sigma: DensityOperator, *,
     ops = [_coerce_operator(g) for g in generators]
     if any(op.dim != d for op in ops):
         raise ValidationError("generator dimension does not match the reference state")
-    return _level(_stack(ops, d), sigma, label, ops)
+    if all(op.diagonal is not None for op in ops):
+        return _level(np.array([op.diagonal for op in ops]).reshape(-1, d), sigma, label)
+    return _level(np.array([op.matrix for op in ops], dtype=complex), sigma, label)
 
 
 def trivial_level(sigma: DensityOperator) -> LevelOfDescription:
@@ -415,13 +405,12 @@ def full_classical_level(sigma: DensityOperator) -> LevelOfDescription:
     """
     if not isinstance(sigma, DensityOperator):
         raise ValidationError("a level needs a reference state")
-    gens = _views(_freeze(np.eye(sigma.dim)[:-1]))
-    return LevelOfDescription(sigma=sigma, generators=gens,
+    return LevelOfDescription(sigma=sigma, generators=_freeze(np.eye(sigma.dim)[:-1]),
                               retained=tuple(range(sigma.dim - 1)), label="full")
 
 
 def _require_same_context(a: LevelOfDescription, b: LevelOfDescription) -> None:
-    if not a.same_context(b):
+    if not a.sigma.same_state(b.sigma):
         raise ValidationError("levels are built at different reference states")
 
 
@@ -453,14 +442,6 @@ def _frame_coords(level: LevelOfDescription,
     frame, zs = (_embedding(level.sigma, s, slots) for s in (level.stack, stack))
     coeffs = (zs @ frame.conj().T).real
     return coeffs, np.linalg.norm(zs - coeffs @ frame, axis=1)
-
-
-def is_sublevel(sub: LevelOfDescription, sup: LevelOfDescription) -> bool:
-    """True when span(sub) is contained in span(sup), shared context required."""
-    _require_same_context(sub, sup)
-    if sub is sup or sub.is_trivial:
-        return True
-    return bool(np.all(_frame_coords(sup, sub.stack)[1] <= SUBLEVEL_TOL))
 
 
 def _op_label(a: LevelOfDescription, b: LevelOfDescription, sep: str) -> str:
@@ -530,10 +511,12 @@ def complement(sub: LevelOfDescription,
 def _coords(level: LevelOfDescription, sub: LevelOfDescription) -> np.ndarray:
     """Coefficients of sub's basis along level's, one row per element: both
     bases are centred at the shared reference, so no multiple of the
-    identity is left over.  The one containment check that refuses:
-    ValidationError for a sub built at another reference or not contained
-    in level, naming both levels."""
+    identity is left over.  The one containment check: ValidationError for
+    a sub built at another reference or not contained in level, naming
+    both levels.  A trivial sub has no rows and needs no product."""
     _require_same_context(level, sub)
+    if sub.is_trivial:
+        return np.zeros((0, level.n_params))
     coeffs, resid = _frame_coords(level, sub.stack)
     if np.any(resid > SUBLEVEL_TOL):
         raise ValidationError(

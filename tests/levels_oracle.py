@@ -71,6 +71,14 @@ def frame_coords(frame, z):
     return coeffs, float(np.sqrt(max(np.real(np.vdot(z, z)), 0.0)))
 
 
+def _stack(ops, d):
+    """The operators' diagonals as an (m, d) array when every one is
+    diagonal, else their matrices as an (m, d, d) array."""
+    if all(op.diagonal is not None for op in ops):
+        return np.array([op.diagonal for op in ops]).reshape(-1, d)
+    return np.array([op.matrix for op in ops])
+
+
 def make_level(generators, sigma, *, label=""):
     ops = [_coerce_operator(g) for g in generators]
     centered = [center(op, sigma) for op in ops]
@@ -83,12 +91,10 @@ def make_level(generators, sigma, *, label=""):
     for a, i in enumerate(kept):
         for b, bz in enumerate(basis_z):
             coeffs[a, b] = float(np.real(np.vdot(bz, embeds[i])))
-    level = LevelOfDescription(sigma=sigma, generators=tuple(ops),
+    level = LevelOfDescription(sigma=sigma, generators=_stack(ops, sigma.dim),
                                retained=tuple(kept), label=label)
-    diagonal = all(op.diagonal is not None for op in basis_ops)
-    stack = np.array([op.diagonal if diagonal else op.matrix for op in basis_ops])
-    vars(level).update(stack=stack.reshape(k, *(sigma.dim,) * (1 if diagonal else 2)),
-                       basis=tuple(basis_ops), gen_offsets=offsets, gen_coeffs=coeffs)
+    vars(level).update(stack=_stack(basis_ops, sigma.dim), basis=tuple(basis_ops),
+                       gen_offsets=offsets, gen_coeffs=coeffs)
     return level
 
 

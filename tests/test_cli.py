@@ -565,15 +565,13 @@ class TestLazyLevels:
         seen = []
         original = gibbsfit.levels._orthonormalize
 
-        def counting(ops, stack, sigma):
-            seen.append(ops)
-            return original(ops, stack, sigma)
+        def counting(stack, sigma):
+            seen.append(stack)
+            return original(stack, sigma)
 
         monkeypatch.setattr(gibbsfit.levels, "_orthonormalize", counting)
         assert run([*argv, "--data", WOLF_COUNTS, "--observables", WOLF_OBS]) == EXIT_OK
-        eye = np.eye(6)
-        outcome = [ops for ops in seen if len(ops) == 5 and all(
-            np.array_equal(op.diagonal, eye[k]) for k, op in enumerate(ops))]
+        outcome = [stack for stack in seen if np.array_equal(stack, np.eye(6)[:-1])]
         assert len(outcome) == frames
 
 
@@ -871,8 +869,8 @@ print(json.dumps({"stages": stages, "direct": sorted(direct)}))
 
 
 class TestWarmWork:
-    # a command whose levels are all in the memo computes no offset: the
-    # means of a sublevel come from its coordinates alone
+    # a command whose levels are all in the memo computes no offset and no
+    # expectation: the means of a sublevel come from its coordinates alone
     @pytest.mark.parametrize("argv", [
         ["estimate", "--data", "data/qutrit_mixed.json", "--level", "spin", "--alpha", "50"],
         ["compare", "--data", "data/qutrit_mixed.json", "--coarse", "diag", "--fine", "full"],
@@ -882,14 +880,16 @@ class TestWarmWork:
     def test_warm_quantum_command_takes_no_expectation(self, monkeypatch, capsys, argv):
         assert run(argv) == EXIT_OK
         calls = []
-        original = gibbsfit.state_space.expectation
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counter(original):
+            def counting(*args):
+                calls.append(args)
+                return original(*args)
+            return counting
 
-        for module in (gibbsfit.state_space, gibbsfit.levels):
-            monkeypatch.setattr(module, "expectation", counting)
+        for module, name in ((gibbsfit.state_space, "expectation"),
+                             (gibbsfit.levels, "_split_identity")):
+            monkeypatch.setattr(module, name, counter(getattr(module, name)))
         assert run(argv) == EXIT_OK
         assert calls == []
 
@@ -915,6 +915,23 @@ class TestWarmWork:
             monkeypatch.setattr(module, "_moments", moments)
         assert run(argv) == EXIT_OK
         assert (len(calls["_frame_coords"]), len(calls["_moments"])) == (2, 1)
+
+    def test_warm_count_compare_reads_the_fine_level_once(self, monkeypatch, capsys):
+        # a trivial coarse level has no coordinates to read; the one read
+        # is the fine level's containment in the measured one
+        argv = ["compare", "--data", WOLF_COUNTS, "--observables", WOLF_OBS,
+                "--coarse", "O", "--fine", "G1,G2"]
+        assert run(argv) == EXIT_OK
+        calls = []
+        original = gibbsfit.levels._frame_coords
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gibbsfit.levels, "_frame_coords", counting)
+        assert run(argv) == EXIT_OK
+        assert len(calls) == 1
 
 
 @pytest.fixture

@@ -15,8 +15,10 @@ implementations in `tests/oracles.py`.
 
 numpy is the package's only runtime dependency: `src/gibbsfit` imports no
 other module from outside the standard library, and `pyproject.toml`
-declares numpy alone.  scipy is a test oracle only; a scipy import would
-also cost a fresh process about half a second.
+declares numpy alone.  The scripts import numpy and the repository's own
+`gibbsfit` and `perfbench` besides it, so none needs the test extra.
+scipy is a test oracle only; a scipy import would also cost a fresh
+process about half a second.
 """
 
 import ast
@@ -169,6 +171,12 @@ def test_package_imports_only_numpy():
     found = {name for path in PACKAGE.glob("*.py")
              for name in third_party_imports(path.read_text())}
     assert found == {"numpy"}
+
+
+def test_scripts_import_only_numpy_and_the_repository():
+    found = {name for path in (ROOT / "scripts").glob("*.py")
+             for name in third_party_imports(path.read_text())}
+    assert found <= {"numpy", "gibbsfit", "perfbench"}
 
 
 def test_numpy_is_the_only_dependency():

@@ -26,7 +26,7 @@ from gibbsfit.inference import (
     significance,
     verdict_from_rate,
 )
-from gibbsfit.levels import full_classical_level, make_level, trivial_level
+from gibbsfit.levels import _views, full_classical_level, make_level, trivial_level
 from gibbsfit.state_space import (
     DensityOperator,
     HermitianOperator,
@@ -221,7 +221,8 @@ class TestExperimentData:
         measured = make_level([draw(rng, 5) for _ in range(4)], sigma)
         sub = make_level(measured.generators[:2], sigma)
         data = ExperimentData.from_counts(rng.integers(5, 50, size=5).astype(float), measured)
-        want = [expectation(data.empirical, measured.generators[i]) for i in measured.retained]
+        ops = _views(measured.generators)
+        want = [expectation(data.empirical, ops[i]) for i in measured.retained]
         assert np.allclose(data.means, want, rtol=0, atol=1e-14)
         want = [expectation(data.empirical, op) for op in sub.basis]
         assert np.allclose(data.means_for(sub), want, rtol=0, atol=1e-13)
@@ -240,14 +241,15 @@ class TestExperimentData:
         k = data.draw(st.integers(1, min(5, max_params)), label="k")
         measured = make_level([draw(rng, dim) for _ in range(k)], sigma)
         rho = random_density(rng, dim, kind)
-        means = [expectation(rho, measured.generators[i]) for i in measured.retained]
+        ops = _views(measured.generators)
+        means = [expectation(rho, ops[i]) for i in measured.retained]
         bare = ExperimentData(level=measured, means=means, n=100.0)
         # some of the measured generators, each rescaled and shifted by the
         # identity: a basis row keeps roundoff of its centring of about
         # 1e-16 * |generator| / |centred generator|, which the carry drops
         j = data.draw(st.integers(1, k), label="j")
         gens = [HermitianOperator.from_matrix(
-            rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * measured.generators[i].matrix
+            rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * ops[i].matrix
             + rng.normal() * np.eye(dim)) for i in rng.permutation(k)[:j]]
         sub = make_level(gens, sigma)
         want = [expectation(rho, op) for op in sub.basis]
@@ -305,7 +307,8 @@ class TestEvidence:
         draw = random_diagonal if kind == "classical" else random_hermitian
         level = make_level([draw(rng, 4) for _ in range(3)], sigma)
         rho = random_density(rng, 4, kind=kind)
-        means = [expectation(rho, level.generators[i]) for i in level.retained]
+        ops = _views(level.generators)
+        means = [expectation(rho, ops[i]) for i in level.retained]
         data = ExperimentData(level=level, means=means, n=300.0)
         g, corr = gibbsfit.gibbs._moments(sigma, level)
         want = data.n * _metric_form(corr, data.basis_means() - g)
@@ -452,8 +455,8 @@ class TestPosterior:
         counts = rng.integers(100, 900, size=6).astype(float)
         data_sub = ExperimentData(
             level=sub,
-            means=np.array([expectation(DensityOperator_cl(counts), sub.generators[i])
-                            for i in sub.retained]),
+            means=np.array([expectation(DensityOperator_cl(counts), op)
+                            for op in _views(sub.generators[list(sub.retained)])]),
             n=float(counts.sum()))
         prior = EntropicPrior(level=full, alpha=200.0)
         post = posterior_estimate(data_sub, prior)
@@ -637,7 +640,8 @@ class TestCompareLevels:
         else:
             measured = make_level(gens, sigma)
             rho = random_density(rng, d, kind="quantum" if reference == "quantum" else "classical")
-            means = [expectation(rho, measured.generators[i]) for i in measured.retained]
+            ops = _views(measured.generators)
+            means = [expectation(rho, ops[i]) for i in measured.retained]
             exp_data = ExperimentData(level=measured, means=means, n=1000.0)
         rep = compare_levels(coarse, fine, exp_data, alpha=None)
         want = project_state(coarse, rep.fine_model.state)
