@@ -31,7 +31,10 @@ demos, and the first two analyses of each perfbench workload at seeds 1 and
 
 The script then runs the same commands a second time in the same process,
 where every level comes from the package's per-process memo, and exits 1
-if any warm line differs from the cold one.  It prints each such label as
+if any warm line differs from the cold one.  In both passes consecutive
+commands on one file share the dataset the first of them parsed
+(``gibbsfit.dataio.load`` keeps the last one), as a one-shot ``gibbsfit``
+process does not.  It prints each such label as
 ``warm differs: <label>`` and a one-line count on standard error, so the
 standard output stays a file that ``--against`` reads.
 """

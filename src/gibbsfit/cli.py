@@ -1,5 +1,6 @@
-"""Command-line front end: load a dataset, run one pipeline stage, emit a
-report as an aligned table or as JSON.
+"""Command-line front end: load a dataset (`dataio.load`, whose digests of
+the bytes parsed go to the report), run one pipeline stage, emit a report
+as an aligned table or as JSON.
 
 Exit codes: 0 success, 2 data or validation problems (including evidence
 weighting that does not apply), 3 solver non-convergence.  An argparse
@@ -18,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .dataio import load_classical, load_quantum, resolve_level
+from .dataio import load, resolve_level
 from .demos import run_qubit, run_thermal, run_wolf
 from .errors import (
     DataFormatError,
@@ -67,15 +68,6 @@ def _configure_logging() -> None:
     pkg.propagate = False
 
 
-def _load_dataset(args):
-    path = str(args.data)
-    if path.endswith(".json"):
-        if args.observables:
-            raise ValidationError("--observables only applies to classical CSV data")
-        return load_quantum(path)
-    return load_classical(path, args.observables)
-
-
 def _parse_alpha(text: str) -> float | None:
     """'auto' -> None (evidence procedure); otherwise a finite positive number."""
     if text.strip().lower() == "auto":
@@ -98,8 +90,7 @@ def _sig_level(text: str) -> float:
     return val
 
 
-def _project(args) -> dict:
-    ds = _load_dataset(args)
+def _project(args, ds) -> dict:
     level = resolve_level(ds, args.level)
     fit = project(level, ds.data.means_for(level))
     result = {"fit": model_summary(fit)}
@@ -108,15 +99,13 @@ def _project(args) -> dict:
     return result
 
 
-def _significance(args) -> dict:
-    ds = _load_dataset(args)
+def _significance(args, ds) -> dict:
     level = resolve_level(ds, args.level)
     return {"significance": asdict(
         level_significance(ds.data, level, sig_level=args.sig_level))}
 
 
-def _estimate(args) -> dict:
-    ds = _load_dataset(args)
+def _estimate(args, ds) -> dict:
     prior = EntropicPrior(level=resolve_level(ds, args.level),
                           alpha=_parse_alpha(args.alpha_policy))
     post = posterior_estimate(ds.data, prior)
@@ -124,8 +113,7 @@ def _estimate(args) -> dict:
     return {**evidence, "posterior": posterior_summary(post)}
 
 
-def _compare(args) -> dict:
-    ds = _load_dataset(args)
+def _compare(args, ds) -> dict:
     coarse, fine = resolve_level(ds, args.coarse), resolve_level(ds, args.fine)
     alpha = _parse_alpha(args.alpha_policy)
     rep = compare_levels(coarse, fine, ds.data,
@@ -136,7 +124,8 @@ def _compare(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command and per demo, each holding its handler:
-    the function that turns the parsed options into a result tree."""
+    the function that turns the parsed options, and the loaded dataset of
+    a data command (None for a demo), into a result tree."""
     ap = argparse.ArgumentParser(
         prog="gibbsfit",
         description="Fit, weigh and compare Gibbs-manifold descriptions of "
@@ -194,16 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run a built-in worked example")
     demos = demo.add_subparsers(dest="which", required=True, metavar="which")
     p = demos.add_parser("wolf", parents=[output], help="a die from 20000 throws")
-    p.set_defaults(handler=lambda args: run_wolf())
+    p.set_defaults(handler=lambda args, ds: run_wolf())
     p = demos.add_parser("qubit", parents=[output], help="a tilted spin")
     p.add_argument("--tilt-deg", type=float, default=3.0,
                    help="tilt angle in degrees (default: 3)")
     p.add_argument("--r", type=float, default=0.73, help="Bloch radius (default: 0.73)")
     p.add_argument("--n", type=float, default=20000,
                    help="number of shots (default: 20000)")
-    p.set_defaults(handler=lambda args: run_qubit(r=args.r, tilt_deg=args.tilt_deg, n=args.n))
+    p.set_defaults(handler=lambda args, ds: run_qubit(r=args.r, tilt_deg=args.tilt_deg, n=args.n))
     p = demos.add_parser("thermal", parents=[output], help="a thermal ladder")
-    p.set_defaults(handler=lambda args: run_thermal())
+    p.set_defaults(handler=lambda args, ds: run_thermal())
     return ap
 
 
@@ -243,7 +232,8 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _configure_logging()
-        _emit(Report.build(_config(args), args.handler(args)), args)
+        ds, inputs = load(args.data, args.observables) if "data" in vars(args) else (None, {})
+        _emit(Report.build(_config(args), args.handler(args, ds), inputs), args)
     except (DataFormatError, ValidationError, EvidenceNotApplicableError,
             OSError) as exc:
         print(f"gibbsfit: error: {exc}", file=sys.stderr)

@@ -13,14 +13,19 @@ diagonal tagging run once over that array.  The reference state is
 eigendecomposed only after every check on the file has passed.  Named
 levels are checked at load and built only when resolve_level asks for one.
 Both formats are plain text so datasets diff cleanly and reproduce exactly.
+``load``, the CLI's entry point, reads each input once and keeps the last
+read-only ``Dataset`` it parsed, so commands on unchanged files parse once.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +42,7 @@ BUILTIN_LEVELS = ("full", "F", "O")
 
 __all__ = [
     "Dataset",
+    "load",
     "load_classical",
     "load_quantum",
     "resolve_level",
@@ -51,13 +57,17 @@ class Dataset:
     and "F" for quantum data); ``named`` maps each level a quantum file
     names to its observable names, in file order (empty for classical
     data).  Classical ``data`` keeps the raw counts.  ``reference`` is the
-    state the measured level carries.
+    state the measured level carries.  The three maps are read-only views.
     """
 
-    observables: dict[str, HermitianOperator]
-    levels: dict[str, LevelOfDescription]
-    named: dict[str, tuple[str, ...]]
+    observables: MappingProxyType[str, HermitianOperator]
+    levels: MappingProxyType[str, LevelOfDescription]
+    named: MappingProxyType[str, tuple[str, ...]]
     data: ExperimentData
+
+    def __post_init__(self):
+        for name in ("observables", "levels", "named"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def reference(self) -> DensityOperator:
@@ -68,13 +78,22 @@ class Dataset:
         return self.data.n
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read(path) -> bytes:
     try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh)
-                    if row and any(cell.strip() for cell in row)]
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}")
+
+
+def _text(path, raw: bytes | None, newline=None) -> io.TextIOWrapper:
+    """The bytes (``raw``, else read) decoded as open(path, newline=newline) does."""
+    return io.TextIOWrapper(io.BytesIO(_read(path) if raw is None else raw), newline=newline)
+
+
+def _read_csv(path, raw: bytes | None) -> tuple[list[str], list[list[str]]]:
+    rows = [row for row in csv.reader(_text(path, raw, newline=""))
+            if row and any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise DataFormatError(f"{path}: needs a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
@@ -95,16 +114,17 @@ def _parse_float(cell, path, what: str) -> float:
     return value
 
 
-def load_classical(counts_path, observables_path=None) -> Dataset:
+def load_classical(counts_path, observables_path=None, *, raw=(None, None)) -> Dataset:
     """Read a counts table and an optional observables table.
 
     The reference state is uniform unless a reference_weight column gives
     relative weights (normalized here).  The measured level is the full
     outcome-indicator span at that reference, whose frame is computed only
     when a command reads it; named observable columns become diagonal
-    Hermitians available for building coarser levels.
+    Hermitians available for building coarser levels.  ``raw`` holds the
+    two files' bytes; a None entry is read here.
     """
-    header, body = _read_csv(counts_path)
+    header, body = _read_csv(counts_path, raw[0])
     if header[:2] != ["outcome", "count"]:
         raise DataFormatError(
             f"{counts_path}: header must start with 'outcome,count', got {header!r}")
@@ -143,7 +163,7 @@ def load_classical(counts_path, observables_path=None) -> Dataset:
 
     observables: dict[str, HermitianOperator] = {}
     if observables_path is not None:
-        oh, ob = _read_csv(observables_path)
+        oh, ob = _read_csv(observables_path, raw[1])
         if oh[0] != "outcome":
             raise DataFormatError(
                 f"{observables_path}: first column must be 'outcome', got {oh[0]!r}")
@@ -264,7 +284,7 @@ def _read_observables(entries: list, dim: int, path) -> dict[str, HermitianOpera
     return dict(zip(names, ops))
 
 
-def load_quantum(path) -> Dataset:
+def load_quantum(path, *, raw: bytes | None = None) -> Dataset:
     """Read a quantum dataset: reference, observables, levels, sample means.
 
     The measured level spans every observable that carries a sample mean,
@@ -272,13 +292,11 @@ def load_quantum(path) -> Dataset:
     vector.  Named levels must use known observables and may not take a
     built-in name; they are built at the reference by resolve_level.  Every
     check on the file runs before the reference state is eigendecomposed,
-    so a dim that does not fit the matrices fails fast.
+    so a dim that does not fit the matrices fails fast.  ``raw`` is the
+    file's bytes; None reads them here.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}")
+        doc = json.load(_text(path, raw))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -346,6 +364,32 @@ def load_quantum(path) -> Dataset:
     return Dataset(observables=observables,
                    levels={"full": measured, "F": measured}, named=named,
                    data=data)
+
+
+# ((loader, every input's bytes), dataset) of the last load kept, rebound whole
+_last: tuple = (None, None)
+
+
+def load(data, observables=None) -> tuple[Dataset, dict[str, str]]:
+    """The dataset in a quantum JSON file, or a counts CSV and optional
+    observables CSV, and the SHA-256 of each input's bytes by path as given.
+    If the loader and all bytes match the last load kept, its dataset returns
+    unparsed.  A load that raised or clamped a state (and warned) is never
+    kept, so its repeat fails or warns again."""
+    global _last
+    quantum = str(data).endswith(".json")
+    if quantum and observables:
+        raise ValidationError("--observables only applies to classical CSV data")
+    paths = (data,) if quantum else (data, observables)
+    raw = tuple(None if p is None else _read(p) for p in paths)
+    digests = {str(p): hashlib.sha256(b).hexdigest() for p, b in zip(paths, raw) if b is not None}
+    key, (last_key, last) = (quantum, raw), _last
+    if key == last_key:
+        return last, digests
+    ds = load_quantum(data, raw=raw[0]) if quantum else load_classical(*paths, raw=raw)
+    if not any(s is not None and s.clamped for s in (ds.reference, ds.data.empirical)):
+        _last = (key, ds)
+    return ds, digests
 
 
 def resolve_level(dataset: Dataset, spec: str) -> LevelOfDescription:

@@ -1,12 +1,11 @@
-"""Structured reports: a JSON-serializable result tree with provenance.
-
-Tables show 6 significant digits; JSON keeps full double precision so a
-report re-read from disk reproduces every number exactly.
+"""Structured reports: a JSON-serializable result tree with provenance,
+whose input digests the caller gives, of the bytes it parsed.  Tables show
+6 significant digits; JSON keeps full double precision so a report re-read
+from disk reproduces every number exactly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,14 +25,6 @@ __all__ = [
     "comparison_summary",
     "posterior_summary",
 ]
-
-
-def _digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _jsonable(obj):
@@ -64,12 +55,11 @@ class Report:
     provenance: dict
 
     @classmethod
-    def build(cls, config: dict, result: dict) -> "Report":
-        """`config` echoes the invocation: its `command` and the paths in
-        its `inputs`, if any, which the provenance digests."""
+    def build(cls, config: dict, result: dict, inputs: dict) -> "Report":
+        """`config` echoes the invocation; `inputs` maps each input path to
+        the SHA-256 of the bytes the command parsed."""
         from . import __version__
-        prov = {"tool": "gibbsfit", "version": __version__,
-                "inputs": {str(p): _digest(p) for p in config.get("inputs", ())}}
+        prov = {"tool": "gibbsfit", "version": __version__, "inputs": dict(inputs)}
         return cls(command=config["command"], result=_jsonable(result),
                    config=_jsonable(config), provenance=prov)
 

@@ -20,6 +20,14 @@ def cold_levels():
     _memo.cache_clear()
 
 
+@pytest.fixture(autouse=True)
+def cold_load():
+    """Start every test with no kept dataset (`gibbsfit.dataio._last`), so
+    that a command's first load parses its files, as in a fresh process."""
+    import gibbsfit.dataio
+    gibbsfit.dataio._last = (None, None)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)

@@ -1,9 +1,12 @@
 import argparse
+import builtins
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -322,7 +325,9 @@ class TestStatesHeldAsSpectra:
         assert "matrix" not in vars(fit.state)
 
     def test_fits_fix_no_phases(self, monkeypatch, capsys):
-        ds = load_quantum("data/qutrit_mixed.json")
+        # loaded (and its reference phase-fixed) before counting: every
+        # command below takes this dataset from gibbsfit.dataio.load
+        gibbsfit.dataio.load("data/qutrit_mixed.json")
         calls = []
         original = gibbsfit.state_space._fix_phases
 
@@ -333,7 +338,6 @@ class TestStatesHeldAsSpectra:
         for name, mod in list(sys.modules.items()):
             if name.startswith("gibbsfit") and hasattr(mod, "_fix_phases"):
                 monkeypatch.setattr(mod, "_fix_phases", counting)
-        monkeypatch.setattr(gibbsfit.cli, "_load_dataset", lambda args: ds)
         data = ["--data", "data/qutrit_mixed.json"]
         for argv in (["project", *data], ["project", *data, "--level", "spin"],
                      ["estimate", *data, "--level", "spin"],
@@ -598,10 +602,179 @@ class TestLevelMemo:
 
         warm = compare("warm")
         assert outcome == []
+        # cold: nothing reused, neither a level nor the loaded dataset
         gibbsfit.levels._memo.cache_clear()
+        _cold()
         cold = compare("cold")
         assert len(outcome) == 1
         assert warm == cold
+
+
+# one analysis of each kind: the four commands on one dataset
+ANALYSES = {
+    "quantum": (["--data", QUBIT_JSON], "load_quantum", [
+        ["significance"], ["project", "--level", "ising"], ["estimate", "--alpha", "50"],
+        ["compare", "--coarse", "ising", "--fine", "heisenberg", "--alpha", "50"]]),
+    "classical": (["--data", WOLF_COUNTS, "--observables", WOLF_OBS], "load_classical", [
+        ["significance"], ["project", "--level", "G1,G2"], ["estimate", "--alpha", "50"],
+        ["compare", "--coarse", "O", "--fine", "G1,G2", "--alpha", "50"]]),
+}
+
+
+def _parses(monkeypatch, *loaders):
+    """The calls gibbsfit.dataio.load makes to the named loaders."""
+    calls = []
+    for name in loaders:
+        original = getattr(gibbsfit.dataio, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gibbsfit.dataio, name, counting)
+    return calls
+
+
+def _report(tmp_path, argv, name="report.json"):
+    """Run one command with a JSON report; returns (exit code, report text)."""
+    dest = tmp_path / name
+    dest.unlink(missing_ok=True)
+    rc = run([*argv, "--format", "json", "--out", str(dest)])
+    return rc, dest.read_text() if dest.exists() else ""
+
+
+def _cold():
+    gibbsfit.dataio._last = (None, None)
+
+
+class TestLoadOnce:
+    # the commands one process runs on unchanged files parse them once; any
+    # change to any input's bytes, and any load that failed or warned, parses
+    # again
+    @pytest.mark.parametrize("kind", list(ANALYSES))
+    def test_analysis_parses_once(self, monkeypatch, tmp_path, kind):
+        data, loader, commands = ANALYSES[kind]
+        calls = _parses(monkeypatch, loader)
+        warm = [_report(tmp_path, [*cmd, *data]) for cmd in commands]
+        assert len(calls) == 1
+        cold = []
+        for cmd in commands:
+            _cold()
+            cold.append(_report(tmp_path, [*cmd, *data]))
+        assert len(calls) == 1 + len(commands)
+        assert all(rc == EXIT_OK for rc, _ in warm)
+        assert warm == cold
+
+    def test_observables_with_json_refused_before_reading(self, tmp_path, capsys):
+        argv = ["project", "--data", str(tmp_path / "absent.json"),
+                "--observables", str(tmp_path / "absent.csv")]
+        assert run(argv) == EXIT_DATA
+        assert "--observables only applies to classical CSV data" in capsys.readouterr().err
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
+        argv = ["project", "--level", "full", *_counts_file(tmp_path, (3, 4, 5))]
+        first = _report(tmp_path, argv)
+        path = Path(argv[-1])
+        path.write_text("outcome,count\n0,5\n1,4\n2,3\n")
+        second = _report(tmp_path, argv)
+        _cold()
+        assert second == _report(tmp_path, argv) != first
+        digest = json.loads(second[1])["provenance"]["inputs"][str(path)]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_other_observables_file_is_parsed_again(self, monkeypatch, tmp_path):
+        other = tmp_path / "observables.csv"
+        other.write_text(Path(WOLF_OBS).read_text().replace("outcome,G1,G2", "outcome,G2,G1"))
+        calls = _parses(monkeypatch, "load_classical")
+        argv = ["project", "--data", WOLF_COUNTS, "--level", "G1", "--observables"]
+        first, second = (_report(tmp_path, [*argv, obs]) for obs in (WOLF_OBS, str(other)))
+        assert len(calls) == 2
+        assert json.loads(first[1])["result"] != json.loads(second[1])["result"]
+
+    def test_malformed_file_fails_each_time(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("outcome,count\n0,3\n1,four\n")
+        argv = ["significance", "--data", str(path)]
+        errors = []
+        for _ in range(2):
+            assert run(argv) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "'four' is not a number" in errors[0]
+        path.write_text("outcome,count\n0,3\n1,4\n")
+        assert run(argv) == EXIT_OK
+
+    def test_clamped_load_warns_each_time(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("GIBBSFIT_LOG", raising=False)
+        argv = ["significance", *_counts_file(tmp_path, (10, 20, 0, 30))]
+        for _ in range(2):
+            assert run(argv) == EXIT_OK
+            assert "clamped" in capsys.readouterr().err
+
+    def test_each_input_opened_once(self, monkeypatch, capsys):
+        opened = []
+        original = builtins.open
+
+        def recording(file, *args, **kwargs):
+            opened.append(file)
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording)
+        data, _, commands = ANALYSES["classical"]
+        for cmd in commands:
+            opened.clear()
+            assert run([*cmd, *data]) == EXIT_OK
+            assert sorted(p for p in opened if p in data) == [WOLF_COUNTS, WOLF_OBS], cmd
+
+    def test_digest_is_of_the_parsed_bytes(self, monkeypatch, tmp_path):
+        argv = ["project", "--level", "full", *_counts_file(tmp_path, (3, 4, 5))]
+        path = Path(argv[-1])
+        parsed = path.read_bytes()
+        want = _report(tmp_path, argv)
+        _cold()
+        original = gibbsfit.cli.resolve_level
+
+        def rewriting(ds, spec):
+            # the file changes after the load, before the report is built
+            path.write_text("outcome,count\n0,5\n1,4\n2,3\n")
+            return original(ds, spec)
+
+        monkeypatch.setattr(gibbsfit.cli, "resolve_level", rewriting)
+        got = _report(tmp_path, argv)
+        assert json.loads(got[1])["provenance"]["inputs"] == {
+            str(path): hashlib.sha256(parsed).hexdigest()}
+        assert got == want
+
+    def test_threads_alternating_two_files(self, tmp_path):
+        # more threads than cores alternate two datasets through one slot,
+        # switching often: every report is the one its file gives alone
+        argvs = [["estimate", "--alpha", "50", *ANALYSES[kind][0]] for kind in ANALYSES]
+        want = []
+        for argv in argvs:
+            _cold()
+            want.append(_report(tmp_path, argv))
+        got, errors = [], []
+
+        def work(t, order):
+            try:
+                for n, i in enumerate(order):
+                    got.append((i, _report(tmp_path, argvs[i], f"{t}-{n}.json")))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t, [t % 2, 1 - t % 2] * 6))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 4 * 12
+        assert all(report == want[i] for i, report in got)
 
 
 class TestEstimate:
@@ -723,7 +896,7 @@ class TestConfigValues:
 
 
 class TestEveryOptionRead:
-    # every option a command's parser declares is read by _load_dataset, the
+    # every option a command's parser declares is read by cli.run's load, the
     # handler or _emit: none is accepted and then ignored
     @pytest.mark.parametrize("argv", [
         # a level below the data's, so that project checks the residual

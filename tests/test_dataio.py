@@ -247,3 +247,15 @@ class TestResolveLevel:
         ds = load_classical(WOLF_COUNTS)
         with pytest.raises(DataFormatError):
             resolve_level(ds, "nope")
+
+
+class TestReadOnlyDataset:
+    # one dataset serves every command a process runs on the same bytes, so
+    # none of them may change what the next one reads
+    @pytest.mark.parametrize("ds", [lambda: load_classical(WOLF_COUNTS, WOLF_OBS),
+                                    lambda: load_quantum(QUBIT_JSON)],
+                             ids=["classical", "quantum"])
+    @pytest.mark.parametrize("field", ["observables", "levels", "named"])
+    def test_maps_refuse_item_assignment(self, ds, field):
+        with pytest.raises(TypeError):
+            getattr(ds(), field)["extra"] = None
