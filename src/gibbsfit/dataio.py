@@ -86,9 +86,13 @@ def _read(path) -> bytes:
         raise DataFormatError(f"cannot read {path}: {exc}")
 
 
-def _text(path, raw: bytes | None, newline=None) -> io.TextIOWrapper:
+def _text(path, raw: bytes | None, newline=None) -> io.StringIO:
     """The bytes (``raw``, else read) decoded as open(path, newline=newline) does."""
-    return io.TextIOWrapper(io.BytesIO(_read(path) if raw is None else raw), newline=newline)
+    text = io.TextIOWrapper(io.BytesIO(_read(path) if raw is None else raw), newline=newline)
+    try:
+        return io.StringIO(text.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not readable as text: {exc}")
 
 
 def _read_csv(path, raw: bytes | None) -> tuple[list[str], list[list[str]]]:

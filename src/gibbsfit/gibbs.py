@@ -21,7 +21,10 @@ gives g and the covariance on that spectrum, through the eigenframe kernel
 state_space._kmb_moments unless all is classical.  The reference itself
 needs neither: the basis is centered and orthonormal at sigma, so there
 g = 0, C = I and ln Z = S(sigma).  `project` starts Newton at that point,
-and `inference.estimate_alpha` reads its chi2 off the basis means.
+and `inference.estimate_alpha` reads its chi2 off the basis means.  On a
+complete level, whose span holds every operator the manifold can vary,
+`project` starts instead at the closed-form multipliers (`_closed_form`),
+a point Newton's residual test accepts or refines.
 
 At the bottom: the spin level of a qubit and Bloch coordinates read off
 its manifold points, which the qubit demo reports.  The closed forms of
@@ -41,6 +44,7 @@ from .state_space import (
     EIG_FLOOR,
     DensityOperator,
     _kmb_moments,
+    _kmb_weights,
     pauli_x,
     pauli_y,
     pauli_z,
@@ -216,6 +220,31 @@ def _newton_step(corr: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low.T, np.linalg.solve(low, -grad))
 
 
+def _closed_form(level: LevelOfDescription, t: np.ndarray) -> np.ndarray | None:
+    """The multipliers of the projection onto a complete level; None for
+    any other level, or when the state with the targets has an eigenvalue
+    <= 0.  As the basis is centered and orthonormal at sigma, that state is
+    rho* = sigma + sum_b t_b Omega(B_b), with Omega the Kubo-Mori map at
+    sigma, W (.) in its eigenframe (W = `_kmb_weights`; Petz, Linear Algebra
+    Appl. 244:81, 1996), and lam_b = <B_b, ln sigma - ln rho*>_sigma."""
+    sigma, stack, d = level.sigma, level.stack, level.dim_hilbert
+    vector = sigma.is_classical and stack.ndim == 2
+    if len(stack) != (d - 1 if vector else d * d - 1):
+        return None
+    if vector:
+        p = sigma.probs
+        target = p * (1.0 + t @ stack)
+        return -stack @ (p * (np.log(target) - np.log(p))) if target.min() > 0 else None
+    eigs, v = sigma.eigenvalues, sigma.eigenvectors
+    weights = _kmb_weights(eigs)
+    rot = v.conj().T @ stack @ v
+    mu, u = np.linalg.eigh(np.diag(eigs) + weights * np.tensordot(t, rot, 1))
+    if not mu.min() > 0:
+        return None
+    gap = np.diag(np.log(eigs)) - (u * np.log(mu)) @ u.conj().T
+    return np.real(rot.conj().reshape(len(stack), -1) @ (weights * gap).ravel())
+
+
 def project(level: LevelOfDescription, targets) -> GibbsModel:
     """Damped-Newton solve for the manifold point matching expectation targets.
 
@@ -230,10 +259,13 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
     backtracking line search (Boyd & Vandenberghe, Convex Optimization,
     sec. 9.5).  It starts at the reference with nothing evaluated: the
     basis is centered and orthonormal at sigma, so there g = 0, C = I and
-    ln Z = S(sigma), and the first step is t itself.  A trial point costs
-    one spectrum and its ln Z (`_log_norm`), which is all the Armijo test
-    reads; g and C are computed once per accepted point, and one state is
-    built, for the returned model (at lam = 0 that is sigma itself).
+    ln Z = S(sigma), and the first step is t itself.  A complete level
+    starts instead at its closed-form point (`_closed_form`), paying one
+    spectrum and one g and C there, unless the target state has an
+    eigenvalue <= 0.  A trial point costs one spectrum and its ln Z
+    (`_log_norm`), which is all the Armijo test reads; g and C are computed
+    once per accepted point, and one state is built, for the returned model
+    (at lam = 0 that is sigma itself).
 
     Raises InfeasibleTargetError when the iteration caps out or multipliers
     blow past LAMBDA_CAP (targets on or outside the achievable set), and
@@ -251,6 +283,11 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
     ln_z = von_neumann_entropy(level.sigma)
     g, corr = np.zeros(k), np.eye(k)
     spectrum = None  # of the current point; None at the reference
+    start = _closed_form(level, t) if scale > tol else None
+    if start is not None:
+        lam = start
+        ln_z, *spectrum = log_norm(lam)
+        g, corr = _moments_at(*spectrum, level.stack)
 
     def objective(ln_z_val: float, lam_val: np.ndarray) -> float:
         return ln_z_val + float(lam_val @ t)

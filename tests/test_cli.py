@@ -35,7 +35,7 @@ QUBIT_PARTIAL = "data/qubit_partial.json"
 
 
 def _variant_qubit(tmp_path, name, **means):
-    doc = json.load(open(QUBIT_JSON))
+    doc = json.loads(Path(QUBIT_JSON).read_text())
     doc["sample_means"] = means
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -78,7 +78,7 @@ class TestExitCodes:
         assert "gibbsfit: solver error:" in capsys.readouterr().err
 
     def test_builtin_level_name_in_file(self, tmp_path, capsys):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["levels"]["full"] = ["Z"]
         path = tmp_path / "shadow.json"
         path.write_text(json.dumps(doc))
@@ -189,6 +189,14 @@ class TestMalformedClassicalTable:
         err = capsys.readouterr().err
         assert "gibbsfit: error:" in err and str(counts) in err
 
+    def test_undecodable_byte(self, tmp_path, capsys):
+        # 0xff starts no UTF-8 sequence: a data error, not a traceback
+        counts = tmp_path / "counts.csv"
+        counts.write_bytes(b"outcome,count\na,3\nb,\xff5\n")
+        assert run(["significance", "--data", str(counts)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and str(counts) in err
+
     def test_observables_duplicate_outcome(self, tmp_path, capsys):
         obs = tmp_path / "observables.csv"
         rows = Path(WOLF_OBS).read_text().splitlines()
@@ -228,6 +236,13 @@ class TestMalformedQuantumFile:
         assert run(["significance", *_quantum_file(tmp_path, edit)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"observable 'Y' '{part}' must be 2x2 numbers" in err
+
+    def test_undecodable_byte(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff" + Path(QUBIT_JSON).read_bytes())
+        assert run(["significance", "--data", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "gibbsfit: error:" in err and str(path) in err
 
     def test_first_faulty_observable_named(self, tmp_path, capsys):
         def edit(doc):

@@ -105,7 +105,7 @@ class TestLoadQuantum:
             assert ds.data.means[pos] == pytest.approx(want[name], abs=1e-12)
 
     def test_rejects_wrong_format_version(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["format_version"] = 2
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc))
@@ -113,7 +113,7 @@ class TestLoadQuantum:
             load_quantum(path)
 
     def test_rejects_non_hermitian_observable(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["observables"][0]["re"] = [[0.0, 1.0], [0.3, 0.0]]
         path = tmp_path / "nh.json"
         path.write_text(json.dumps(doc))
@@ -121,7 +121,7 @@ class TestLoadQuantum:
             load_quantum(path)
 
     def test_rejects_bad_reference(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["reference"] = {"re": [[0.9, 0.0], [0.0, 0.9]],
                             "im": [[0.0, 0.0], [0.0, 0.0]]}
         path = tmp_path / "badref.json"
@@ -130,7 +130,7 @@ class TestLoadQuantum:
             load_quantum(path)
 
     def test_rejects_unknown_mean(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["sample_means"]["W"] = 0.1
         path = tmp_path / "unknown.json"
         path.write_text(json.dumps(doc))
@@ -138,7 +138,7 @@ class TestLoadQuantum:
             load_quantum(path)
 
     def test_rejects_level_with_unknown_observable(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["levels"]["bad"] = ["Z", "W"]
         path = tmp_path / "badlevel.json"
         path.write_text(json.dumps(doc))
@@ -147,7 +147,7 @@ class TestLoadQuantum:
 
     @pytest.mark.parametrize("name", ["full", "F", "O"])
     def test_rejects_builtin_level_name(self, tmp_path, name):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         doc["levels"][name] = ["Z"]
         path = tmp_path / "shadow.json"
         path.write_text(json.dumps(doc))
@@ -155,7 +155,7 @@ class TestLoadQuantum:
             load_quantum(path)
 
     def test_rejects_missing_key(self, tmp_path):
-        doc = json.load(open(QUBIT_JSON))
+        doc = json.loads(Path(QUBIT_JSON).read_text())
         del doc["dim"]
         path = tmp_path / "nodim.json"
         path.write_text(json.dumps(doc))

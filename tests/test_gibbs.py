@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
     _basis_targets,
+    _closed_form,
     _log_norm,
     _metric_form,
     _moments,
@@ -51,6 +53,31 @@ def _random_level(rng, sigma, k):
     else:
         ops = [random_hermitian(rng, sigma.dim) for _ in range(k)]
     return make_level(ops, sigma)
+
+
+def _complete_level(rng, kind, reference, dim):
+    """A level spanning every operator its manifold can vary: d - 1 random
+    diagonals at a classical reference, else d^2 - 1 random Hermitian
+    generators; the reference uniform, random (complex eigenvectors when
+    quantum) or, for a quantum level, a random classical one."""
+    if reference == "uniform":
+        sigma = (DensityOperator.classical(np.full(dim, 1.0 / dim))
+                 if kind == "classical" else uniform_state(dim))
+    else:
+        sigma = random_density(rng, dim, "classical" if reference == "diagonal" else kind)
+    if kind == "classical":
+        level = make_level([random_diagonal(rng, dim) for _ in range(dim - 1)], sigma)
+        assert level.n_params == dim - 1
+    else:
+        level = make_level([random_hermitian(rng, dim) for _ in range(dim * dim - 1)], sigma)
+        assert level.n_params == dim * dim - 1
+    return level
+
+
+def _solve_from_reference(level, t):
+    """project with the closed-form start switched off: Newton from lam = 0."""
+    with mock.patch.object(gibbsfit.gibbs, "_closed_form", return_value=None):
+        return project(level, t)
 
 
 class TestGibbsState:
@@ -223,6 +250,17 @@ class TestReferenceStart:
         # targets at the reference: nothing to solve, and pi(0) is sigma
         assert project(level, np.zeros(k)).state is sigma
 
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_complete_level_at_reference(self, rng, monkeypatch, kind):
+        # targets met at the reference: the closed form is not computed
+        level = _complete_level(rng, kind, "random", 3)
+
+        def refuse(*args):
+            raise AssertionError("closed form computed at the reference")
+
+        monkeypatch.setattr(gibbsfit.gibbs, "_closed_form", refuse)
+        assert project(level, np.zeros(level.n_params)).state is level.sigma
+
     def test_moments_once_per_accepted_step(self, monkeypatch):
         # g and C are computed at each accepted point and nowhere else: not at
         # lam = 0, where the basis fixes them, and not at a trial point the
@@ -255,6 +293,67 @@ class TestReferenceStart:
         assert counts["moments"] == counts["steps"]
         assert not any(np.allclose(p, sigma.eigenvalues) for p in at)
         assert np.array_equal(at[-1], model.state.eigenvalues)
+
+
+class TestClosedFormStart:
+    # on a complete level project starts Newton at the closed-form
+    # multipliers, which the residual test accepts
+    @given(kind=st.sampled_from(["classical", "quantum"]),
+           reference=st.sampled_from(["uniform", "random", "diagonal"]), data=st.data())
+    def test_matches_newton_from_reference(self, kind, reference, data):
+        dim = data.draw(st.integers(2, 6 if kind == "classical" else 5), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        level = _complete_level(rng, kind, reference, dim)
+        t, _ = _moments(random_density(rng, dim, kind), level)
+        assert _closed_form(level, t) is not None
+        got, want = project(level, t), _solve_from_reference(level, t)
+        # Newton from the reference stops once |g - t| <= 1e-10 (1 + |t|),
+        # an error that C^-1 magnifies in lam; one more step leaves rounding
+        want = gibbs_state(level, want.lam + _newton_step(want.corr, t - want.g))
+        for a, b in ((got.lam, want.lam), (got.g, want.g)):
+            assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("kind, reference, dim", [
+        ("classical", "random", 6), ("quantum", "random", 4), ("quantum", "diagonal", 3)])
+    def test_no_newton_step(self, rng, monkeypatch, kind, reference, dim):
+        level = _complete_level(rng, kind, reference, dim)
+        t, _ = _moments(random_density(rng, dim, kind), level)
+        steps = []
+
+        def counting(*args):
+            steps.append(args)
+            return newton_step(*args)
+
+        newton_step = gibbsfit.gibbs._newton_step
+        monkeypatch.setattr(gibbsfit.gibbs, "_newton_step", counting)
+        project(level, t)
+        assert steps == []
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_target_without_positive_state_takes_newton_path(self, rng, kind):
+        # a target state with an eigenvalue <= 0 has no closed form: the
+        # solve from the reference runs as it would without one
+        dim = 3
+        level = _complete_level(rng, kind, "random", dim)
+        p = np.array([0.7, 0.4, -0.1])
+        if kind == "classical":
+            t = level.stack @ p
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            t = np.real(np.einsum("bij,ji->b", level.stack, (q * p) @ q.conj().T))
+        assert _closed_form(level, t) is None
+        errors = []
+        for solve in (project, _solve_from_reference):
+            with pytest.raises(InfeasibleTargetError) as exc:
+                solve(level, t)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_level_not_complete(self, rng):
+        sigma = random_density(rng, 3)
+        level = make_level([random_hermitian(rng, 3) for _ in range(7)], sigma)
+        t, _ = _moments(random_density(rng, 3), level)
+        assert _closed_form(level, t) is None
 
 
 class TestGeometry:

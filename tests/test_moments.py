@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gibbsfit.gibbs import pauli_level, project, project_state
 from gibbsfit.inference import EntropicPrior, ExperimentData, posterior_estimate
@@ -91,6 +91,8 @@ class TestKernelOracle:
 
     @given(dim=st.sampled_from(DIMS), k=st.integers(0, 8),
            seed=st.integers(0, 2**32 - 1))
+    # near-commuting draw: C is 4.7e-5 while g is about 0.6 and one ulp off
+    @example(dim=2, k=1, seed=634)
     def test_diagonal_stack_at_quantum_states(self, dim, k, seed):
         # a (k, d) stack of diagonals gives the moments of its (k, d, d)
         # matrices without building them
@@ -102,8 +104,12 @@ class TestKernelOracle:
         matrices = np.array([op.matrix for op in ops]).reshape(k, dim, dim)
         g_dense, c_dense = _kmb_moments(state.eigenvalues, state.eigenvectors, matrices)
         g_ref, c_ref = loop_moments(state, ops)
-        tol = 1e-12 * np.linalg.norm(c_ref)
-        for got, want in ((g, g_dense), (c, c_dense), (g, g_ref), (c, c_ref)):
+        # g is a mean of the generators, so its rounding scales with their
+        # entries; C is a covariance, and its rounding with its own size
+        g_tol = 1e-12 * max(1.0, float(np.max(np.abs(diagonals), initial=0.0)))
+        c_tol = 1e-12 * np.linalg.norm(c_ref)
+        for got, want, tol in ((g, g_dense, g_tol), (c, c_dense, c_tol),
+                               (g, g_ref, g_tol), (c, c_ref, c_tol)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want), initial=0.0) <= tol
 
