@@ -63,6 +63,9 @@ QUBIT_PARTIAL = ["--data", "data/qubit_partial.json"]
 # a qutrit with a complex non-uniform reference and integer, real-only and
 # diagonal observables
 QUTRIT = ["--data", "data/qutrit_mixed.json"]
+# a qutrit whose reference is diagonal with unsorted weights: its diagonal
+# levels fit on vectors, the complete one in closed form
+QUTRIT_DIAGONAL = ["--data", "data/qutrit_diagonal.json"]
 # edges of the classical domain: a reference with four weights below the
 # eigenvalue floor, and a zero count
 EDGES = [["--data", "data/floored_reference.csv"], ["--data", "data/zero_count.csv"]]
@@ -102,6 +105,10 @@ DATA_COMMANDS = [
     ["estimate", *QUTRIT, "--level", "diag", "--alpha", "100"],
     ["compare", *QUTRIT, "--coarse", "O", "--fine", "spin"],
     ["compare", *QUTRIT, "--coarse", "diag", "--fine", "full"],
+    ["significance", *QUTRIT_DIAGONAL, "--level", "z"],
+    ["project", *QUTRIT_DIAGONAL, "--level", "diag"],
+    ["estimate", *QUTRIT_DIAGONAL, "--level", "z", "--alpha", "100"],
+    ["compare", *QUTRIT_DIAGONAL, "--coarse", "z", "--fine", "diag"],
     *([cmd, *edge, *rest] for edge in EDGES for cmd, *rest in EDGE_RUNS),
 ]
 

@@ -13,12 +13,15 @@ and multipliers are in basis coordinates; `_basis_targets` converts means
 of the retained generators.
 
 An evaluation reads the level's stacked basis `LevelOfDescription.stack`.
-At a classical reference a (k, d) diagonal stack stays on vectors;
-otherwise lam.B is one GEMV over the stack's rows and the exponent is
-diagonalized by eigh.  It comes in two parts: `_log_norm` gives ln Z and
-the spectrum of pi(lam), all that a line search reads, and `_moments_at`
-gives g and the covariance on that spectrum, through the eigenframe kernel
-state_space._kmb_moments unless all is classical.  The reference itself
+A (k, d) diagonal stack at a reference diagonal in the outcome basis
+(`_vector_probs`: every classical reference, and a quantum one whose
+eigenvectors form a permutation) stays on vectors, since the Kubo-Mori
+covariance of commuting operators is the classical one; otherwise lam.B
+is one GEMV over the stack's rows and the exponent is diagonalized by
+eigh.  It comes in two parts: `_log_norm` gives ln Z and the spectrum of
+pi(lam), all that a line search reads, and `_moments_at` gives g and the
+covariance on that spectrum, through the eigenframe kernel
+state_space._kmb_moments unless it stays on vectors.  The reference itself
 needs neither: the basis is centered and orthonormal at sigma, so there
 g = 0, C = I and ln Z = S(sigma).  `project` starts Newton at that point,
 and `inference.estimate_alpha` reads its chi2 off the basis means.  On a
@@ -134,35 +137,50 @@ def _moments_at(p: np.ndarray, v: np.ndarray | None,
     return g, 0.5 * (corr + corr.T)
 
 
+def _vector_probs(state: DensityOperator, stack: np.ndarray) -> np.ndarray | None:
+    """The state's diagonal in the outcome basis (p[perm] = eigenvalues,
+    a classical state's probs) when a (k, d) stack meets a state whose
+    eigenvectors form a permutation: where the manifold stays on vectors."""
+    perm = state.permutation if stack.ndim == 2 else None
+    if perm is None:
+        return None
+    p = np.empty(state.dim)
+    p[perm] = state.eigenvalues
+    return p
+
+
 def _moments(state: DensityOperator,
              level: LevelOfDescription) -> tuple[np.ndarray, np.ndarray]:
-    """(g, corr) of the level's basis at a state; corr exactly symmetric.
-    A classical state and a diagonal stack stay on vectors."""
+    """(g, corr) of the level's basis at a state; corr exactly symmetric,
+    on vectors where `_vector_probs` says so."""
     stack = level.stack
-    if state.is_classical and stack.ndim == 2:
-        return _moments_at(state.probs, None, stack)
+    p = _vector_probs(state, stack)
+    if p is not None:
+        return _moments_at(p, None, stack)
     return _moments_at(state.eigenvalues, state.eigenvectors, stack)
 
 
 def _log_norm(level: LevelOfDescription):
     """The function lam -> (ln_z, p, v) on the level's manifold: ln Z(lam)
-    and the spectrum of pi(lam), its probability vector p with v None when
-    all is classical, else its eigenvalues p, descending, and eigenvector
-    columns v.  `_moments_at` and `_state` read that spectrum.
+    and the spectrum of pi(lam), its probability vector p in outcome order
+    with v None when the manifold stays on vectors (`_vector_probs` of
+    sigma), else its eigenvalues p, descending, and eigenvector columns v.
+    `_moments_at` and `_state` read that spectrum.
 
-    The exponent ln sigma - lam.B is a vector when all is classical and
-    otherwise a matrix diagonalized by eigh; it is shifted by its top
-    eigenvalue before exponentiation.  lam.B is one GEMV over the stack's
-    rows.  The centering constant <ln sigma>_sigma only moves ln Z and is
-    added back in closed form (it equals minus the entropy of sigma).
+    The exponent ln sigma - lam.B is a vector there and otherwise a matrix
+    diagonalized by eigh; it is shifted by its top eigenvalue before
+    exponentiation.  lam.B is one GEMV over the stack's rows.  The centering
+    constant <ln sigma>_sigma only moves ln Z and is added back in closed
+    form (it equals minus the entropy of sigma).
     ln sigma and that entropy are computed once, here, for every lam.
     eigh's eigenvectors are kept as they come, since their phases reach no
     result.
     """
     sigma, stack, d = level.sigma, level.stack, level.dim_hilbert
     entropy = von_neumann_entropy(sigma)
-    vector = sigma.is_classical and stack.ndim == 2
-    log_sigma = np.log(sigma.probs) if vector else sigma.log_matrix
+    base = _vector_probs(sigma, stack)
+    vector = base is not None
+    log_sigma = np.log(base) if vector else sigma.log_matrix
     rows = stack if stack.ndim == 2 else stack.reshape(len(stack), d * d)
 
     def log_norm(lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
@@ -184,10 +202,16 @@ def _log_norm(level: LevelOfDescription):
     return log_norm
 
 
-def _state(p: np.ndarray, v: np.ndarray | None) -> DensityOperator:
-    """The state of a `_log_norm` spectrum."""
-    return (DensityOperator._diagonal(p) if v is None
-            else DensityOperator._from_spectrum(p, v))
+def _state(sigma: DensityOperator, p: np.ndarray,
+           v: np.ndarray | None) -> DensityOperator:
+    """The state of a `_log_norm` spectrum, of sigma's kind: on vectors at a
+    quantum sigma, a quantum state with unit-vector eigenvectors."""
+    if v is not None:
+        return DensityOperator._from_spectrum(p, v)
+    state = DensityOperator._diagonal(p)
+    if sigma.is_classical:
+        return state
+    return DensityOperator._from_spectrum(state.eigenvalues, state.eigenvectors)
 
 
 def gibbs_state(level: LevelOfDescription, lam) -> GibbsModel:
@@ -199,7 +223,7 @@ def gibbs_state(level: LevelOfDescription, lam) -> GibbsModel:
     ln_z, p, v = _log_norm(level)(lam)
     g, corr = _moments_at(p, v, level.stack)
     return GibbsModel(level=level, lam=lam.copy(), ln_z=ln_z,
-                      state=_state(p, v), g=g, corr=corr)
+                      state=_state(level.sigma, p, v), g=g, corr=corr)
 
 
 def _basis_targets(level: LevelOfDescription, targets: np.ndarray) -> np.ndarray:
@@ -226,13 +250,13 @@ def _closed_form(level: LevelOfDescription, t: np.ndarray) -> np.ndarray | None:
     <= 0.  As the basis is centered and orthonormal at sigma, that state is
     rho* = sigma + sum_b t_b Omega(B_b), with Omega the Kubo-Mori map at
     sigma, W (.) in its eigenframe (W = `_kmb_weights`; Petz, Linear Algebra
-    Appl. 244:81, 1996), and lam_b = <B_b, ln sigma - ln rho*>_sigma."""
+    Appl. 244:81, 1996), and lam_b = <B_b, ln sigma - ln rho*>_sigma.  On
+    vectors (`_vector_probs`) complete means d - 1 and rho* = p (1 + t.B)."""
     sigma, stack, d = level.sigma, level.stack, level.dim_hilbert
-    vector = sigma.is_classical and stack.ndim == 2
-    if len(stack) != (d - 1 if vector else d * d - 1):
+    p = _vector_probs(sigma, stack)
+    if len(stack) != (d * d - 1 if p is None else d - 1):
         return None
-    if vector:
-        p = sigma.probs
+    if p is not None:
         target = p * (1.0 + t @ stack)
         return -stack @ (p * (np.log(target) - np.log(p))) if target.min() > 0 else None
     eigs, v = sigma.eigenvalues, sigma.eigenvectors
@@ -265,7 +289,9 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
     eigenvalue <= 0.  A trial point costs one spectrum and its ln Z
     (`_log_norm`), which is all the Armijo test reads; g and C are computed
     once per accepted point, and one state is built, for the returned model
-    (at lam = 0 that is sigma itself).
+    (at lam = 0 that is sigma itself).  A diagonal level at a reference
+    diagonal in the outcome basis, quantum or classical, stays on vectors
+    throughout (`_vector_probs`), and the state keeps the reference's kind.
 
     Raises InfeasibleTargetError when the iteration caps out or multipliers
     blow past LAMBDA_CAP (targets on or outside the achievable set), and
@@ -296,7 +322,7 @@ def project(level: LevelOfDescription, targets) -> GibbsModel:
     for _ in range(MAX_NEWTON_ITER):
         resid_inf = float(np.max(np.abs(g - t), initial=0.0))
         if resid_inf <= tol:
-            state = level.sigma if spectrum is None else _state(*spectrum)
+            state = level.sigma if spectrum is None else _state(level.sigma, *spectrum)
             return GibbsModel(level=level, lam=lam, ln_z=ln_z,
                               state=state, g=g, corr=corr)
         grad = t - g

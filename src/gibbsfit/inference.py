@@ -316,12 +316,16 @@ class ExperimentData:
         """Basis-coordinate sample means for a level inside this one, built
         at its reference.  With raw counts available the expectations are
         taken directly; otherwise the stored means are carried through
-        linearly, along sub's basis coordinates in the measured frame.
-        ValidationError for a level built at another reference, and without
-        counts for one the measured level does not contain.
+        linearly, along sub's basis coordinates in the measured frame, and
+        the measured level itself reads `basis_means` as they are, since its
+        own coordinates are the identity up to rounding.  ValidationError
+        for a level built at another reference, and without counts for one
+        the measured level does not contain.
         """
         emp = self.empirical
         if emp is None:
+            if sub is self.level:
+                return self.basis_means()
             return _coords(self.level, sub) @ self.basis_means()
         _require_same_context(self.level, sub)
         return _classical_means(emp.probs, sub.stack)

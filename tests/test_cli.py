@@ -1172,6 +1172,28 @@ class TestContainmentRefusal:
         assert f"level {sub!r} is not contained in level {level!r}" in err
 
 
+
+def _keys(tree):
+    if isinstance(tree, dict):
+        return {key for k, v in tree.items() for key in (k, *_keys(v))}
+    if isinstance(tree, list):
+        return {key for v in tree for key in _keys(v)}
+    return set()
+
+
+class TestDiagonalLevelAtQuantumReference:
+    # the z-only level of a quantum file fits on vectors, yet its states
+    # stay quantum: no report gains the classical probabilities block
+    @pytest.mark.parametrize("argv", [
+        ["project", "--data", QUBIT_JSON, "--level", "ising"],
+        ["estimate", "--data", QUBIT_JSON, "--level", "ising", "--alpha", "100"],
+    ], ids=["project", "estimate"])
+    def test_no_probabilities_key(self, tmp_path, argv):
+        rc, text = _report(tmp_path, argv)
+        assert rc == EXIT_OK
+        assert "probabilities" not in _keys(json.loads(text)["result"])
+
+
 class TestSigLevel:
     # the significance level is refused where it enters, also when no
     # residual is computed to read it

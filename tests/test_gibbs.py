@@ -3,9 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import gibbsfit.gibbs
+from gibbsfit.dataio import load, resolve_level
 from gibbsfit.errors import InfeasibleTargetError, ValidationError
 from gibbsfit.gibbs import (
     BlochVector,
@@ -30,10 +31,12 @@ from gibbsfit.state_space import (
     DensityOperator,
     HermitianOperator,
     expectation,
+    pauli_z,
     relative_entropy,
     uniform_state,
     von_neumann_entropy,
 )
+from perfbench.workloads import quantum_full
 from conftest import random_density, random_diagonal, random_hermitian
 from oracles import (
     bloch_from_lambdas,
@@ -265,8 +268,12 @@ class TestReferenceStart:
         # g and C are computed at each accepted point and nowhere else: not at
         # lam = 0, where the basis fixes them, and not at a trial point the
         # line search rejects, whose Armijo test reads ln Z alone
-        sigma = DensityOperator.quantum(np.diag([0.98, 0.01, 0.01]))
-        level = make_level([HermitianOperator.from_diagonal([0.0, 0.0, 1.0])], sigma)
+        # one fixed real rotation of a diagonal sigma and generator keeps
+        # them off the outcome basis, so the solve takes the eigh path
+        rot, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [2.0, 0.0, 1.0]]))
+        sigma = DensityOperator.quantum(rot @ np.diag([0.98, 0.01, 0.01]) @ rot.T)
+        level = make_level([HermitianOperator.from_matrix(
+            rot @ np.diag([0.0, 0.0, 1.0]) @ rot.T)], sigma)
         counts = Counter()
         at = []
 
@@ -465,6 +472,81 @@ class TestClassicalQuantumAgreement:
         assert abs(mc.ln_z - mq.ln_z) <= 1e-12
         assert np.max(np.abs(mc.g - mq.g)) <= 1e-12
         assert np.max(np.abs(mc.corr - mq.corr)) <= 1e-12
+
+
+def _eigh_path(monkeypatch):
+    """Send every quantum state off the vector path: the eigh solve the
+    vector path replaces."""
+    vector_probs = gibbsfit.gibbs._vector_probs
+    monkeypatch.setattr(gibbsfit.gibbs, "_vector_probs", lambda state, stack: (
+        vector_probs(state, stack) if state.is_classical else None))
+
+
+class TestDiagonalQuantumReference:
+    # a diagonal level at a quantum reference diagonal in the outcome basis
+    # fits on vectors, as at the classical reference with the same weights,
+    # and returns a quantum state
+    @given(dim=st.integers(2, 6), data=st.data())
+    def test_matches_classical_and_eigh_fits(self, dim, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        perm = np.array(data.draw(st.permutations(range(dim)), label="perm"))
+        # distinct, unsorted weights: sigma's eigenvectors permute the
+        # outcomes by neither the identity nor its reverse (d > 2)
+        assume(dim == 2 or not (np.array_equal(perm, np.arange(dim))
+                                or np.array_equal(perm, np.arange(dim)[::-1])))
+        w = np.sort(rng.dirichlet(np.ones(dim)) * 0.9 + 0.1 / dim)[::-1]
+        assume(np.all(np.diff(w) < -1e-3))
+        p = np.empty(dim)
+        p[perm] = w
+        sigma = DensityOperator.quantum(np.diag(p))
+        assert np.array_equal(sigma.permutation, perm)
+        k = data.draw(st.integers(1, dim - 1), label="k")
+        gens = [random_diagonal(rng, dim) for _ in range(k)]
+        level = make_level(gens, sigma)
+        classical = make_level(gens, DensityOperator.classical(p))
+        t = level.stack @ random_density(rng, dim, "classical").probs
+        got, want = project(level, t), project(classical, t)
+        for a, b in ((got.lam, want.lam), (got.g, want.g), (got.ln_z, want.ln_z)):
+            assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, float(np.max(np.abs(b))))
+        assert not got.state.is_classical
+        assert np.all(np.diff(got.state.eigenvalues) <= 0)
+        assert got.state.permutation is not None
+        assert np.allclose(np.diag(got.state.matrix), want.state.probs, rtol=1e-10, atol=0)
+        with pytest.MonkeyPatch.context() as mp:
+            _eigh_path(mp)
+            eigh = project(level, t)
+        # Newton from the reference stops once |g - t| <= 1e-10 (1 + |t|),
+        # an error that C^-1 magnifies in lam; one more step leaves rounding
+        eigh = gibbs_state(level, eigh.lam + _newton_step(eigh.corr, t - eigh.g))
+        for a, b in ((got.lam, eigh.lam), (got.g, eigh.g), (got.ln_z, eigh.ln_z)):
+            assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("case", ["quantum-full-diag", "qubit-ising"])
+    def test_complete_level_runs_no_newton_step_and_no_eigh(
+            self, tmp_path, monkeypatch, case):
+        if case == "quantum-full-diag":
+            ds = quantum_full(tmp_path, seed=1, index=0, dim=6)
+            loaded, _ = load(ds.paths["data"])
+            level = resolve_level(loaded, "diag")
+            t = loaded.data.means_for(level)
+        else:
+            level = make_level([pauli_z()], uniform_state(2))
+            t = np.array([0.7289995603708389])
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gibbsfit.gibbs, "_newton_step",
+                            counting("steps", gibbsfit.gibbs._newton_step))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        model = project(level, t)
+        assert counts == Counter()
+        assert np.max(np.abs(model.g - t)) <= 1e-10
+        assert not model.state.is_classical
 
 
 class TestBloch:

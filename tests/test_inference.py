@@ -280,6 +280,17 @@ class TestExperimentData:
             bare.means_for(make_level([random_diagonal(rng, 6)], sigma))
 
 
+    def test_means_for_measured_level_reads_basis_means(self, rng):
+        # the measured level's own coordinates are the identity up to
+        # rounding: its means are the basis means, bit for bit
+        sigma = random_density(rng, 3)
+        measured = make_level([random_hermitian(rng, 3) for _ in range(4)], sigma)
+        bare = ExperimentData(level=measured, means=rng.normal(size=4) * 0.1, n=100.0)
+        assert np.array_equal(bare.means_for(measured), bare.basis_means())
+        with pytest.raises(ValidationError, match="not contained"):
+            bare.means_for(make_level([random_hermitian(rng, 3)], sigma))
+
+
 class TestEvidence:
     def test_noise_split_identity(self, rng):
         # synthetic data at a known quadratic distance: t = dof/chi2 exactly
